@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error (including argument errors),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -35,6 +36,14 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{message}\n{self.format_usage()}")
+
+
+def _size(text: str) -> int:
+    """argparse type for n: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
+    return n
 
 
 def _parse_tilt(text: str, n: int) -> tuple[int, ...]:
@@ -622,7 +631,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("graph")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--format", choices=["text", "json", "dot"], default="text")
     p.set_defaults(fn=_cmd_graph)
 
@@ -715,7 +724,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_size, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -724,19 +733,41 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _gate_overrides(args):
+    """Set the gate overrides in os.environ for one call, then restore them.
+
+    Variables already in the environment win over --config; --max-n and
+    --max-count-n win over both.
+    """
+    overrides = {}
+    if args.config:
+        with open(args.config) as fh:
+            for key, val in json.load(fh).items():
+                if key not in os.environ:
+                    overrides[key] = str(val)
+    if args.max_n is not None:
+        overrides["QBRUHAT_MAX_N"] = str(args.max_n)
+    if args.max_count_n is not None:
+        overrides["QBRUHAT_MAX_COUNT_N"] = str(args.max_count_n)
+    saved = {key: os.environ.get(key) for key in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for key, old in saved.items():
+            if old is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = old
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            with open(args.config) as fh:
-                for key, val in json.load(fh).items():
-                    os.environ.setdefault(key, str(val))
-        if args.max_n is not None:
-            os.environ["QBRUHAT_MAX_N"] = str(args.max_n)
-        if args.max_count_n is not None:
-            os.environ["QBRUHAT_MAX_COUNT_N"] = str(args.max_count_n)
-        return args.fn(args)
+        with _gate_overrides(args):
+            return args.fn(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -6,9 +6,12 @@ edges raise length by 1 and carry weight 1; quantum edges drop it by
 2(j-i)-1 and carry weight q_{ij} = q_i q_{i+1} ... q_{j-1}.  Weights are
 degree vectors: tuples of n-1 nonnegative integers (exponents of q_k).
 
-Shortest-path lengths ell(u,v) are BFS distances; minimal degrees d(u,v)
-come from the lattice-path depth formula and are cross-checked against
-the weight of an actual BFS shortest path.
+Shortest-path lengths ell(u,v) are distances in the forward BFS table
+from u; minimal degrees d(u,v) come from the lattice-path depth formula
+and are cross-checked against the weight of an actual BFS shortest path.
+A tilted interval [u,v] is read off the same forward table by walking
+back from v over its shortest-path DAG.  The reverse BFS (``_bfs_reverse``)
+is an independent oracle for tests and is not used by production routes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .permcore import (
     apply_transposition,
     compose,
     format_perm,
-    length,
     long_cycle,
     perm_from_word,
     prefix_set,
@@ -78,11 +80,28 @@ def format_degree(d: DegreeVec) -> str:
 # edges
 
 
+def length_change(w: Perm, i: int, j: int) -> int:
+    """length(w*t_{ij}) - length(w), in O(j-i).
+
+    Swapping w_i and w_j changes the inversion count by 1 + 2c, where c
+    counts the entries strictly between positions i and j whose values lie
+    strictly between w_i and w_j; the sign is + iff w_i < w_j.
+
+    >>> length_change((2, 3, 1, 4), 1, 4)
+    3
+    """
+    wi, wj = w[i - 1], w[j - 1]
+    lo, hi = (wi, wj) if wi < wj else (wj, wi)
+    inside = sum(1 for x in w[i:j - 1] if lo < x < hi)
+    return 1 + 2 * inside if wi < wj else -1 - 2 * inside
+
+
 def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     """Weight of the edge w -> w*t_{ij}, or None if absent.
 
     Uses the uniform cyclic-interval criterion and cross-checks it against
-    the two length conditions; a mismatch is a theorem violation.
+    the two length conditions on ``length_change``; a mismatch is a
+    theorem violation.
     """
     n = len(w)
     if not (1 <= i < j <= n):
@@ -90,9 +109,8 @@ def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     # x in (w_i, w_j)_c iff 0 < (x - w_i) mod n < (w_j - w_i) mod n
     wi, wj = w[i - 1], w[j - 1]
     span = (wj - wi) % n
-    ok = all(not 0 < (w[k] - wi) % n < span for k in range(i, j - 1))
-    target = apply_transposition(w, i, j)
-    delta = length(target) - length(w)
+    ok = all(not 0 < (x - wi) % n < span for x in w[i:j - 1])
+    delta = length_change(w, i, j)
     if not ok:
         if delta == 1 or delta == 1 - 2 * (j - i):
             raise InternalConsistencyError(
@@ -160,7 +178,10 @@ def _bfs(src: Perm) -> dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]]:
 
 @functools.lru_cache(maxsize=None)
 def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
-    """Distance-to table: w -> length of the shortest path w -> dst."""
+    """Distance-to table: w -> length of the shortest path w -> dst.
+
+    An oracle for ``tilted_interval``; no production route calls it.
+    """
     _check_gate(len(dst))
     n = len(dst)
     dist = {dst: 0}
@@ -299,19 +320,36 @@ class TiltedInterval:
 
 
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
-    """[u,v] = permutations on some shortest path from u to v."""
+    """[u,v] = permutations on some shortest path from u to v.
+
+    Walks back from v over the shortest-path DAG of the forward BFS table
+    from u: p = x*t_{ij} joins when dist(u,p) = dist(u,x) - 1 and p -> x is
+    an edge.  Ranks are distances from u.  Costs O(|[u,v]| n^2) edge tests
+    once the table exists.
+    """
     if len(u) != len(v):
         raise ValueError("size mismatch")
+    n = len(u)
     dist_u = _bfs(u)
-    dist_to_v = _bfs_reverse(v)
     total = dist_u[v][0]
-    members = {}
-    for w, (dw, _) in dist_u.items():
-        if dw <= total and dw + dist_to_v[w] == total:
-            members[w] = dw
-    return TiltedInterval(
-        u=u, v=v, ell=total, members=frozenset(members), rank=members
-    )
+    rank = {v: total}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            dp = rank[x] - 1
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    p = apply_transposition(x, i, j)
+                    if (
+                        p not in rank
+                        and dist_u[p][0] == dp
+                        and edge_weight(p, i, j) is not None
+                    ):
+                        rank[p] = dp
+                        nxt.append(p)
+        frontier = nxt
+    return TiltedInterval(u=u, v=v, ell=total, members=frozenset(rank), rank=rank)
 
 
 def interval_hasse_edges(iv: TiltedInterval) -> list[tuple[Perm, Perm]]:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -176,3 +177,39 @@ def test_verify_workers_deterministic(capsys):
     )
     assert code == 0
     assert out1 == out2
+
+
+def test_gate_overrides_do_not_outlive_the_call(capsys, tmp_path, monkeypatch):
+    # graph checks the gate on every call; BFS-backed verbs skip it on a cache hit
+    monkeypatch.delenv("QBRUHAT_MAX_N", raising=False)
+    monkeypatch.setenv("QBRUHAT_MAX_COUNT_N", "4")
+    code, _ = invoke(capsys, "--max-n", "3", "graph", "4")
+    assert code == 1  # n = 4 is over the lowered gate
+    assert "QBRUHAT_MAX_N" not in os.environ
+    code, out = invoke(capsys, "graph", "4", "--format", "json")
+    assert code == 0 and json.loads(out)["n"] == 4
+    config = tmp_path / "gates.json"
+    config.write_text('{"QBRUHAT_MAX_N": 3}')
+    code, _ = invoke(capsys, "--config", str(config), "--max-count-n", "6", "graph", "4")
+    assert code == 1
+    assert "QBRUHAT_MAX_N" not in os.environ
+    assert os.environ["QBRUHAT_MAX_COUNT_N"] == "4"
+    code, _ = invoke(capsys, "graph", "4")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "0"],
+        ["graph", "-1", "--format", "json"],
+        ["verify", "--n", "0"],
+        ["verify", "--n", "-2", "--format", "json"],
+    ],
+)
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "n must be at least 1" in captured.err

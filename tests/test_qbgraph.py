@@ -11,6 +11,7 @@ from qbruhat.permcore import (
     length,
     parse_perm,
 )
+from qbruhat import qbgraph
 from qbruhat.qbgraph import (
     deg_add,
     deg_leq,
@@ -27,6 +28,7 @@ from qbruhat.qbgraph import (
     interval_json,
     is_reflection_order,
     lattice_depth,
+    length_change,
     min_degree,
     min_set,
     reflection_order_from_word,
@@ -162,6 +164,43 @@ def test_rank2_intervals_are_diamonds():
             iv = tilted_interval(u, v)
             if iv.ell == 2:
                 assert len(iv.members) == 4, (u, v, iv.members)
+
+
+def test_length_change_matches_length_s5():
+    for w in all_permutations(5):
+        for i in range(1, 5):
+            for j in range(i + 1, 6):
+                expected = length(apply_transposition(w, i, j)) - length(w)
+                assert length_change(w, i, j) == expected, (w, i, j)
+
+
+def _interval_ranks_oracle(u, v):
+    """Ranks of [u,v] from a forward and a reverse BFS over all of S_n."""
+    dist_u = qbgraph._bfs(u)
+    dist_to_v = qbgraph._bfs_reverse(v)
+    total = dist_u[v][0]
+    return {
+        w: dw for w, (dw, _) in dist_u.items() if dw + dist_to_v[w] == total
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tilted_interval_matches_bfs_oracle_exhaustive(n):
+    perms = list(all_permutations(n))
+    for u in perms:
+        for v in perms:
+            iv = tilted_interval(u, v)
+            assert iv.rank == _interval_ranks_oracle(u, v), (u, v)
+            assert iv.members == frozenset(iv.rank)
+
+
+def test_tilted_interval_matches_bfs_oracle_s6_sample():
+    rng = random.Random(6)
+    for _ in range(20):
+        u = tuple(rng.sample(range(1, 7), 6))
+        v = tuple(rng.sample(range(1, 7), 6))
+        iv = tilted_interval(u, v)
+        assert iv.rank == _interval_ranks_oracle(u, v), (u, v)
 
 
 def test_rotate():
