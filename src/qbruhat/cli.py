@@ -217,7 +217,11 @@ def _cmd_rpoly(args) -> int:
 
 def _cmd_member(args) -> int:
     u, v = parse_perm(args.u), parse_perm(args.v)
-    text = sys.stdin.read() if args.matrix == "-" else open(args.matrix).read()
+    if args.matrix == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.matrix) as fh:
+            text = fh.read()
     M = varietylab.matrix_from_json(text, field=args.p)
     rank_route = varietylab.in_tilted_richardson(M, u, v, open_flag=args.open)
     plucker_route = varietylab.in_tilted_richardson_plucker(
@@ -571,7 +575,9 @@ _PROPERTIES = [
 ]
 
 
-def _run_property(item: tuple[str, int, int, str]) -> dict:
+def _run_property(item: tuple[str, int, int, str]) -> tuple[dict, bool]:
+    """The report of one property, and whether it failed with an
+    ``InternalConsistencyError`` (which sets verify's exit code to 2)."""
     name, n, seed, level = item
     fn, informational = next(
         (fn, info) for pname, fn, info in _PROPERTIES if pname == name
@@ -580,12 +586,13 @@ def _run_property(item: tuple[str, int, int, str]) -> dict:
     try:
         detail = fn(n, rng, level)
     except Exception as exc:  # counterexample payloads, not crashes
-        return {"name": name, "status": "fail", "detail": f"{type(exc).__name__}: {exc}"}
+        report = {"name": name, "status": "fail", "detail": f"{type(exc).__name__}: {exc}"}
+        return report, isinstance(exc, InternalConsistencyError)
     if informational:
-        return {"name": name, "status": "info", "detail": detail or ""}
+        return {"name": name, "status": "info", "detail": detail or ""}, False
     if detail is None:
-        return {"name": name, "status": "pass", "detail": ""}
-    return {"name": name, "status": "fail", "detail": detail}
+        return {"name": name, "status": "pass", "detail": ""}, False
+    return {"name": name, "status": "fail", "detail": detail}, False
 
 
 def _cmd_verify(args) -> int:
@@ -596,9 +603,11 @@ def _cmd_verify(args) -> int:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_run_property, items))
+            results = list(pool.map(_run_property, items))
     else:
-        reports = [_run_property(it) for it in items]
+        results = [_run_property(it) for it in items]
+    reports = [report for report, _ in results]
+    inconsistent = any(flag for _, flag in results)
     reports.sort(key=lambda r: r["name"])
     failed = [r for r in reports if r["status"] == "fail"]
     if args.format == "json":
@@ -616,6 +625,8 @@ def _cmd_verify(args) -> int:
             if r["detail"]:
                 line += f"  {r['detail']}"
             print(line)
+    if inconsistent:
+        return 2
     return 1 if failed else 0
 
 

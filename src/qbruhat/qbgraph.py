@@ -157,8 +157,11 @@ def rotate(w: Perm) -> Perm:
 
 @functools.lru_cache(maxsize=None)
 def _bfs(src: Perm) -> dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]]:
-    """BFS table from src: w -> (distance, (predecessor, edge weight))."""
-    _check_gate(len(src))
+    """BFS table from src: w -> (distance, (predecessor, edge weight)).
+
+    Ungated: a cache hit would skip a check here, so every caller checks
+    the graph gate before it asks for a table.
+    """
     table: dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]] = {
         src: (0, None)
     }
@@ -181,8 +184,8 @@ def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
     """Distance-to table: w -> length of the shortest path w -> dst.
 
     An oracle for ``tilted_interval``; no production route calls it.
+    Ungated, like ``_bfs``.
     """
-    _check_gate(len(dst))
     n = len(dst)
     dist = {dst: 0}
     frontier = [dst]
@@ -204,11 +207,13 @@ def ell(u: Perm, v: Perm) -> int:
     """Length of the shortest directed path from u to v; always finite."""
     if len(u) != len(v):
         raise ValueError("size mismatch")
+    _check_gate(len(u))
     return _bfs(u)[v][0]
 
 
 def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
     """Weight of one BFS shortest path from u to v."""
+    _check_gate(len(u))
     table = _bfs(u)
     d = deg_zero(len(u))
     w = v
@@ -222,6 +227,7 @@ def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
 
 def shortest_path(u: Perm, v: Perm) -> list[Perm]:
     """One BFS shortest path, as the vertex sequence u ... v."""
+    _check_gate(len(u))
     table = _bfs(u)
     path = [v]
     w = v
@@ -330,6 +336,7 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     if len(u) != len(v):
         raise ValueError("size mismatch")
     n = len(u)
+    _check_gate(n)
     dist_u = _bfs(u)
     total = dist_u[v][0]
     rank = {v: total}

@@ -12,6 +12,7 @@ element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -22,7 +23,6 @@ from .permcore import (
     bruhat_leq,
     descents,
     identity,
-    length,
     reduced_word,
 )
 from .tiltorder import (
@@ -277,7 +277,7 @@ class HeckeElt:
 
         for w, c in self.terms.items():
             ws = apply_simple(w, i)
-            if length(ws) > length(w):
+            if w[i - 1] < w[i]:  # l(w s_i) > l(w)
                 bump(ws, c)
             else:
                 bump(w, c * Q_MINUS_1)
@@ -295,7 +295,7 @@ class HeckeElt:
 
         for w, c in self.terms.items():
             ws = apply_simple(w, i)
-            if length(ws) > length(w):
+            if w[i - 1] < w[i]:  # l(w s_i) > l(w)
                 bump(ws, c * qinv)
                 bump(w, -(c * Q_MINUS_1 * qinv))
             else:
@@ -392,8 +392,12 @@ def rtilt_deodhar(
 ) -> LaurentPoly:
     """Sum of (q-1)^{|Jo|} q^{|J-|} over distinguished subwords for u.
 
-    Computed as a prefix-product DP over the word rather than by explicit
-    enumeration; identical by distributivity.
+    A DP over the word rather than an explicit enumeration; identical by
+    distributivity.  It runs right to left from u: the layer after the last
+    factor is {u: 1}, and each factor pulls the layer back one position, so
+    only prefixes that can still end at u are held, and nothing is cached
+    between calls.  A prefix's weight is a count per (|Jo|, |J-|); the
+    polynomial is built once, from the weight of the identity at position 0.
     """
     if len(u) != len(v):
         raise ValueError("size mismatch")
@@ -402,27 +406,44 @@ def rtilt_deodhar(
     if word is None:
         word = regular_tilted_reduced_word(a, v)
     seqs = tilt_sequence(word)
-    factors = word.factors
-    total = len(factors)
-
-    @functools.lru_cache(maxsize=None)
-    def dp(pos: int, w: Perm) -> LaurentPoly:
-        if pos == total:
-            return ONE if w == u else ZERO
-        f = factors[pos]
+    layer: dict[Perm, dict[tuple[int, int], int]] = {u: {(0, 0): 1}}
+    for pos in range(len(word.factors) - 1, -1, -1):
+        f = word.factors[pos]
         aj = seqs[pos + 1]
         if f is BAR:
-            if flattenable(aj, w) is None:
-                return ZERO
-            return dp(pos + 1, w)
-        ws = apply_simple(w, f)
-        if adj_increases(aj, w, f):
-            return Q_MINUS_1 * dp(pos + 1, w) + dp(pos + 1, ws)
-        return Q * dp(pos + 1, ws)
+            layer = {w: c for w, c in layer.items() if flattenable(aj, w) is not None}
+            continue
+        prev: dict[Perm, dict[tuple[int, int], int]] = {}
+        for x, counts in layer.items():
+            p = apply_simple(x, f)
+            # exactly one of x <_a x*s_f and p <_a p*s_f = x holds
+            if adj_increases(aj, x, f):
+                _add_shifted(prev, x, counts, 1, 0)  # x kept in Jo: q - 1
+                _add_shifted(prev, p, counts, 0, 1)  # p descends into J-: q
+            else:
+                _add_shifted(prev, p, counts, 0, 0)  # p ascends into J+: 1
+        layer = prev
+    out: dict[int, int] = {}
+    for (jo, jm), k in layer.get(identity(word.n), {}).items():
+        # k (q-1)^jo q^jm, expanded binomially
+        for e in range(jo + 1):
+            c = k * math.comb(jo, e)
+            out[e + jm] = out.get(e + jm, 0) + (c if (jo - e) % 2 == 0 else -c)
+    return LaurentPoly(out)
 
-    result = dp(0, identity(word.n))
-    dp.cache_clear()
-    return result
+
+def _add_shifted(
+    layer: dict[Perm, dict[tuple[int, int], int]],
+    w: Perm,
+    counts: Mapping[tuple[int, int], int],
+    d_jo: int,
+    d_jm: int,
+) -> None:
+    """Add counts, shifted by (d_jo, d_jm), to the weight of w in layer."""
+    acc = layer.setdefault(w, {})
+    for (jo, jm), k in counts.items():
+        key = (jo + d_jo, jm + d_jm)
+        acc[key] = acc.get(key, 0) + k
 
 
 _REC_MEMO: dict[tuple[Perm, Perm, Tilt], LaurentPoly] = {}

@@ -1,9 +1,13 @@
+import gc
 import json
 import os
+import warnings
 
 import pytest
 
+from qbruhat import cli
 from qbruhat.cli import run
+from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
 from qbruhat.rpolyhecke import parse_poly, rtilt_deodhar
 from qbruhat.varietylab import matrix_to_json, permutation_matrix
@@ -180,7 +184,7 @@ def test_verify_workers_deterministic(capsys):
 
 
 def test_gate_overrides_do_not_outlive_the_call(capsys, tmp_path, monkeypatch):
-    # graph checks the gate on every call; BFS-backed verbs skip it on a cache hit
+    # graph builds no cached table, so every call probes the gate afresh
     monkeypatch.delenv("QBRUHAT_MAX_N", raising=False)
     monkeypatch.setenv("QBRUHAT_MAX_COUNT_N", "4")
     code, _ = invoke(capsys, "--max-n", "3", "graph", "4")
@@ -213,3 +217,51 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert "n must be at least 1" in captured.err
+
+
+def test_graph_gate_checked_on_a_warm_cache(capsys, monkeypatch):
+    # the first calls build and cache the BFS table from 1234; the gated
+    # calls must still be refused
+    monkeypatch.delenv("QBRUHAT_MAX_N", raising=False)
+    for verb in ("mindeg", "interval"):
+        code, _ = invoke(capsys, verb, "1234", "4321")
+        assert code == 0
+        code = run(["--max-n", "3", verb, "1234", "4321"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "exceeds the graph gate 3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "outcome, expected",
+    [("raise", 2), ("counterexample", 1)],
+)
+def test_verify_exit_code_names_the_failure(capsys, monkeypatch, outcome, expected):
+    # 2 for a consistency failure, as for every other verb; 1 for any other
+    def broken(n, rng, level):
+        if outcome == "raise":
+            raise InternalConsistencyError("routes disagree")
+        return "counterexample"
+
+    props = [
+        (name, broken if name == "thin-intervals" else fn, info)
+        for name, fn, info in cli._PROPERTIES
+    ]
+    monkeypatch.setattr(cli, "_PROPERTIES", props)
+    code, out = invoke(capsys, "verify", "--level", "fast", "--n", "3", "--format", "json")
+    assert code == expected
+    failed = [r for r in json.loads(out)["reports"] if r["status"] == "fail"]
+    assert [r["name"] for r in failed] == ["thin-intervals"]
+    if outcome == "raise":
+        assert failed[0]["detail"] == "InternalConsistencyError: routes disagree"
+
+
+def test_member_closes_its_matrix_file(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(permutation_matrix(parse_perm("321"))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = invoke(capsys, "member", str(path), "231", "123")
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -210,3 +210,41 @@ def test_deodhar_dp_matches_explicit_enumeration():
         for s in distinguished_subwords(word, u):
             total = total + Q_MINUS_1 ** len(s.jcirc) * Q ** len(s.jminus)
         assert total == rtilt_deodhar(u, v, a=a, word=word), (u, v)
+
+
+def _random_perm(rng, n):
+    w = list(range(1, n + 1))
+    rng.shuffle(w)
+    return tuple(w)
+
+
+def test_deodhar_matches_recursion_all_s4_pairs():
+    perms = list(all_permutations(4))
+    for u in perms:
+        for v in perms:
+            assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+
+
+def test_deodhar_matches_recursion_s7_sample():
+    rng = random.Random(7)
+    for _ in range(30):
+        u, v = _random_perm(rng, 7), _random_perm(rng, 7)
+        assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+
+
+def test_three_routes_agree_s6_near_w0():
+    # v within one simple reflection of w0: the longest words, the most
+    # distinguished subwords
+    rng = random.Random(11)
+    w0 = tuple(range(6, 0, -1))
+    for _ in range(3):
+        i = rng.randint(0, 5)
+        v = w0 if i == 0 else w0[: i - 1] + (w0[i], w0[i - 1]) + w0[i + 1:]
+        u = _random_perm(rng, 6)
+        d = rtilt_deodhar(u, v)
+        assert d == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
+
+
+def test_deodhar_zero_for_incomparable_tilt():
+    # an explicit tilt without u <~_a v: no distinguished subword ends at u
+    assert rtilt_deodhar((2, 1, 3), (1, 3, 2), (1, 1, 1)) == ZERO
