@@ -2,7 +2,8 @@
 
 Verbs: graph, mindeg, interval, order, word, subwords, rpoly, member,
 count, sample-deodhar, tnn, gw, descent-cycle, verify.  Text output by
-default, JSON via --format json, DOT for graphs and interval posets.
+default, JSON via --format json, DOT for graphs and interval posets;
+mindeg and gw print JSON only, and accept --format json for symmetry.
 Exit codes: 0 success, 1 domain error (including argument errors),
 2 internal-consistency failure.
 """
@@ -649,6 +650,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mindeg")
     p.add_argument("u")
     p.add_argument("v")
+    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_mindeg)
 
     p = sub.add_parser("interval")
@@ -724,6 +726,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gw")
     p.add_argument("u")
     p.add_argument("v")
+    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_gw)
 
     p = sub.add_parser("descent-cycle")

@@ -7,6 +7,17 @@ Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
+
+The trace route never forms the product T_v^{-1} T_u.  Since
+eps(T_a T_b) = q^{l(a)} when ab = id and 0 otherwise, the trace of a
+product is a pairing of the two factors,
+
+    eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)},
+
+so T_v^{-1} and T_u are built separately (each from the unit, one
+generator at a time) and paired by ``trace_product``.  Hecke coefficients
+are plain integer maps exponent -> coefficient; ``LaurentPoly`` is used at
+the boundary only.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .permcore import (
     InternalConsistencyError,
@@ -23,6 +34,8 @@ from .permcore import (
     bruhat_leq,
     descents,
     identity,
+    inverse,
+    length,
     reduced_word,
 )
 from .tiltorder import (
@@ -233,23 +246,42 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 class HeckeElt:
-    """Element of the Hecke algebra of S_n in the T_w basis."""
+    """Element of the Hecke algebra of S_n in the T_w basis.
+
+    ``terms`` maps w to the coefficient of T_w, a Laurent polynomial in q
+    held as a plain integer map exponent -> coefficient.  Normal form: no
+    zero coefficient and no empty map is stored, so equal elements have
+    equal ``terms``.  ``LaurentPoly`` appears only at the boundary: ``scale``
+    takes one, ``trace`` and ``trace_product`` return one, ``__str__``
+    prints through it.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Optional[Mapping[Perm, LaurentPoly]] = None):
+    def __init__(
+        self, n: int, terms: Optional[Mapping[Perm, Mapping[int, int]]] = None
+    ):
         self.n = n
-        self.terms: dict[Perm, LaurentPoly] = {
-            w: c for w, c in (terms or {}).items() if c
-        }
+        self.terms: dict[Perm, dict[int, int]] = {}
+        for w, c in (terms or {}).items():
+            m = {e: k for e, k in c.items() if k}
+            if m:
+                self.terms[w] = m
+
+    @classmethod
+    def _from_normal(cls, n: int, terms: dict[Perm, dict[int, int]]) -> "HeckeElt":
+        """Wrap terms already in normal form, without copying them."""
+        elt = cls.__new__(cls)
+        elt.n, elt.terms = n, terms
+        return elt
 
     @classmethod
     def unit(cls, n: int) -> "HeckeElt":
-        return cls(n, {identity(n): ONE})
+        return cls(n, {identity(n): {0: 1}})
 
     @classmethod
     def basis(cls, w: Perm) -> "HeckeElt":
-        return cls(len(w), {w: ONE})
+        return cls(len(w), {w: {0: 1}})
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,48 +291,63 @@ class HeckeElt:
         )
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.terms)
+        out = {w: dict(c) for w, c in self.terms.items()}
         for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
+            acc = out.setdefault(w, {})
+            for e, k in c.items():
+                acc[e] = acc.get(e, 0) + k
         return HeckeElt(self.n, out)
 
     def scale(self, c: LaurentPoly) -> "HeckeElt":
-        return HeckeElt(self.n, {w: c * cw for w, cw in self.terms.items()})
+        return HeckeElt(
+            self.n, {w: (c * LaurentPoly(cw)).coeffs for w, cw in self.terms.items()}
+        )
+
+    def _pairs(
+        self, i: int
+    ) -> Iterator[tuple[Perm, Perm, dict[int, int], dict[int, int]]]:
+        """(lo, hi, a, b) once for each pair {w, w s_i} meeting the support.
+
+        hi = lo s_i has one inversion more than lo; a and b are the
+        coefficients of T_lo and T_hi (either may be the empty map).
+        """
+        t = self.terms
+        for w, c in t.items():
+            ws = apply_simple(w, i)
+            if w[i - 1] < w[i]:
+                yield w, ws, c, t.get(ws, _EMPTY)
+            elif ws not in t:
+                yield ws, w, _EMPTY, c
 
     def mul_gen(self, i: int) -> "HeckeElt":
-        """Right multiplication by T_i."""
-        out: dict[Perm, LaurentPoly] = {}
+        """Right multiplication by T_i.
 
-        def bump(w: Perm, c: LaurentPoly) -> None:
-            if c:
-                out[w] = out.get(w, ZERO) + c
-
-        for w, c in self.terms.items():
-            ws = apply_simple(w, i)
-            if w[i - 1] < w[i]:  # l(w s_i) > l(w)
-                bump(ws, c)
-            else:
-                bump(w, c * Q_MINUS_1)
-                bump(ws, c * Q)
-        return HeckeElt(self.n, out)
+        Pair by pair, a T_lo + b T_hi -> q b T_lo + (a + (q-1) b) T_hi,
+        since T_lo T_i = T_hi and T_hi T_i = (q-1) T_hi + q T_lo.
+        """
+        out: dict[Perm, dict[int, int]] = {}
+        for lo, hi, a, b in self._pairs(i):
+            if b:
+                out[lo] = _shifted(b, 1)
+            m = _plus_qdiff(a, b, 1)
+            if m:
+                out[hi] = m
+        return HeckeElt._from_normal(self.n, out)
 
     def mul_gen_inverse(self, i: int) -> "HeckeElt":
-        """Right multiplication by T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}."""
-        qinv = LaurentPoly.q_power(-1)
-        out: dict[Perm, LaurentPoly] = {}
+        """Right multiplication by T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}.
 
-        def bump(w: Perm, c: LaurentPoly) -> None:
-            if c:
-                out[w] = out.get(w, ZERO) + c
-
-        for w, c in self.terms.items():
-            ws = apply_simple(w, i)
-            if w[i - 1] < w[i]:  # l(w s_i) > l(w)
-                bump(ws, c * qinv)
-                bump(w, -(c * Q_MINUS_1 * qinv))
-            else:
-                bump(ws, c)
-        return HeckeElt(self.n, out)
+        Pair by pair, a T_lo + b T_hi -> (b + (q^-1 - 1) a) T_lo + q^-1 a T_hi,
+        since T_hi T_i^{-1} = T_lo and T_lo T_i^{-1} = q^-1 T_hi + (q^-1 - 1) T_lo.
+        """
+        out: dict[Perm, dict[int, int]] = {}
+        for lo, hi, a, b in self._pairs(i):
+            m = _plus_qdiff(b, a, -1)
+            if m:
+                out[lo] = m
+            if a:
+                out[hi] = _shifted(a, -1)
+        return HeckeElt._from_normal(self.n, out)
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if self.n != other.n:
@@ -310,7 +357,7 @@ class HeckeElt:
             piece = self
             for i in reduced_word(w):
                 piece = piece.mul_gen(i)
-            total = total + piece.scale(c)
+            total = total + piece.scale(LaurentPoly(c))
         return total
 
     def __str__(self) -> str:
@@ -319,10 +366,32 @@ class HeckeElt:
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({self.terms[w]})*T[{format_perm(w)}]" for w in sorted(self.terms)
+            f"({LaurentPoly(self.terms[w])})*T[{format_perm(w)}]"
+            for w in sorted(self.terms)
         )
 
     __repr__ = __str__
+
+
+_EMPTY: dict[int, int] = {}
+
+
+def _shifted(c: Mapping[int, int], s: int) -> dict[int, int]:
+    """q^s c."""
+    return {e + s: k for e, k in c.items()}
+
+
+def _plus_qdiff(
+    base: Mapping[int, int], c: Mapping[int, int], s: int
+) -> dict[int, int]:
+    """base + (q^s - 1) c, with zero coefficients dropped."""
+    out = dict(base)
+    for e, k in c.items():
+        out[e] = out.get(e, 0) - k
+        out[e + s] = out.get(e + s, 0) + k
+    if 0 in out.values():
+        return {e: k for e, k in out.items() if k}
+    return out
 
 
 def hecke_mul(x: HeckeElt, y: HeckeElt) -> HeckeElt:
@@ -339,7 +408,30 @@ def hecke_gen_inverse(n: int, i: int) -> HeckeElt:
 
 def trace(x: HeckeElt) -> LaurentPoly:
     """The trace eps: the coefficient of T_id."""
-    return x.terms.get(identity(x.n), ZERO)
+    return LaurentPoly(x.terms.get(identity(x.n)))
+
+
+def trace_product(x: HeckeElt, y: HeckeElt) -> LaurentPoly:
+    """eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)}, without forming x y.
+
+    From eps(T_a T_b) = q^{l(a)} if ab = id, else 0.  The sum is symmetric
+    in x and y (l(w) = l(w^{-1})), so it runs over the smaller support.
+    """
+    if x.n != y.n:
+        raise ValueError("size mismatch")
+    if len(x.terms) > len(y.terms):
+        x, y = y, x
+    out: dict[int, int] = {}
+    for w, cx in x.terms.items():
+        cy = y.terms.get(inverse(w))
+        if cy is None:
+            continue
+        lw = length(w)
+        for e1, k1 in cx.items():
+            for e2, k2 in cy.items():
+                e = e1 + e2 + lw
+                out[e] = out.get(e, 0) + k1 * k2
+    return LaurentPoly(out)
 
 
 def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:
@@ -491,6 +583,9 @@ def rtilt_recursive(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
 def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
     """(-q)^{l(u,v)} times the trace of T_v^{-1} T_u over tilted words.
 
+    T_v^{-1} and T_u are built from the unit over the generators of the
+    tilted reduced words of v and u, and the trace of their product is the
+    pairing eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)} (``trace_product``).
     With the genuine generator inverse the trace picks up a sign
     (-1)^{l(u,v)}, absorbed here so that the result is the point count.
     A result with negative exponents is reported as a hard failure.
@@ -502,11 +597,9 @@ def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
         a = witness_a(u, v)
     wu = tilted_reduced_word(a, u)
     wv = tilted_reduced_word(a, v)
-    elt = hecke_t_inverse(_gens_of(wv), n)
-    for i in _gens_of(wu):
-        elt = elt.mul_gen(i)
+    pairing = trace_product(hecke_t_inverse(_gens_of(wv), n), hecke_t(_gens_of(wu), n))
     dist = a_length(a, v) - a_length(a, u)
-    signed = trace(elt).shifted(dist)
+    signed = pairing.shifted(dist)
     return as_qpoly(signed if dist % 2 == 0 else -signed)
 
 

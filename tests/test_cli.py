@@ -146,6 +146,16 @@ def test_verify_full_n2(capsys):
     assert "[FAIL]" not in out and "[INFO]" in out
 
 
+@pytest.mark.parametrize("argv", [["mindeg", "321", "213"], ["gw", "231", "123"]])
+def test_json_only_verbs_accept_format_json(capsys, argv):
+    code, default = invoke(capsys, *argv)
+    assert code == 0
+    code, explicit = invoke(capsys, *argv, "--format", "json")
+    assert code == 0 and explicit == default
+    code, out = invoke(capsys, *argv, "--format", "dot")
+    assert code == 1 and out == ""
+
+
 def test_exit_codes(capsys):
     code, _ = invoke(capsys, "mindeg", "321")
     assert code == 1  # missing argument: usage error

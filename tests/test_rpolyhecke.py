@@ -34,6 +34,7 @@ from qbruhat.rpolyhecke import (
     rtilt_hecke,
     rtilt_recursive,
     trace,
+    trace_product,
 )
 from qbruhat.tiltorder import witness_a
 from qbruhat.tiltwords import regular_tilted_reduced_word, word_moves
@@ -115,6 +116,65 @@ def test_trace():
         for i in (1, 2):
             conj = hecke_gen(3, i) * x * hecke_gen_inverse(3, i)
             assert trace(conj) == trace(x), (i,)
+
+
+def _random_elt(rng, n, perms):
+    # a few terms, Laurent coefficients with negative exponents
+    return HeckeElt(n, {
+        rng.choice(perms): {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(3)}
+        for _ in range(rng.randint(1, 4))
+    })
+
+
+def test_trace_product_matches_trace_of_product():
+    rng = random.Random(17)
+    for n in (3, 4):
+        perms = list(all_permutations(n))
+        for _ in range(15):
+            x, y = _random_elt(rng, n, perms), _random_elt(rng, n, perms)
+            assert trace_product(x, y) == trace(x * y), (x, y)
+            assert trace_product(y, x) == trace(x * y), (x, y)
+
+
+def _assert_normal(x):
+    assert all(c and all(c.values()) for c in x.terms.values()), x.terms
+
+
+def test_hecke_kernel_normal_form():
+    e3 = identity(3)
+    for n in (3, 4):
+        for i in range(1, n):
+            assert hecke_gen(n, i).mul_gen_inverse(i).terms == {identity(n): {0: 1}}
+            assert hecke_gen_inverse(n, i).mul_gen(i).terms == {identity(n): {0: 1}}
+    s1 = (2, 1, 3)
+    # ((1 - q) T_e + T_s1) T_1 = q T_e: the T_s1 coefficient cancels to nothing
+    x = HeckeElt(3, {e3: {0: 1, 1: -1}, s1: {0: 1}})
+    assert x.mul_gen(1).terms == {e3: {1: 1}}
+    # (-q T_e + T_s1) T_1: the q term of the T_s1 coefficient cancels
+    x = HeckeElt(3, {e3: {1: -1}, s1: {0: 1}})
+    assert x.mul_gen(1).terms == {e3: {1: 1}, s1: {0: -1}}
+    # (T_e + (1 - q^-1) T_s1) T_1^{-1} = q^-1 T_s1: the T_e coefficient cancels
+    x = HeckeElt(3, {e3: {0: 1}, s1: {0: 1, -1: -1}})
+    assert x.mul_gen_inverse(1).terms == {s1: {-1: 1}}
+    x = hecke_t_inverse((1, 2, 1), 3).mul_gen(2)
+    assert (x + x.scale(LaurentPoly.const(-1))).terms == {}
+    assert HeckeElt(3, {e3: {0: 0}, s1: {}}).terms == {}
+    rng = random.Random(3)
+    perms = list(all_permutations(3))
+    for _ in range(20):
+        y = _random_elt(rng, 3, perms)
+        for i in (rng.choice((1, 2)) for _ in range(6)):
+            y = y.mul_gen(i) if rng.random() < 0.5 else y.mul_gen_inverse(i)
+            _assert_normal(y)
+
+
+def test_hecke_str_pinned():
+    x = hecke_t_inverse((1, 2, 1), 3).mul_gen(2)
+    assert str(x) == (
+        "(1 - 2q^-1 + q^-2)*T[123] + (-q^-1 + q^-2)*T[132]"
+        " + (-q^-1 + q^-2)*T[213] + (q^-2)*T[312]"
+    )
+    assert str(HeckeElt(3)) == "0"
 
 
 def test_classical_r_base_cases():
@@ -222,7 +282,7 @@ def test_deodhar_matches_recursion_all_s4_pairs():
     perms = list(all_permutations(4))
     for u in perms:
         for v in perms:
-            assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+            assert rtilt_deodhar(u, v) == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
 
 
 def test_deodhar_matches_recursion_s7_sample():
@@ -237,7 +297,7 @@ def test_three_routes_agree_s6_near_w0():
     # distinguished subwords
     rng = random.Random(11)
     w0 = tuple(range(6, 0, -1))
-    for _ in range(3):
+    for _ in range(10):
         i = rng.randint(0, 5)
         v = w0 if i == 0 else w0[: i - 1] + (w0[i], w0[i - 1]) + w0[i + 1:]
         u = _random_perm(rng, 6)
