@@ -207,10 +207,19 @@ def cyclic_interval_contains(
     n: int, a: int, b: int, x: int,
     left_closed: bool = True, right_closed: bool = False,
 ) -> bool:
-    """Membership test for the cyclic interval, without building the set."""
-    if not 1 <= x <= n:
-        raise ValueError(f"value {x} out of range for n={n}")
-    return x in cyclic_interval(n, a, b, left_closed, right_closed)
+    """Membership test for the cyclic interval, without building the set:
+    x lies strictly inside iff 0 < (x - a) mod n < (b - a) mod n, with the
+    degenerate a == b conventions of ``cyclic_interval``."""
+    if not (1 <= a <= n and 1 <= b <= n and 1 <= x <= n):
+        raise ValueError(f"values ({a},{b},{x}) out of range for n={n}")
+    d, span = (x - a) % n, (b - a) % n
+    if span == 0:
+        return right_closed if d == 0 else not left_closed
+    if d == 0:
+        return left_closed
+    if d == span:
+        return right_closed
+    return d < span
 
 
 # ---------------------------------------------------------------------------

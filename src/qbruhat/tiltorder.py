@@ -16,7 +16,7 @@ from .permcore import (
     Perm,
     apply_simple,
     apply_transposition,
-    cyclic_interval,
+    cyclic_interval_contains,
     prefix_set,
     shifted_gale_leq,
     shifted_less,
@@ -61,8 +61,9 @@ def a_sim(a: Tilt, u: Perm, v: Perm) -> bool:
         raise ValueError("size mismatch")
     a = check_tilt(a, n)
     for k in range(1, n):
-        band = cyclic_interval(n, a[k - 1], a_next(a, k))
-        if len(prefix_set(u, k) & band) != len(prefix_set(v, k) & band):
+        lo, hi = a[k - 1], a_next(a, k)
+        in_u = sum(cyclic_interval_contains(n, lo, hi, x) for x in u[:k])
+        if in_u != sum(cyclic_interval_contains(n, lo, hi, x) for x in v[:k]):
             return False
     return True
 
@@ -154,9 +155,8 @@ def in_tilted_interval(u: Perm, v: Perm, w: Perm, check: Optional[bool] = None) 
 def adj_increases(a: Tilt, w: Perm, i: int) -> bool:
     """True iff w <_a w*s_i (adjacent pairs are always <=_a comparable)."""
     n = len(w)
-    return a[i - 1] not in cyclic_interval(
-        n, w[i - 1], w[i], left_closed=False, right_closed=True
-    )
+    # a_i outside the band (w_i, w_{i+1}]_c
+    return not cyclic_interval_contains(n, w[i - 1], w[i], a[i - 1], False, True)
 
 
 def covers(
@@ -171,12 +171,15 @@ def covers(
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
     a = check_tilt(a, n)
-    band = cyclic_interval(n, w[i - 1], w[j - 1], left_closed=False, right_closed=True)
+    wi, wj = w[i - 1], w[j - 1]
     hi = j if mode == "lesssim" else j - 1
-    if any(a[k - 1] in band for k in range(i, hi + 1)):
+    # some a_k in the band (w_i, w_j]_c
+    if any(cyclic_interval_contains(n, wi, wj, a[k - 1], False, True)
+           for k in range(i, hi + 1)):
         return "incomparable"
-    gap = cyclic_interval(n, w[i - 1], w[j - 1], left_closed=False, right_closed=False)
-    if all(w[k - 1] not in gap for k in range(i + 1, j)):
+    # no w_k in the gap (w_i, w_j)_c
+    if not any(cyclic_interval_contains(n, wi, wj, w[k - 1], False, False)
+               for k in range(i + 1, j)):
         return "cover"
     return "comparable"
 

@@ -6,6 +6,16 @@ samplers, totally nonnegative sign data, and brute-force F_q counting.
 
 A matrix lives over Q (field None; entries Fraction) or over F_p (field
 p; entries ints in [0, p)).  No floating point anywhere.
+
+All elimination goes through one routine, ``_eliminate(rows, p)``:
+fraction-free Bareiss over Z when p is None, modular over F_p otherwise.
+Rational rows are first scaled to integers by ``_clear``.  The entry
+points ``_det_fractions`` (det over Q), ``_det_mod`` (det over F_p),
+``_rank`` and ``solve_exact`` only read the echelon form it returns; the
+first three keep their names because ``bench/tracer.py`` times det and
+rank per field by wrapping them by name.  Deodhar points are built by
+two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
+are the dense reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +100,18 @@ def make_matrix(rows: Sequence[Sequence[Scalar]], field: Optional[int] = None) -
     else:
         if not is_prime(field):
             raise ValueError(f"{field} is not prime")
-        norm = tuple(tuple(int(x) % field for x in r) for r in rows)
+        norm = tuple(tuple(_to_field(x, field) for x in r) for r in rows)
     return ExactMatrix(n=n, field=field, rows=norm)
+
+
+def _to_field(x: Scalar, p: int) -> int:
+    """The image of a rational in F_p: numerator times inverse denominator."""
+    d = x.denominator
+    if d == 1:
+        return x.numerator % p
+    if d % p == 0:
+        raise ValueError(f"entry {x} has no image in F_{p}")
+    return x.numerator * pow(d, -1, p) % p
 
 
 def permutation_matrix(w: Perm, field: Optional[int] = None) -> ExactMatrix:
@@ -113,106 +134,88 @@ def mat_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return make_matrix(rows, A.field)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact integer determinant."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _clear(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Scale each rational row to integers by the lcm of its denominators;
+    returns the integer rows and the product of the multipliers."""
+    out = []
+    scale = 1
+    for row in rows:
+        mult = math.lcm(*[x.denominator for x in row])
+        scale *= mult
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out, scale
+
+
+def _eliminate(
+    rows: Sequence[Sequence[int]], p: Optional[int]
+) -> tuple[list[list[int]], list[int], int]:
+    """Forward elimination to row echelon form.
+
+    Over Z (p None) this is Bareiss's fraction-free scheme: after the step
+    at a pivot, each entry of a lower row right of the pivot column is a
+    minor of the input, so every division is exact and the last pivot of
+    a nonsingular square matrix is its determinant up to the swap sign.
+    Over F_p the entries are reduced mod p first.  Returns the echelon
+    rows, the pivot columns and the sign of the row swaps.
+    """
+    m = [list(r) for r in rows] if p is None else [[x % p for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        lead = top[c]
+        if p is None:
+            # every lower row takes the lead/prev scaling, even where f == 0
+            for row in m[r + 1:]:
+                f = row[c]
+                for j in range(c + 1, nc):
+                    row[j] = (row[j] * lead - f * top[j]) // prev
+                row[c] = 0
+            prev = lead
+        elif r + 1 < nr:
+            inv = pow(lead, -1, p)
+            for row in m[r + 1:]:
+                if row[c]:
+                    f = row[c] * inv % p
+                    for j in range(c + 1, nc):
+                        row[j] = (row[j] - f * top[j]) % p
+                    row[c] = 0
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
 
 
 def _det_fractions(rows: list[list[Fraction]]) -> Fraction:
-    # clear denominators row by row, then run the integer Bareiss pass
-    scale = Fraction(1)
-    cleared: list[list[int]] = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            d = Fraction(x).denominator
-            mult = mult * d // _gcd(mult, d)
-        scale *= mult
-        cleared.append([int(Fraction(x) * mult) for x in row])
-    return Fraction(_det_bareiss(cleared)) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    ints, scale = _clear(rows)
+    m, pivots, sign = _eliminate(ints, None)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1], scale) if m else Fraction(1)
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[x % p for x in row] for row in rows]
-    det = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det % p
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], p - 2, p)
-        for r in range(k + 1, n):
-            if m[r][k]:
-                f = m[r][k] * inv % p
-                for c in range(k, n):
-                    m[r][c] = (m[r][c] - f * m[k][c]) % p
-    return det % p
+    m, pivots, sign = _eliminate(rows, p)
+    if len(pivots) < len(m):
+        return 0
+    det = sign % p
+    for k, row in enumerate(m):
+        det = det * row[k] % p
+    return det
 
 
 def _rank(rows: list[list[Scalar]], field: Optional[int]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    if field is not None:
-        p = field
-        m = [[x % p for x in r] for r in m]
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        if field is None:
-            lead = m[row][col]
-            for r in range(row + 1, nr):
-                if m[r][col]:
-                    f = Fraction(m[r][col], 1) / lead
-                    for c in range(col, nc):
-                        m[r][c] -= f * m[row][c]
-        else:
-            inv = pow(m[row][col], p - 2, p)
-            for r in range(row + 1, nr):
-                if m[r][col]:
-                    f = m[r][col] * inv % p
-                    for c in range(col, nc):
-                        m[r][c] = (m[r][c] - f * m[row][c]) % p
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    if field is None:
+        rows = _clear(rows)[0]
+    return len(_eliminate(rows, field)[1])
 
 
 def submatrix_det(M: ExactMatrix, row_order: Sequence[int], k: int) -> Scalar:
@@ -459,21 +462,28 @@ def deodhar_point(
     m_map = dict(m_map or {})
     if set(p_map) != set(sub.jcirc) or set(m_map) != set(sub.jminus):
         raise ValueError("parameter maps must cover J° and J- exactly")
-    out = make_matrix([[1 if r == c else 0 for c in range(n)] for r in range(n)], field)
+    if field is not None:
+        p_map = {j: _to_field(x, field) for j, x in p_map.items()}
+        m_map = {j: _to_field(x, field) for j, x in m_map.items()}
+    # right-multiply by each factor's 2x2 block on columns (f, f+1) in place
+    rows: list[list[Scalar]] = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for j, f in enumerate(word_v.factors, start=1):
         if f is BAR:
             continue
-        if j in sub.jplus:
-            g = sdot_matrix(n, f, field)
-        elif j in sub.jcirc:
+        if j in sub.jplus:  # sdot = [[0, -1], [1, 0]]
+            for row in rows:
+                row[f - 1], row[f] = row[f], -row[f - 1]
+        elif j in sub.jcirc:  # y(p) = [[1, 0], [p, 1]]
             p = p_map[j]
             if p == 0:
                 raise ValueError(f"Deodhar parameter p_{j} must be nonzero")
-            g = y_matrix(n, f, p, field)
-        else:
-            g = mat_mul(x_matrix(n, f, m_map[j], field), sdot_inverse_matrix(n, f, field))
-        out = mat_mul(out, g)
-    return out
+            for row in rows:
+                row[f - 1] += p * row[f]
+        else:  # x(m) sdot^{-1} = [[-m, 1], [-1, 0]]
+            m = m_map[j]
+            for row in rows:
+                row[f - 1], row[f] = -m * row[f - 1] - row[f], row[f - 1]
+    return make_matrix(rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -597,32 +607,19 @@ def solve_exact(
 ) -> Optional[list[Fraction]]:
     """Unique exact solution of a (possibly overdetermined) consistent
     system over Q; None if inconsistent; raises if underdetermined."""
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[r])] for r, row in enumerate(A)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        lead = aug[row][col]
-        aug[row] = [x / lead for x in aug[row]]
-        for r in range(nr):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nr):
-        if aug[r][nc] != 0:
-            return None
+    nc = len(A[0]) if A else 0
+    aug, _ = _clear([[*row, b[r]] for r, row in enumerate(A)])
+    m, pivots, _ = _eliminate(aug, None)
+    if nc in pivots:
+        return None
     if len(pivots) < nc:
         raise ValueError("underdetermined system")
+    # back-substitution on the upper triangle of the echelon rows
     sol = [Fraction(0)] * nc
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][nc]
+    for k in reversed(range(nc)):
+        row = m[k]
+        rest = sum(row[j] * sol[j] for j in range(k + 1, nc))
+        sol[k] = Fraction(row[nc] - rest) / row[k]
     return sol
 
 
@@ -647,16 +644,5 @@ def matrix_to_json(M: ExactMatrix) -> str:
 
 
 def matrix_from_json(text: str, field: Optional[int] = None) -> ExactMatrix:
-    data = json.loads(text)
-    rows = [[Fraction(cell) for cell in row] for row in data]
-    if field is not None:
-        conv = []
-        for row in rows:
-            out_row = []
-            for x in row:
-                if x.denominator % field == 0:
-                    raise ValueError(f"entry {x} has no image in F_{field}")
-                out_row.append(x.numerator * pow(x.denominator, field - 2, field))
-            conv.append(out_row)
-        return make_matrix(conv, field)
-    return make_matrix(rows, None)
+    rows = [[Fraction(cell) for cell in row] for row in json.loads(text)]
+    return make_matrix(rows, field)

@@ -92,6 +92,20 @@ def test_cyclic_interval_cases():
         cyclic_interval(4, 0, 2)
 
 
+def test_cyclic_interval_contains_matches_the_set():
+    closures = [(True, False), (False, False), (True, True), (False, True)]
+    for n in range(1, 7):
+        for a, b, x in itertools.product(range(1, n + 1), repeat=3):
+            for left, right in closures:
+                assert cyclic_interval_contains(n, a, b, x, left, right) == (
+                    x in cyclic_interval(n, a, b, left, right)
+                ), (n, a, b, x, left, right)
+    with pytest.raises(ValueError):
+        cyclic_interval_contains(4, 0, 2, 1)
+    with pytest.raises(ValueError):
+        cyclic_interval_contains(4, 1, 2, 5)
+
+
 def test_cyclic_interval_sizes():
     for n in (3, 5, 7):
         for a in range(1, n + 1):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qbruhat import varietylab
 from qbruhat.permcore import (
     all_permutations,
     identity,
@@ -14,6 +15,8 @@ from qbruhat.qbgraph import ell, tilted_interval
 from qbruhat.rpolyhecke import rtilt_deodhar
 from qbruhat.tiltorder import a_length, a_lesssim, witness_a
 from qbruhat.tiltwords import (
+    BAR,
+    distinguished_subwords,
     positive_distinguished_subword,
     regular_tilted_reduced_word,
     tilted_reduced_word,
@@ -41,11 +44,13 @@ from qbruhat.varietylab import (
     plucker_add,
     plucker_drop,
     rank_region,
+    sdot_inverse_matrix,
     sdot_matrix,
     solve_exact,
     tilted_rothe,
     tilted_rothe_op,
     tnn_signs,
+    x_matrix,
     y_matrix,
 )
 
@@ -404,3 +409,189 @@ def test_deodhar_point_over_prime_field():
             M = deodhar_point(word, sub, p_map, field=p)
             assert M.field == p
             assert in_tilted_richardson(M, u, v, open_flag=True)
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against independent oracles
+
+FIELDS = (None, 2, 3, 5)
+
+
+def leibniz(rows):
+    """Determinant over Z or Q as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total
+
+
+def minor_rank(rows, field):
+    """The largest size of a nonzero minor."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nr, nc), 0, -1):
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                d = leibniz([[rows[i][j] for j in cs] for i in rs])
+                if (d if field is None else d % field) != 0:
+                    return k
+    return 0
+
+
+def kernel_rows(rng, nr, nc, field):
+    """Small entries (rationals over Q), with a zero row, a zero column or a
+    repeated row planted often enough to make rank deficiency common."""
+    def entry():
+        if field is not None:
+            return rng.randint(-field, 2 * field)
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if nr and rng.random() < 0.25:
+        rows[rng.randrange(nr)] = [0] * nc
+    if nc and rng.random() < 0.25:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0
+    if nr > 1 and rng.random() < 0.3:
+        i, k = rng.sample(range(nr), 2)
+        rows[i] = list(rows[k])
+    return rows
+
+
+def test_det_matches_leibniz():
+    krng = random.Random(11)
+    for field in FIELDS:
+        for n in range(6):
+            for _ in range(25 if n else 1):
+                rows = kernel_rows(krng, n, n, field)
+                want = leibniz(rows)
+                if field is None:
+                    assert det(make_matrix(rows)) == want, rows
+                    assert varietylab._det_fractions(rows) == want, rows
+                else:
+                    assert det(make_matrix(rows, field)) == want % field, (field, rows)
+                    assert varietylab._det_mod(rows, field) == want % field, (field, rows)
+
+
+def test_rank_matches_largest_nonzero_minor():
+    krng = random.Random(12)
+    for field in FIELDS:
+        for nr in range(6):
+            for nc in range(6):
+                for _ in range(6):
+                    rows = kernel_rows(krng, nr, nc, field)
+                    assert varietylab._rank(rows, field) == minor_rank(rows, field), (
+                        field, rows,
+                    )
+        assert varietylab._rank([], field) == 0
+        assert varietylab._rank([[], []], field) == 0
+
+
+def test_solve_exact_against_rank_oracle():
+    krng = random.Random(13)
+    outcomes = set()
+    # from one row up: a system with no rows does not carry its column count
+    for nr in range(1, 6):
+        for nc in range(5):
+            for _ in range(8):
+                A = kernel_rows(krng, nr, nc, None)
+                b = [Fraction(krng.randint(-3, 3), krng.choice((1, 2))) for _ in range(nr)]
+                r_a = minor_rank(A, None)
+                r_ab = minor_rank([row + [y] for row, y in zip(A, b)], None)
+                if r_ab > r_a:
+                    outcomes.add("inconsistent")
+                    assert solve_exact(A, b) is None, (A, b)
+                elif r_a < nc:
+                    outcomes.add("underdetermined")
+                    with pytest.raises(ValueError):
+                        solve_exact(A, b)
+                else:
+                    outcomes.add("unique")
+                    x = solve_exact(A, b)
+                    assert all(isinstance(t, Fraction) for t in x)
+                    assert [sum(a * t for a, t in zip(row, x)) for row in A] == b, (A, b)
+    assert outcomes == {"inconsistent", "underdetermined", "unique"}
+
+
+def test_make_matrix_maps_fractions_into_the_field():
+    assert make_matrix([[Fraction(1, 2)]], 3).rows == ((2,),)
+    assert make_matrix([[Fraction(-2, 3), 7], [0, -1]], 5).rows == ((1, 2), (0, 4))
+    with pytest.raises(ValueError):
+        make_matrix([[Fraction(1, 3)]], 3)
+
+
+def test_deodhar_point_maps_fractions_into_the_field():
+    u, v = (1, 2), (2, 1)
+    word = regular_tilted_reduced_word(witness_a(u, v), v)
+    sub = positive_distinguished_subword(word, u)
+    assert sub.jcirc == {1}
+    M = deodhar_point(word, sub, {1: Fraction(1, 2)}, field=3)
+    assert M.rows == ((1, 0), (2, 1))
+    with pytest.raises(ValueError):
+        deodhar_point(word, sub, {1: Fraction(1, 3)}, field=3)
+    with pytest.raises(ValueError):  # p_1 = 3 is zero in F_3
+        deodhar_point(word, sub, {1: 3}, field=3)
+
+
+# ---------------------------------------------------------------------------
+# Deodhar points against the dense product of pinned matrices
+
+
+def dense_deodhar_point(word, sub, p_map, m_map, field):
+    n = word.n
+    out = permutation_matrix(identity(n), field)
+    for j, f in enumerate(word.factors, start=1):
+        if f is BAR:
+            continue
+        if j in sub.jplus:
+            g = sdot_matrix(n, f, field)
+        elif j in sub.jcirc:
+            g = y_matrix(n, f, p_map[j], field)
+        else:
+            g = mat_mul(x_matrix(n, f, m_map[j], field), sdot_inverse_matrix(n, f, field))
+        out = mat_mul(out, g)
+    return out
+
+
+def test_deodhar_point_matches_dense_product_s4():
+    drng = random.Random(14)
+    kinds = set()
+    for u in all_permutations(4):
+        for v in all_permutations(4):
+            word = regular_tilted_reduced_word(witness_a(u, v), v)
+            for sub in distinguished_subwords(word, u):
+                kinds.update(
+                    name for name, js in
+                    (("+", sub.jplus), ("o", sub.jcirc), ("-", sub.jminus)) if js
+                )
+                for field in (None, 5):
+                    # nonzero in F_5 too: numerators and denominators in 1..4
+                    p_map = {
+                        j: drng.choice((1, -1)) * Fraction(drng.randint(1, 4), drng.randint(1, 4))
+                        for j in sub.jcirc
+                    }
+                    m_map = {
+                        j: Fraction(drng.randint(-4, 4), drng.randint(1, 4))
+                        for j in sub.jminus
+                    }
+                    got = deodhar_point(word, sub, p_map, m_map, field=field)
+                    assert got == dense_deodhar_point(word, sub, p_map, m_map, field), (
+                        u, v, sub, field,
+                    )
+    assert kinds == {"+", "o", "-"}
+
+
+def test_deodhar_point_uses_no_dense_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense product on the Deodhar route")
+
+    monkeypatch.setattr(varietylab, "mat_mul", forbidden)
+    monkeypatch.setattr(varietylab, "_phi", forbidden)
+    a, v, u = (4, 4, 2, 2), parse_perm("3142"), parse_perm("4231")
+    word = tilted_reduced_word(a, v)
+    sub = positive_distinguished_subword(word, u)
+    M = deodhar_point(word, sub, {5: 2, 6: 3, 7: -5, 11: -7})
+    assert M.rows[2] == (14, -2, -1, 0)
