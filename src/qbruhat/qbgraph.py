@@ -6,6 +6,15 @@ edges raise length by 1 and carry weight 1; quantum edges drop it by
 2(j-i)-1 and carry weight q_{ij} = q_i q_{i+1} ... q_{j-1}.  Weights are
 degree vectors: tuples of n-1 nonnegative integers (exponents of q_k).
 
+Every edge is checked by two separately computed conditions: the cyclic
+criterion above and the length condition (no entry between positions i and
+j lies between w_i and w_j in the linear order for a strong edge, all of
+them do for a quantum edge); a disagreement raises
+``InternalConsistencyError``.  ``edges_from`` enumerates the edges of one
+vertex in a single O(n^2) scan that keeps, per i, a running cyclic minimum
+and a bitmask of the entries passed; every traversal of the graph reads it.
+``edge_weight`` is the same test for one pair (i, j), in O(j-i).
+
 Shortest-path lengths ell(u,v) are distances in the forward BFS table
 from u; minimal degrees d(u,v) come from the lattice-path depth formula
 and are cross-checked against the weight of an actual BFS shortest path.
@@ -96,12 +105,21 @@ def length_change(w: Perm, i: int, j: int) -> int:
     return 1 + 2 * inside if wi < wj else -1 - 2 * inside
 
 
+def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
+    if holds:
+        what = "edge criterion holds but neither length condition does"
+    else:
+        what = "edge criterion and length condition disagree"
+    return InternalConsistencyError(f"{what} at {w}, t_{i}{j}")
+
+
 def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     """Weight of the edge w -> w*t_{ij}, or None if absent.
 
     Uses the uniform cyclic-interval criterion and cross-checks it against
     the two length conditions on ``length_change``; a mismatch is a
-    theorem violation.
+    theorem violation.  This is the per-pair test; ``edges_from`` is the
+    per-vertex kernel.
     """
     n = len(w)
     if not (1 <= i < j <= n):
@@ -113,28 +131,79 @@ def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     delta = length_change(w, i, j)
     if not ok:
         if delta == 1 or delta == 1 - 2 * (j - i):
-            raise InternalConsistencyError(
-                f"edge criterion and length condition disagree at {w}, t_{i}{j}"
-            )
+            raise _mismatch(w, i, j, holds=False)
         return None
     if delta == 1:
         return deg_zero(n)
     if delta == 1 - 2 * (j - i):
         return tuple(1 if i <= k < j else 0 for k in range(1, n))
-    raise InternalConsistencyError(
-        f"edge criterion holds but neither length condition does at {w}, t_{i}{j}"
+    raise _mismatch(w, i, j, holds=True)
+
+
+@functools.lru_cache(maxsize=16)
+def _edge_tables(
+    n: int,
+) -> tuple[DegreeVec, tuple[tuple[DegreeVec, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Per-n tables for ``edges_from``, built on first use.
+
+    ``quantum[i][j]`` is the (i+1, j+1) indicator weight (0-based i < j);
+    ``between[a][b]`` is the bitmask of the values strictly between a and b
+    (bit x stands for the value x; 0 when a == b).
+    """
+    quantum = tuple(
+        tuple(tuple(1 if i < k <= j else 0 for k in range(1, n)) for j in range(n))
+        for i in range(n)
     )
+    between = tuple(
+        tuple(
+            (1 << max(a, b)) - (2 << min(a, b)) if a != b else 0
+            for b in range(n + 1)
+        )
+        for a in range(n + 1)
+    )
+    return deg_zero(n), quantum, between
 
 
 def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
-    """All edges leaving w, as (i, j, weight)."""
+    """All edges leaving w, as (i, j, weight), i ascending, then j.
+
+    One O(n^2) scan.  For each i it walks j = i+1..n and keeps two running
+    values over the entries strictly between positions i and j: ``m``, the
+    least cyclic offset (x - w_i) mod n, and ``seen``, the bitmask of those
+    entries.  The cyclic criterion is the O(1) test (w_j - w_i) mod n <= m.
+    Offsets are taken in 1..n, so that, as in ``edge_weight``, an entry
+    equal to w_i (possible only when w is no permutation) blocks nothing;
+    for a permutation the test is strict.  The length condition counts, by
+    popcount, the entries strictly between w_i and w_j in the linear order:
+    none for a strong edge (w_i < w_j), all j-i-1 of them for a quantum
+    one.  The two are computed separately and must agree; a mismatch raises
+    ``InternalConsistencyError`` with ``edge_weight``'s message.
+
+    >>> edges_from((3, 2, 1))
+    [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
+    """
     n = len(w)
+    zero, quantum, between = _edge_tables(n)
     out = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            wt = edge_weight(w, i, j)
-            if wt is not None:
-                out.append((i, j, wt))
+    for i in range(n - 1):
+        wi = w[i]
+        qrow, brow = quantum[i], between[wi]
+        m, seen = n, 0
+        for j in range(i + 1, n):
+            wj = w[j]
+            inside = (seen & brow[wj]).bit_count()
+            strong = wi < wj
+            length_ok = inside == (0 if strong else j - i - 1)
+            if (wj - wi) % n <= m:
+                if not length_ok:
+                    raise _mismatch(w, i + 1, j + 1, holds=True)
+                out.append((i + 1, j + 1, zero if strong else qrow[j]))
+            elif length_ok:
+                raise _mismatch(w, i + 1, j + 1, holds=False)
+            d = (wj - wi - 1) % n + 1
+            if d < m:
+                m = d
+            seen |= 1 << wj
     return out
 
 
@@ -203,17 +272,21 @@ def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
     return dist
 
 
-def ell(u: Perm, v: Perm) -> int:
-    """Length of the shortest directed path from u to v; always finite."""
+def _check_pair(u: Perm, v: Perm) -> None:
     if len(u) != len(v):
         raise ValueError("size mismatch")
     _check_gate(len(u))
+
+
+def ell(u: Perm, v: Perm) -> int:
+    """Length of the shortest directed path from u to v; always finite."""
+    _check_pair(u, v)
     return _bfs(u)[v][0]
 
 
 def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
     """Weight of one BFS shortest path from u to v."""
-    _check_gate(len(u))
+    _check_pair(u, v)
     table = _bfs(u)
     d = deg_zero(len(u))
     w = v
@@ -227,7 +300,7 @@ def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
 
 def shortest_path(u: Perm, v: Perm) -> list[Perm]:
     """One BFS shortest path, as the vertex sequence u ... v."""
-    _check_gate(len(u))
+    _check_pair(u, v)
     table = _bfs(u)
     path = [v]
     w = v
@@ -333,10 +406,8 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     an edge.  Ranks are distances from u.  Costs O(|[u,v]| n^2) edge tests
     once the table exists.
     """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    _check_pair(u, v)
     n = len(u)
-    _check_gate(n)
     dist_u = _bfs(u)
     total = dist_u[v][0]
     rank = {v: total}

@@ -234,9 +234,9 @@ def is_invertible(M: ExactMatrix) -> bool:
 
 
 def rank_region(M: ExactMatrix, row_set: Iterable[int], k: int) -> int:
-    """Rank of the submatrix on the given rows and the first k columns."""
-    rows = [[M.rows[i - 1][c] for c in range(k)] for i in sorted(row_set)]
-    return _rank(rows, M.field)
+    """Rank of the submatrix on the given rows and the first k columns
+    (in any order: the rank does not depend on it)."""
+    return _rank([M.rows[i - 1][:k] for i in row_set], M.field)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,13 @@ def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
 # membership routes
 
 
+@functools.lru_cache(maxsize=1024)
+def _regions(n: int, a: int, i: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The row regions [a, i)_c and [i, a)_c of one rank condition; they
+    depend only on (n, a, i), not on the flag."""
+    return cyclic_interval(n, a, i), cyclic_interval(n, i, a)
+
+
 def in_tilted_richardson(
     M: ExactMatrix,
     u: Perm,
@@ -304,8 +311,7 @@ def in_tilted_richardson(
         vk = prefix_set(v, k)
         ak = a[k - 1]
         for i in range(1, n + 1):
-            lo = cyclic_interval(n, ak, i)
-            hi = cyclic_interval(n, i, ak)
+            lo, hi = _regions(n, ak, i)
             r_lo = rank_region(M, lo, k)
             r_hi = rank_region(M, hi, k)
             if open_flag:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     apply_transposition,
     bruhat_leq,
@@ -78,6 +79,44 @@ def test_edge_weight_is_exact_indicator():
         for i, j, wt in edges_from(w):
             if any(wt):
                 assert wt == tuple(1 if i <= k < j else 0 for k in range(1, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_edges_from_matches_edge_weight_exhaustive(n):
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    for w in all_permutations(n):
+        expected = []
+        for i, j in pairs:
+            wt = edge_weight(w, i, j)
+            if wt is not None:
+                expected.append((i, j, wt))
+        assert edges_from(w) == expected, w
+
+
+def test_edge_cross_check_is_live_in_the_kernel():
+    # (1,1,1) is no permutation: at t_13 the cyclic criterion holds but
+    # neither length condition does
+    with pytest.raises(InternalConsistencyError):
+        edges_from((1, 1, 1))
+    with pytest.raises(InternalConsistencyError):
+        edge_weight((1, 1, 1), 1, 3)
+
+
+def test_bfs_reads_only_the_edge_kernel(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("edge_weight called")
+
+    monkeypatch.setattr(qbgraph, "edge_weight", forbidden)
+    before = qbgraph._bfs.cache_info()
+    table = qbgraph._bfs.__wrapped__((3, 1, 6, 2, 5, 4))  # bypasses the cache
+    assert len(table) == 720
+    assert qbgraph._bfs.cache_info() == before
+
+
+@pytest.mark.parametrize("fn", [shortest_path_weight, shortest_path])
+def test_shortest_path_size_mismatch(fn):
+    with pytest.raises(ValueError, match="size mismatch"):
+        fn((1, 2), (1, 2, 3))
 
 
 def test_ell_examples():
