@@ -747,19 +747,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+_GATE_VARIABLES = (
+    "QBRUHAT_MAX_N",
+    "QBRUHAT_MAX_COUNT_N",
+    "QBRUHAT_MAX_PATH_N",
+    "QBRUHAT_MAX_GW_N",
+)
+
+
 @contextlib.contextmanager
 def _gate_overrides(args):
     """Set the gate overrides in os.environ for one call, then restore them.
 
-    Variables already in the environment win over --config; --max-n and
-    --max-count-n win over both.
+    The config is a JSON object whose keys are gate variables; anything
+    else is a ValueError.  Variables already in the environment win over
+    --config; --max-n and --max-count-n win over both.
     """
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            for key, val in json.load(fh).items():
-                if key not in os.environ:
-                    overrides[key] = str(val)
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
+        unknown = sorted(set(config) - set(_GATE_VARIABLES))
+        if unknown:
+            raise ValueError(f"{args.config}: not a gate variable: {', '.join(unknown)}")
+        for key, val in config.items():
+            if key not in os.environ:
+                overrides[key] = str(val)
     if args.max_n is not None:
         overrides["QBRUHAT_MAX_N"] = str(args.max_n)
     if args.max_count_n is not None:

@@ -2,7 +2,7 @@
 desk-scale geometry built on it: Plücker coordinates, tilted Richardson
 membership by cyclic rank conditions and by multi-Plücker vanishing,
 tilted Schubert cells and their canonical matrices, Deodhar-cell point
-samplers, totally nonnegative sign data, and brute-force F_q counting.
+samplers, totally nonnegative sign data, and F_q point counting.
 
 A matrix lives over Q (field None; entries Fraction) or over F_p (field
 p; entries ints in [0, p)).  No floating point anywhere.
@@ -16,6 +16,13 @@ first three keep their names because ``bench/tracer.py`` times det and
 rank per field by wrapping them by name.  Deodhar points are built by
 two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
 are the dense reference that tests compare against.
+
+``count_points_fq`` walks the Schubert-cell matrices of Fl_n(F_p) column
+by column and tests each rank condition of ``in_tilted_richardson`` on
+the first column prefix that decides it, so a failing prefix prunes
+every flag that extends it.  ``enumerate_flags_fq`` with
+``in_tilted_richardson`` on each flag is the brute-force oracle that
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -334,20 +341,36 @@ def in_tilted_richardson_plucker(
     """Multi-Plücker route: Delta_w = 0 off the tilted interval; the open
     variety adds Delta_u Delta_v != 0.  Cross-checked against the rank
     route when check is on; disagreement is a hard failure.
+
+    Only whether each factor Delta_{w[k]} vanishes is read, and that does
+    not depend on the order of the rows, so each row set's minor is
+    computed once per call.
     """
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
     if not is_invertible(M):
         raise ValueError("matrix does not represent a flag (singular)")
+    nonzero: dict[frozenset[int], bool] = {}
+
+    def multi_nonzero(w: Perm) -> bool:
+        for k in range(1, n + 1):
+            rows = frozenset(w[:k])
+            hit = nonzero.get(rows)
+            if hit is None:
+                hit = nonzero[rows] = plucker(M, w[:k]) != 0
+            if not hit:
+                return False
+        return True
+
     members = _interval_members(u, v)
     result = True
     for w in all_permutations(n):
-        if w not in members and multi_plucker(M, w) != 0:
+        if w not in members and multi_nonzero(w):
             result = False
             break
     if result and open_flag:
-        result = multi_plucker(M, u) != 0 and multi_plucker(M, v) != 0
+        result = multi_nonzero(u) and multi_nonzero(v)
     if check:
         other = in_tilted_richardson(M, u, v, open_flag)
         if other != result:
@@ -587,7 +610,20 @@ def enumerate_flags_fq(n: int, p: int) -> Iterator[ExactMatrix]:
 
 
 def count_points_fq(u: Perm, v: Perm, p: int) -> int:
-    """#T°_{u,v}(F_p) by brute-force flag enumeration."""
+    """#T°_{u,v}(F_p) by a column-by-column walk over the Schubert-cell
+    matrices of ``enumerate_flags_fq``, pruned at the first failing rank
+    condition.
+
+    Column k holds a 1 in row w_k and free entries in the rows i < w_k
+    not used by w_1..w_{k-1}, so the first k columns depend only on
+    w_1..w_k.  The level-k conditions of ``in_tilted_richardson`` (open,
+    witness tilt) read only those columns, so a prefix that fails one is
+    dropped with every flag that extends it; a flag is counted when it
+    passes all n levels.  The walked matrices have a permutation pivot
+    pattern, so they are invertible and their first k columns have
+    rank k.  That alone decides a condition on an empty or full region,
+    or at level n; those ranks are not computed.
+    """
     n = len(u)
     if n > max_count_n():
         raise GateError(
@@ -597,11 +633,49 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     if len(v) != n:
         raise ValueError("size mismatch")
     a = witness_a(u, v)
-    return sum(
-        1
-        for M in enumerate_flags_fq(n, p)
-        if in_tilted_richardson(M, u, v, open_flag=True, a=a)
-    )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not a_leq(a, u, v):
+        return 0
+    # levels[k - 1]: level k's (0-indexed rows, required rank) pairs that
+    # the column rank leaves open
+    levels: list[list[tuple[list[int], int]]] = []
+    for k in range(1, n + 1):
+        uk, vk = prefix_set(u, k), prefix_set(v, k)
+        conds = []
+        for i in range(1, n + 1):
+            lo, hi = _regions(n, a[k - 1], i)
+            for region, bound in ((lo, len(uk & lo)), (hi, len(vk & hi))):
+                if k < n and 0 < len(region) < n:
+                    conds.append(([r - 1 for r in sorted(region)], bound))
+        levels.append(conds)
+
+    rows = [[0] * n for _ in range(n)]
+    used = [False] * n  # rows holding the pivot of an earlier column
+
+    def walk(k: int) -> int:
+        """Flags that extend the placed columns 1..k-1 and pass levels k..n."""
+        if k > n:
+            return 1
+        c, conds, total = k - 1, levels[k - 1], 0
+        for pivot in range(n):
+            if used[pivot]:
+                continue
+            free = [r for r in range(pivot) if not used[r]]
+            for row in rows:
+                row[c] = 0
+            rows[pivot][c] = 1
+            used[pivot] = True
+            for vals in itertools.product(range(p), repeat=len(free)):
+                for r, x in zip(free, vals):
+                    rows[r][c] = x
+                if all(_rank([rows[r][:k] for r in region], p) == bound
+                       for region, bound in conds):
+                    total += walk(k + 1)
+            used[pivot] = False
+        return total
+
+    return walk(1)
 
 
 # ---------------------------------------------------------------------------

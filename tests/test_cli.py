@@ -213,6 +213,34 @@ def test_gate_overrides_do_not_outlive_the_call(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"HOME_X": "1"}', "not a gate variable: HOME_X"),
+        ('{"QBRUHAT_MAX_N": 8, "PATH": "/x"}', "not a gate variable: PATH"),
+    ],
+)
+def test_config_holds_only_gate_variables(capsys, tmp_path, monkeypatch, config, message):
+    monkeypatch.delenv("HOME_X", raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    saved_path = os.environ.get("PATH")
+    code = run(["--config", str(path), "mindeg", "12", "21"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "HOME_X" not in os.environ
+    assert os.environ.get("PATH") == saved_path
+
+
+def test_count_rejects_a_composite_p(capsys):
+    code = run(["count", "231", "123", "--p", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not prime" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["graph", "0"],

@@ -294,6 +294,63 @@ def test_count_matches_rpoly():
             assert count_points_fq(u, v, 3) == r(3), (u, v)
 
 
+def brute_force_count(u, v, flags):
+    """The oracle: every flag of Fl_n(F_p) through the rank route."""
+    a = witness_a(u, v)
+    return sum(in_tilted_richardson(M, u, v, open_flag=True, a=a) for M in flags)
+
+
+def test_count_matches_brute_force_s3():
+    for p in (2, 3, 5):
+        flags = list(enumerate_flags_fq(3, p))
+        for u in all_permutations(3):
+            for v in all_permutations(3):
+                assert count_points_fq(u, v, p) == brute_force_count(u, v, flags), (u, v, p)
+
+
+def test_count_matches_brute_force_s4_sample():
+    pick = random.Random(8)
+    s4 = list(all_permutations(4))
+    for p, pairs in ((2, 60), (3, 8)):
+        flags = list(enumerate_flags_fq(4, p))
+        for _ in range(pairs):
+            u, v = pick.choice(s4), pick.choice(s4)
+            assert count_points_fq(u, v, p) == brute_force_count(u, v, flags), (u, v, p)
+
+
+def test_count_walks_no_flag_list(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the count went through the brute-force route")
+
+    for name in ("enumerate_flags_fq", "is_invertible", "in_tilted_richardson"):
+        monkeypatch.setattr(varietylab, name, forbidden)
+    for u, v in [((2, 3, 1), (1, 2, 3)), ((1, 2, 3, 4), (4, 3, 2, 1)),
+                 ((4, 2, 3, 1), (3, 1, 4, 2)), ((2, 1, 4, 3), (2, 1, 4, 3))]:
+        r = rtilt_deodhar(u, v)
+        assert count_points_fq(u, v, 2) == r(2), (u, v)
+        assert count_points_fq(u, v, 3) == r(3), (u, v)
+
+
+def test_plucker_route_computes_each_row_set_once(monkeypatch):
+    seen = []
+    real = varietylab.plucker
+
+    def counting(M, I):
+        seen.append(frozenset(I))
+        return real(M, I)
+
+    monkeypatch.setattr(varietylab, "plucker", counting)
+    pick = random.Random(3)
+    s4 = list(all_permutations(4))
+    flags = list(enumerate_flags_fq(4, 2))
+    for _ in range(30):
+        u, v = pick.choice(s4), pick.choice(s4)
+        M = pick.choice(flags)
+        seen.clear()
+        in_tilted_richardson_plucker(M, u, v, open_flag=True, check=True)
+        assert len(seen) == len(set(seen)), (u, v, M.rows)
+
+
 def test_count_gate():
     from qbruhat.permcore import GateError
 
