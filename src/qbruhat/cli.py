@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, dispatch and output formatting.
 
 Verbs: graph, mindeg, interval, order, word, subwords, rpoly, member,
 count, sample-deodhar, tnn, gw, descent-cycle, verify.  Text output by
@@ -6,6 +6,11 @@ default, JSON via --format json, DOT for graphs and interval posets;
 mindeg and gw print JSON only, and accept --format json for symmetry.
 Exit codes: 0 success, 1 domain error (including argument errors),
 2 internal-consistency failure.
+
+The verify catalogue lives in ``verify``; this module formats its reports.
+The size gates (``permcore.GATES``) are read from the environment; --max-n,
+--max-count-n and --config set it for one call, and every gate value is
+checked before any verb runs.
 """
 
 from __future__ import annotations
@@ -19,15 +24,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .permcore import (
-    InternalConsistencyError,
-    all_permutations,
-    apply_simple,
-    apply_transposition,
-    format_perm,
-    parse_perm,
-)
-from . import qbgraph, quantumschub, rpolyhecke, tiltorder, tiltwords, varietylab
+from .permcore import GATES, InternalConsistencyError, format_perm, gate, parse_perm
+from . import qbgraph, quantumschub, rpolyhecke, tiltorder, tiltwords, varietylab, verify
 
 
 class _UsageError(ValueError):
@@ -224,16 +222,11 @@ def _cmd_member(args) -> int:
         with open(args.matrix) as fh:
             text = fh.read()
     M = varietylab.matrix_from_json(text, field=args.p)
-    rank_route = varietylab.in_tilted_richardson(M, u, v, open_flag=args.open)
-    plucker_route = varietylab.in_tilted_richardson_plucker(
-        M, u, v, open_flag=args.open
-    )
-    payload = {
-        "member": rank_route,
-        "open": args.open,
-        "routes_agree": rank_route == plucker_route,
-    }
-    _emit(args, payload, [f"member: {rank_route} (rank and Plücker routes agree)"])
+    # the Plücker route checks itself against the rank route, raising on
+    # disagreement, so the routes agree whenever it returns
+    member = varietylab.in_tilted_richardson_plucker(M, u, v, open_flag=args.open)
+    payload = {"member": member, "open": args.open, "routes_agree": True}
+    _emit(args, payload, [f"member: {member} (rank and Plücker routes agree)"])
     return 0
 
 
@@ -247,9 +240,7 @@ def _cmd_count(args) -> int:
 def _cmd_sample_deodhar(args) -> int:
     u, v = parse_perm(args.u), parse_perm(args.v)
     rng = random.Random(args.seed)
-    a = tiltorder.witness_a(u, v)
-    word = tiltwords.regular_tilted_reduced_word(a, v)
-    sub = tiltwords.positive_distinguished_subword(word, u)
+    a, word, sub = tiltwords.positive_word(u, v)
     signs, _ = varietylab.tnn_signs(word, sub)
 
     def draw() -> Fraction:
@@ -275,9 +266,8 @@ def _cmd_sample_deodhar(args) -> int:
 
 def _cmd_tnn(args) -> int:
     u, v = parse_perm(args.u), parse_perm(args.v)
-    a = _parse_tilt(args.a, len(u)) if args.a else tiltorder.witness_a(u, v)
-    word = tiltwords.regular_tilted_reduced_word(a, v)
-    sub = tiltwords.positive_distinguished_subword(word, u)
+    a = _parse_tilt(args.a, len(u)) if args.a else None
+    a, word, sub = tiltwords.positive_word(u, v, a)
     signs, trace = varietylab.tnn_signs(word, sub)
     payload = {
         "a": list(a),
@@ -329,287 +319,9 @@ def _cmd_descent_cycle(args) -> int:
     return 0 if rep["ok"] else 2
 
 
-# ---------------------------------------------------------------------------
-# the verify catalogue
-
-
-def _prop_graph_reconstruction(n: int, rng: random.Random, level: str) -> Optional[str]:
-    edges = list(qbgraph.graph_edges(n))
-    strong = sum(1 for *_, wt in edges if not any(wt))
-    quantum = len(edges) - strong
-    if n == 3 and (strong, quantum) != (8, 7):
-        return f"Gamma_3 has {strong} strong / {quantum} quantum edges"
-    for w, t, wt in edges:
-        if any(wt) and qbgraph.min_degree(w, t) != wt:
-            return f"edge weight vs minimal degree mismatch at {w}->{t}"
-    return None
-
-
-def _prop_min_degree(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    pairs = (
-        [(u, v) for u in perms for v in perms]
-        if level == "full" or n <= 3
-        else [(rng.choice(perms), rng.choice(perms)) for _ in range(200)]
-    )
-    for u, v in pairs:
-        qbgraph.min_degree(u, v, check=True)  # raises on disagreement
-    return None
-
-
-def _prop_interval_membership(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    triples = (
-        [(u, v, w) for u in perms for v in perms for w in perms]
-        if level == "full" or n <= 3
-        else [tuple(rng.choice(perms) for _ in range(3)) for _ in range(500)]
-    )
-    for u, v, w in triples:
-        tiltorder.in_tilted_interval(u, v, w, check=True)
-    return None
-
-
-def _prop_thin_intervals(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    for u in perms:
-        for v in perms:
-            iv = qbgraph.tilted_interval(u, v)
-            if iv.ell == 2 and len(iv.members) != 4:
-                return f"rank-2 interval [{format_perm(u)},{format_perm(v)}] is not a diamond"
-    return None
-
-
-def _prop_rpoly_threeway(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    pairs = (
-        [(u, v) for u in perms for v in perms]
-        if level == "full" or n <= 3
-        else [(rng.choice(perms), rng.choice(perms)) for _ in range(60)]
-    )
-    for u, v in pairs:
-        d = rpolyhecke.rtilt_deodhar(u, v)
-        if d != rpolyhecke.rtilt_recursive(u, v) or d != rpolyhecke.rtilt_hecke(u, v):
-            return f"routes disagree at ({format_perm(u)},{format_perm(v)})"
-        if d.degree != qbgraph.ell(u, v) or d.leading_coefficient() != 1:
-            return f"degree/monic failure at ({format_perm(u)},{format_perm(v)})"
-    return None
-
-
-def _prop_count_points(n: int, rng: random.Random, level: str) -> Optional[str]:
-    m = min(n, 3)
-    perms = list(all_permutations(m))
-    for u in perms:
-        for v in perms:
-            c = varietylab.count_points_fq(u, v, 2)
-            if c != rpolyhecke.rtilt_deodhar(u, v)(2):
-                return f"F_2 count mismatch at ({format_perm(u)},{format_perm(v)})"
-    return None
-
-
-def _prop_deodhar_points(n: int, rng: random.Random, level: str) -> Optional[str]:
-    m = min(n, 4)
-    perms = list(all_permutations(m))
-    draws = 20 if level == "fast" else 100
-    for _ in range(draws):
-        u, v = rng.choice(perms), rng.choice(perms)
-        a = tiltorder.witness_a(u, v)
-        word = tiltwords.regular_tilted_reduced_word(a, v)
-        sub = tiltwords.positive_distinguished_subword(word, u)
-        p_map = {}
-        for j in sub.jcirc:
-            val = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-            p_map[j] = val if rng.random() < 0.5 else -val
-        M = varietylab.deodhar_point(word, sub, p_map)
-        if not varietylab.in_tilted_richardson(M, u, v, open_flag=True, a=a):
-            return f"Deodhar point escaped T° at ({format_perm(u)},{format_perm(v)})"
-    return None
-
-
-def _prop_tnn(n: int, rng: random.Random, level: str) -> Optional[str]:
-    m = min(n, 4)
-    perms = list(all_permutations(m))
-    draws = 15 if level == "fast" else 60
-    for _ in range(draws):
-        u, v = rng.choice(perms), rng.choice(perms)
-        a = tiltorder.witness_a(u, v)
-        word = tiltwords.regular_tilted_reduced_word(a, v)
-        sub = tiltwords.positive_distinguished_subword(word, u)
-        signs, _ = varietylab.tnn_signs(word, sub)
-        p_map = {
-            j: signs[j] * Fraction(rng.randint(1, 7), rng.randint(1, 7))
-            for j in sub.jcirc
-        }
-        M = varietylab.deodhar_point(word, sub, p_map)
-        if not varietylab.is_tnn(M, a):
-            return f"signed point not TNN at ({format_perm(u)},{format_perm(v)})"
-    return None
-
-
-def _prop_lifting(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    trials = 300 if level == "fast" else 2000
-    for _ in range(trials):
-        u, v = rng.choice(perms), rng.choice(perms)
-        a = tuple(rng.randint(1, n) for _ in range(n))
-        if not tiltorder.a_lesssim(a, u, v, check=False):
-            continue
-        for i in range(1, n):
-            if (
-                tiltorder.a_step_type(a, v, i) == "descent"
-                and tiltorder.a_step_type(a, u, i) == "ascent"
-            ):
-                if not tiltorder.a_lesssim(a, apply_simple(u, i), v, check=False):
-                    return f"lifting fails: us_i at a={a}, u={u}, v={v}, i={i}"
-                if not tiltorder.a_lesssim(a, u, apply_simple(v, i), check=False):
-                    return f"lifting fails: vs_i at a={a}, u={u}, v={v}, i={i}"
-    return None
-
-
-def _prop_word_rank(n: int, rng: random.Random, level: str) -> Optional[str]:
-    perms = list(all_permutations(n))
-    samples = 5 if level == "fast" else 20
-    for _ in range(samples):
-        a = tuple(rng.randint(1, n) for _ in range(n))
-        for w in perms:
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    if tiltorder.covers(a, w, i, j, "lesssim") == "cover":
-                        w2 = apply_transposition(w, i, j)
-                        if tiltwords.word_length(a, w2) != tiltwords.word_length(a, w) + 1:
-                            return f"word length not a rank function at a={a}, w={w}"
-    return None
-
-
-def _prop_exploratory_leq_ranked(n: int, rng: random.Random, level: str) -> Optional[str]:
-    # report-only: search for a non-ranked <=_a poset; never a failure
-    found = []
-    for _ in range(3):
-        a = tuple(rng.randint(1, n) for _ in range(n))
-        perms = list(all_permutations(n))
-        relation = {
-            (u, v)
-            for u in perms
-            for v in perms
-            if u != v and tiltorder.a_leq(a, u, v)
-        }
-        covers_ct = 0
-        for u, v in relation:
-            if not any((u, w) in relation and (w, v) in relation for w in perms):
-                covers_ct += 1
-        found.append((a, covers_ct))
-    return "searched " + "; ".join(f"a={a}: {c} covers" for a, c in found)
-
-
-def _prop_exploratory_nonregular(n: int, rng: random.Random, level: str) -> Optional[str]:
-    # report-only: Deodhar sum over non-regular words (conjectured equal)
-    perms = list(all_permutations(min(n, 4)))
-    tried = agreed = nonregular = 0
-    for _ in range(25):
-        u, v = rng.choice(perms), rng.choice(perms)
-        a = tiltorder.witness_a(u, v)
-        base = rpolyhecke.rtilt_deodhar(u, v)
-        word = tiltwords.regular_tilted_reduced_word(a, v)
-        for _ in range(30):
-            nbrs = list(tiltwords.word_moves(word))
-            if not nbrs:
-                break
-            word = rng.choice(nbrs)
-        tried += 1
-        if not tiltwords.is_regular(word):
-            nonregular += 1
-        if rpolyhecke.rtilt_deodhar(u, v, a=a, word=word) == base:
-            agreed += 1
-    return f"{agreed}/{tried} words agreed ({nonregular} non-regular); no counterexample"
-
-
-def _prop_exploratory_increasing_path_formula(
-    n: int, rng: random.Random, level: str
-) -> Optional[str]:
-    # report-only: the conjectural R^tilt formula over label-increasing paths
-    # in the tilted interval graph, computed in s with q = s^2
-    m = min(n, 3)
-    order = qbgraph.default_reflection_order(m)
-    perms = list(all_permutations(m))
-    matched = checked = 0
-    for u in perms:
-        for v in perms:
-            iv = qbgraph.tilted_interval(u, v)
-            total = rpolyhecke.LaurentPoly()
-            s = rpolyhecke.LaurentPoly.q_power(1)
-            step = s - rpolyhecke.LaurentPoly.q_power(-1)
-
-            def walk(w, start, length_so_far):
-                nonlocal total
-                if w == v:
-                    total = total + step ** length_so_far
-                for idx in range(start, len(order)):
-                    i, j = order[idx]
-                    t = apply_transposition(w, i, j)
-                    if t in iv.members and t != w and iv.poset_leq(w, t):
-                        walk(t, idx + 1, length_so_far + 1)
-
-            walk(u, 0, 0)
-            rhs = total.shifted(iv.ell)  # times s^{l(u,v)}
-            lhs = rpolyhecke.LaurentPoly(
-                {2 * e: c for e, c in rpolyhecke.rtilt_deodhar(u, v).coeffs.items()}
-            )
-            checked += 1
-            if lhs == rhs:
-                matched += 1
-    return f"{matched}/{checked} pairs matched the conjectural path formula"
-
-
-_PROPERTIES = [
-    ("graph-reconstruction", _prop_graph_reconstruction, False),
-    ("min-degree-two-routes", _prop_min_degree, False),
-    ("interval-membership-two-routes", _prop_interval_membership, False),
-    ("thin-intervals", _prop_thin_intervals, False),
-    ("rpoly-three-routes", _prop_rpoly_threeway, False),
-    ("fq-count-vs-rpoly", _prop_count_points, False),
-    ("deodhar-points-in-variety", _prop_deodhar_points, False),
-    ("tnn-parametrization", _prop_tnn, False),
-    ("lifting-property", _prop_lifting, False),
-    ("word-length-rank-function", _prop_word_rank, False),
-    ("exploratory-leq-rankedness", _prop_exploratory_leq_ranked, True),
-    ("exploratory-nonregular-deodhar", _prop_exploratory_nonregular, True),
-    ("exploratory-increasing-path-rpoly", _prop_exploratory_increasing_path_formula, True),
-]
-
-
-def _run_property(item: tuple[str, int, int, str]) -> tuple[dict, bool]:
-    """The report of one property, and whether it failed with an
-    ``InternalConsistencyError`` (which sets verify's exit code to 2)."""
-    name, n, seed, level = item
-    fn, informational = next(
-        (fn, info) for pname, fn, info in _PROPERTIES if pname == name
-    )
-    rng = random.Random(seed)
-    try:
-        detail = fn(n, rng, level)
-    except Exception as exc:  # counterexample payloads, not crashes
-        report = {"name": name, "status": "fail", "detail": f"{type(exc).__name__}: {exc}"}
-        return report, isinstance(exc, InternalConsistencyError)
-    if informational:
-        return {"name": name, "status": "info", "detail": detail or ""}, False
-    if detail is None:
-        return {"name": name, "status": "pass", "detail": ""}, False
-    return {"name": name, "status": "fail", "detail": detail}, False
-
-
 def _cmd_verify(args) -> int:
     n = args.n
-    names = [name for name, _, info in _PROPERTIES if args.level == "full" or not info]
-    items = [(name, n, args.seed, args.level) for name in names]
-    if args.workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_property, items))
-    else:
-        results = [_run_property(it) for it in items]
-    reports = [report for report, _ in results]
-    inconsistent = any(flag for _, flag in results)
-    reports.sort(key=lambda r: r["name"])
+    reports, inconsistent = verify.run_catalogue(n, args.seed, args.level, args.workers)
     failed = [r for r in reports if r["status"] == "fail"]
     if args.format == "json":
         print(
@@ -747,21 +459,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-_GATE_VARIABLES = (
-    "QBRUHAT_MAX_N",
-    "QBRUHAT_MAX_COUNT_N",
-    "QBRUHAT_MAX_PATH_N",
-    "QBRUHAT_MAX_GW_N",
-)
-
-
 @contextlib.contextmanager
 def _gate_overrides(args):
     """Set the gate overrides in os.environ for one call, then restore them.
 
-    The config is a JSON object whose keys are gate variables; anything
-    else is a ValueError.  Variables already in the environment win over
-    --config; --max-n and --max-count-n win over both.
+    The config is a JSON object whose keys are gate variables and whose
+    values are integers; anything else is a ValueError.  Variables already
+    in the environment win over --config; --max-n and --max-count-n win
+    over both.
     """
     overrides = {}
     if args.config:
@@ -769,10 +474,12 @@ def _gate_overrides(args):
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
-        unknown = sorted(set(config) - set(_GATE_VARIABLES))
+        unknown = sorted(set(config) - set(GATES))
         if unknown:
             raise ValueError(f"{args.config}: not a gate variable: {', '.join(unknown)}")
         for key, val in config.items():
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"{args.config}: {key} must be an integer, got {val!r}")
             if key not in os.environ:
                 overrides[key] = str(val)
     if args.max_n is not None:
@@ -796,6 +503,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         with _gate_overrides(args):
+            for var in GATES:
+                gate(var)  # a value that is not an integer fails here, for any verb
             return args.fn(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -7,11 +7,15 @@ the right: w * s_i swaps the entries in positions i and i+1.
 This module also houses cyclic intervals [a,b)_c, the shifted linear
 orders <_r on [n], the (shifted) Gale orders on k-subsets, and the
 Ehresmann criterion for the strong Bruhat order.
+
+It also holds the size gates on exhaustive work (``GATES``), each read
+from its environment variable or else its default.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -23,6 +27,35 @@ class InternalConsistencyError(RuntimeError):
 
 class GateError(ValueError):
     """An exhaustive computation was requested beyond its size gate."""
+
+
+#: size gates on exhaustive work: variable -> (default, name in the error)
+GATES = {
+    "QBRUHAT_MAX_N": (8, "graph"),
+    "QBRUHAT_MAX_COUNT_N": (4, "counting"),
+    "QBRUHAT_MAX_PATH_N": (5, "path"),
+    "QBRUHAT_MAX_GW_N": (4, "expansion"),
+}
+
+
+def gate(var: str) -> int:
+    """The gate's value: its environment variable if set, else its default."""
+    text = os.environ.get(var)
+    if text is None:
+        return GATES[var][0]
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer, got {text!r}") from None
+
+
+def check_gate(var: str, n: int) -> None:
+    """Raise ``GateError`` if n exceeds the gate read from var."""
+    limit = gate(var)
+    if n > limit:
+        raise GateError(
+            f"n={n} exceeds the {GATES[var][1]} gate {limit}; set {var} to override"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -27,39 +27,24 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .permcore import (
-    GateError,
     InternalConsistencyError,
     Perm,
     all_permutations,
     apply_transposition,
+    check_gate,
     compose,
     format_perm,
+    gate,
     long_cycle,
     perm_from_word,
     prefix_set,
 )
 
 DegreeVec = tuple[int, ...]
-
-#: hard gate on exhaustive graph work; override with QBRUHAT_MAX_N
-DEFAULT_MAX_N = 8
-
-
-def max_n() -> int:
-    return int(os.environ.get("QBRUHAT_MAX_N", DEFAULT_MAX_N))
-
-
-def _check_gate(n: int) -> None:
-    if n > max_n():
-        raise GateError(
-            f"n={n} exceeds the graph gate {max_n()}; set QBRUHAT_MAX_N to override"
-        )
-
 
 def deg_zero(n: int) -> DegreeVec:
     return (0,) * (n - 1)
@@ -209,7 +194,7 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
 
 def graph_edges(n: int) -> Iterator[tuple[Perm, Perm, DegreeVec]]:
     """All edges of Gamma_n as (source, target, weight)."""
-    _check_gate(n)
+    check_gate("QBRUHAT_MAX_N", n)
     for w in all_permutations(n):
         for i, j, wt in edges_from(w):
             yield w, apply_transposition(w, i, j), wt
@@ -275,7 +260,7 @@ def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
 def _check_pair(u: Perm, v: Perm) -> None:
     if len(u) != len(v):
         raise ValueError("size mismatch")
-    _check_gate(len(u))
+    check_gate("QBRUHAT_MAX_N", len(u))
 
 
 def ell(u: Perm, v: Perm) -> int:
@@ -365,7 +350,7 @@ def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
         lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
     )
     if check is None:
-        check = n <= max_n()
+        check = n <= gate("QBRUHAT_MAX_N")
     if check:
         bfs_d = shortest_path_weight(u, v)
         if bfs_d != d:

@@ -10,16 +10,15 @@ stored sparsely as {(x-exponents, q-exponents): coefficient}.
 from __future__ import annotations
 
 import functools
-import os
 from typing import Iterator, Mapping, Optional
 
 from .permcore import (
-    GateError,
     InternalConsistencyError,
     Perm,
     all_permutations,
     apply_simple,
     apply_transposition,
+    check_gate,
     compose,
     length,
     longest,
@@ -29,18 +28,6 @@ from .varietylab import solve_exact
 
 XKey = tuple[int, ...]
 Term = tuple[XKey, DegreeVec]
-
-DEFAULT_MAX_PATH_N = 5
-DEFAULT_MAX_GW_N = 4
-
-
-def max_path_n() -> int:
-    return int(os.environ.get("QBRUHAT_MAX_PATH_N", DEFAULT_MAX_PATH_N))
-
-
-def max_gw_n() -> int:
-    return int(os.environ.get("QBRUHAT_MAX_GW_N", DEFAULT_MAX_GW_N))
-
 
 class MultiPoly:
     """Sparse integer polynomial in x_1..x_n, q_1..q_{n-1}."""
@@ -103,16 +90,6 @@ class MultiPoly:
 
     def scale(self, c: int) -> "MultiPoly":
         return MultiPoly(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def swap_x(self, i: int) -> "MultiPoly":
-        """Exchange the variables x_i and x_{i+1}."""
-        out: dict[Term, int] = {}
-        for (xe, qe), c in self.terms.items():
-            ex = list(xe)
-            ex[i - 1], ex[i] = ex[i], ex[i - 1]
-            key = (tuple(ex), qe)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(self.n, out)
 
     def q_part(self, d: DegreeVec) -> "MultiPoly":
         """The coefficient of q^d, as an x-only polynomial."""
@@ -259,11 +236,7 @@ def path_schubert(u: Perm, v: Perm) -> MultiPoly:
     n = len(u)
     if len(v) != n:
         raise ValueError("size mismatch")
-    if n > max_path_n():
-        raise GateError(
-            f"n={n} exceeds the path gate {max_path_n()}; "
-            "set QBRUHAT_MAX_PATH_N to override"
-        )
+    check_gate("QBRUHAT_MAX_PATH_N", n)
     rho = tuple(range(n - 1, -1, -1))
     out: dict[Term, int] = {}
     for beta, wt in _admissible_paths(u, v):
@@ -314,11 +287,7 @@ def schubert_expand(P: MultiPoly, grade: int) -> dict[Perm, int]:
 def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
     """Minimal-degree Gromov-Witten numbers {w: c_{u,w}^{v, d(u,v)}}."""
     n = len(u)
-    if n > max_gw_n():
-        raise GateError(
-            f"n={n} exceeds the expansion gate {max_gw_n()}; "
-            "set QBRUHAT_MAX_GW_N to override"
-        )
+    check_gate("QBRUHAT_MAX_GW_N", n)
     d = min_degree(u, v)
     P = path_schubert(u, v).q_part(d)
     if not P:

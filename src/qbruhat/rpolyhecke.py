@@ -104,12 +104,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    @property
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
     def leading_coefficient(self) -> int:
         return self.coeffs[self.degree]
 

@@ -31,7 +31,7 @@ from .permcore import (
     reduced_word,
     sort_shifted,
 )
-from .tiltorder import Tilt, a_sim, adj_increases, a_step_type, check_tilt
+from .tiltorder import Tilt, a_sim, adj_increases, a_step_type, check_tilt, witness_a
 
 BAR = None
 Factor = Optional[int]
@@ -431,6 +431,18 @@ def positive_distinguished_subword(word_v: TiltedWord, u: Perm) -> Subword:
     if sub.jminus or sub.target != u:
         raise InternalConsistencyError("positive subword construction failed")
     return sub
+
+
+def positive_word(
+    u: Perm, v: Perm, a: Optional[Tilt] = None
+) -> tuple[Tilt, TiltedWord, Subword]:
+    """The tilt a (the witness tilt of (u, v) unless given), the regular
+    tilted reduced word of v under a, and its positive distinguished
+    subword for u: the data of one Deodhar parametrization of T°_{u,v}."""
+    if a is None:
+        a = witness_a(u, v)
+    word = regular_tilted_reduced_word(a, v)
+    return a, word, positive_distinguished_subword(word, u)
 
 
 # ---------------------------------------------------------------------------

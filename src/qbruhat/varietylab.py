@@ -31,16 +31,15 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .permcore import (
-    GateError,
     InternalConsistencyError,
     Perm,
     all_permutations,
+    check_gate,
     cyclic_interval,
     inverse,
     length,
@@ -62,13 +61,6 @@ from .tiltwords import (
 )
 
 Scalar = Union[int, Fraction]
-
-DEFAULT_MAX_COUNT_N = 4
-
-
-def max_count_n() -> int:
-    return int(os.environ.get("QBRUHAT_MAX_COUNT_N", DEFAULT_MAX_COUNT_N))
-
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -625,11 +617,7 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     or at level n; those ranks are not computed.
     """
     n = len(u)
-    if n > max_count_n():
-        raise GateError(
-            f"n={n} exceeds the counting gate {max_count_n()}; "
-            "set QBRUHAT_MAX_COUNT_N to override"
-        )
+    check_gate("QBRUHAT_MAX_COUNT_N", n)
     if len(v) != n:
         raise ValueError("size mismatch")
     a = witness_a(u, v)

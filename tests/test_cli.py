@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from qbruhat import cli
+from qbruhat import varietylab, verify
 from qbruhat.cli import run
 from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
@@ -88,6 +88,30 @@ def test_member(capsys, tmp_path):
         capsys, "member", str(path), "231", "123", "--open", "--format", "json"
     )
     assert json.loads(out)["member"] is False
+
+
+def test_member_runs_the_rank_route_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(permutation_matrix(parse_perm("321"))))
+    rank_route = varietylab.in_tilted_richardson
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank_route(*args, **kwargs)
+
+    monkeypatch.setattr(varietylab, "in_tilted_richardson", counted)
+    code, out = invoke(capsys, "member", str(path), "231", "123", "--format", "json")
+    assert code == 0 and json.loads(out)["routes_agree"]
+    assert len(calls) == 1
+    # a rank route that disagrees is still a consistency failure
+    monkeypatch.setattr(
+        varietylab, "in_tilted_richardson", lambda *a, **k: not rank_route(*a, **k)
+    )
+    code = run(["member", str(path), "231", "123"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "rank and Plücker membership disagree" in captured.err
 
 
 def test_count(capsys):
@@ -233,6 +257,37 @@ def test_config_holds_only_gate_variables(capsys, tmp_path, monkeypatch, config,
     assert os.environ.get("PATH") == saved_path
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"QBRUHAT_MAX_N": "x"}', "QBRUHAT_MAX_N must be an integer, got 'x'"),
+        ('{"QBRUHAT_MAX_N": true}', "QBRUHAT_MAX_N must be an integer, got True"),
+        ('{"QBRUHAT_MAX_COUNT_N": 3.5}', "QBRUHAT_MAX_COUNT_N must be an integer, got 3.5"),
+        ('{"QBRUHAT_MAX_GW_N": "5"}', "QBRUHAT_MAX_GW_N must be an integer, got '5'"),
+    ],
+)
+def test_config_gate_values_must_be_integers(capsys, tmp_path, monkeypatch, config, message):
+    # order reads no gate, so only the check before dispatch can refuse it
+    for var in ("QBRUHAT_MAX_N", "QBRUHAT_MAX_COUNT_N", "QBRUHAT_MAX_GW_N"):
+        monkeypatch.delenv(var, raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    code = run(["--config", str(path), "order", "12", "21"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("verb", [["order", "12", "21"], ["mindeg", "12", "21"]])
+@pytest.mark.parametrize("value", ["x", "True", "3.5"])
+def test_environment_gate_values_must_be_integers(capsys, monkeypatch, verb, value):
+    monkeypatch.setenv("QBRUHAT_MAX_PATH_N", value)
+    code = run(verb)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: QBRUHAT_MAX_PATH_N must be an integer, got {value!r}\n"
+
+
 def test_count_rejects_a_composite_p(capsys):
     code = run(["count", "231", "123", "--p", "4"])
     captured = capsys.readouterr()
@@ -283,9 +338,9 @@ def test_verify_exit_code_names_the_failure(capsys, monkeypatch, outcome, expect
 
     props = [
         (name, broken if name == "thin-intervals" else fn, info)
-        for name, fn, info in cli._PROPERTIES
+        for name, fn, info in verify.PROPERTIES
     ]
-    monkeypatch.setattr(cli, "_PROPERTIES", props)
+    monkeypatch.setattr(verify, "PROPERTIES", props)
     code, out = invoke(capsys, "verify", "--level", "fast", "--n", "3", "--format", "json")
     assert code == expected
     failed = [r for r in json.loads(out)["reports"] if r["status"] == "fail"]

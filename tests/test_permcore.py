@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbruhat import qbgraph, quantumschub, varietylab
 from qbruhat.permcore import (
+    GATES,
+    GateError,
     all_permutations,
     apply_transposition,
     bruhat_leq,
@@ -180,3 +183,24 @@ def test_bruhat_leq_matches_closure():
         for u in all_permutations(n):
             for v in all_permutations(n):
                 assert bruhat_leq(u, v) == ((u, v) in closure), (u, v)
+
+
+@pytest.mark.parametrize(
+    "var, call, n, name",
+    [
+        ("QBRUHAT_MAX_N", lambda w: list(qbgraph.graph_edges(len(w))), 4, "graph"),
+        ("QBRUHAT_MAX_COUNT_N", lambda w: varietylab.count_points_fq(w, w, 2), 3, "counting"),
+        ("QBRUHAT_MAX_PATH_N", lambda w: quantumschub.path_schubert(w, w), 3, "path"),
+        ("QBRUHAT_MAX_GW_N", lambda w: quantumschub.gw_min_degree(w, w), 3, "expansion"),
+    ],
+)
+def test_each_gate_names_its_variable(monkeypatch, var, call, n, name):
+    assert GATES[var][1] == name
+    monkeypatch.setenv(var, str(n - 1))
+    with pytest.raises(GateError) as err:
+        call(identity(n))
+    assert str(err.value) == (
+        f"n={n} exceeds the {name} gate {n - 1}; set {var} to override"
+    )
+    monkeypatch.setenv(var, str(n))
+    call(identity(n))  # at the gate itself the call runs

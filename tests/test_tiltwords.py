@@ -29,6 +29,7 @@ from qbruhat.tiltwords import (
     make_word,
     parse_word,
     positive_distinguished_subword,
+    positive_word,
     regular_tilted_reduced_word,
     tilt_sequence,
     tilted_reduced_word,
@@ -268,6 +269,18 @@ def test_removing_final_bar():
         last_bar = max(word.bar_positions())
         reduced = word.factors[: last_bar - 1] + word.factors[last_bar:]
         assert is_valid(make_word(flatten(a), reduced))
+
+
+def test_positive_word_is_the_witness_word_and_its_positive_subword():
+    u, v = parse_perm("4231"), parse_perm("3142")
+    a, word, sub = positive_word(u, v)
+    assert a == witness_a(u, v)
+    assert word == regular_tilted_reduced_word(a, v)
+    assert sub == positive_distinguished_subword(word, u)
+    given = (4, 4, 2, 2)
+    a, word, sub = positive_word(u, v, given)
+    assert a == given and word == regular_tilted_reduced_word(given, v)
+    assert sub.target == u and not sub.jminus
 
 
 def test_positive_distinguished_subword():
