@@ -3,8 +3,10 @@ polynomials over the quantum Bruhat graph, minimal-degree Gromov-Witten
 invariants, the Schubert expansion of tilted Richardson classes, and the
 descent-cycling identities.
 
-Polynomials here are integer multipolynomials in x_1..x_n and q_1..q_{n-1},
-stored sparsely as {(x-exponents, q-exponents): coefficient}.
+Polynomials here are integer multipolynomials in x_1..x_n and q_1..q_{n-1}:
+``MultiPoly`` is the ``poly.Poly`` keyed by (x-exponents, q-exponents), so
+its ring operations are ``Poly``'s; it adds the size n, monomials and the
+parts by q-degree.
 """
 
 from __future__ import annotations
@@ -23,25 +25,29 @@ from .permcore import (
     length,
     longest,
 )
+from .poly import Poly
 from .qbgraph import DegreeVec, deg_add, deg_zero, edges_from, min_degree
 from .varietylab import solve_exact
 
 XKey = tuple[int, ...]
 Term = tuple[XKey, DegreeVec]
 
-class MultiPoly:
-    """Sparse integer polynomial in x_1..x_n, q_1..q_{n-1}."""
 
-    __slots__ = ("n", "terms")
+class MultiPoly(Poly):
+    """Sparse integer polynomial in x_1..x_n, q_1..q_{n-1}: ``terms`` maps
+    (x-exponents, q-exponents) -> coefficient."""
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Optional[Mapping[Term, int]] = None):
+        super().__init__(terms)
         self.n = n
-        self.terms: dict[Term, int] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = self.terms.get(key, 0) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
+
+    def _new(self, terms: Mapping[Term, int]) -> "MultiPoly":
+        return MultiPoly(self.n, terms)
+
+    def _one(self) -> "MultiPoly":
+        return MultiPoly.one(self.n)
 
     @classmethod
     def monomial(cls, n: int, xe: XKey, qe: Optional[DegreeVec] = None, c: int = 1) -> "MultiPoly":
@@ -51,45 +57,6 @@ class MultiPoly:
     @classmethod
     def one(cls, n: int) -> "MultiPoly":
         return cls.monomial(n, (0,) * n)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return MultiPoly(self.n, out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Term, int] = {}
-        for (x1, q1), c1 in self.terms.items():
-            for (x2, q2), c2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(q1, q2)),
-                )
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.n, out)
-
-    def scale(self, c: int) -> "MultiPoly":
-        return MultiPoly(self.n, {k: c * v for k, v in self.terms.items()})
 
     def q_part(self, d: DegreeVec) -> "MultiPoly":
         """The coefficient of q^d, as an x-only polynomial."""
@@ -101,29 +68,6 @@ class MultiPoly:
 
     def q_weights(self) -> set[DegreeVec]:
         return {qe for (_, qe) in self.terms}
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xe, qe) in sorted(self.terms):
-            c = self.terms[(xe, qe)]
-            factors = [str(c)] if abs(c) != 1 else (["-"] if c < 0 else [])
-            body = "".join(
-                (f"x{i}" if e == 1 else f"x{i}^{e}")
-                for i, e in enumerate(xe, start=1)
-                if e
-            ) + "".join(
-                (f"q{i}" if e == 1 else f"q{i}^{e}")
-                for i, e in enumerate(qe, start=1)
-                if e
-            )
-            if not body:
-                body = "1" if abs(c) == 1 else ""
-            parts.append(("".join(factors) + body) or str(c))
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +95,10 @@ def divided_difference(i: int, P: MultiPoly) -> MultiPoly:
     return MultiPoly(n, out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def schubert_poly(w: Perm) -> MultiPoly:
     """Classical Schubert polynomial; x^rho at the longest element, divided
-    differences downward."""
+    differences downward.  The cache holds all of S_6 (720 entries)."""
     n = len(w)
     if w == longest(n):
         return MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)))
@@ -319,6 +263,8 @@ def check_descent_cycling(u: Perm, v: Perm, i: int) -> dict:
     from .tiltorder import interval_s_invariant
 
     n = len(u)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"descent position i={i} out of range for n={n} (need 1 <= i <= n-1)")
     if not interval_s_invariant(u, v, i):
         raise ValueError(f"[{u},{v}] is not invariant under s_{i}")
     us = apply_simple(u, i)

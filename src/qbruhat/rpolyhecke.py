@@ -1,4 +1,4 @@
-"""Integer (Laurent) polynomials in q, the Hecke algebra of S_n, classical
+"""Laurent polynomials in q, the Hecke algebra of S_n, classical
 Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 
 * the Deodhar sum (q-1)^{|Jo|} q^{|J-|} over tilted distinguished subwords,
@@ -18,6 +18,10 @@ so T_v^{-1} and T_u are built separately (each from the unit, one
 generator at a time) and paired by ``trace_product``.  Hecke coefficients
 are plain integer maps exponent -> coefficient; ``LaurentPoly`` is used at
 the boundary only.
+
+``LaurentPoly`` is the ``poly.Poly`` with int exponents; it adds the
+constructors, degree, evaluation at q and the printed form that the CLI
+writes and ``parse_poly`` reads.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .permcore import (
     length,
     reduced_word,
 )
+from .poly import Poly
 from .tiltorder import (
     Tilt,
     a_descents,
@@ -61,23 +66,11 @@ from .tiltwords import (
 Scalar = Union[int, Fraction]
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in q with integer coefficients.
+class LaurentPoly(Poly):
+    """Sparse Laurent polynomial in q: ``terms`` maps exponent -> coefficient."""
 
-    Immutable; zero coefficients are never stored.
-    """
+    __slots__ = ()
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Mapping[int, int]] = None):
-        cleaned = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    cleaned[int(e)] = cleaned.get(int(e), 0) + int(c)
-        object.__setattr__(self, "coeffs", {e: c for e, c in cleaned.items() if c})
-
-    # construction -----------------------------------------------------
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
@@ -86,117 +79,41 @@ class LaurentPoly:
     def q_power(cls, e: int, c: int = 1) -> "LaurentPoly":
         return cls({e: c})
 
-    # structure --------------------------------------------------------
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     @property
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
+        return max(self.terms)
 
     def leading_coefficient(self) -> int:
-        return self.coeffs[self.degree]
-
-    def is_polynomial(self) -> bool:
-        return all(e >= 0 for e in self.coeffs)
+        return self.terms[self.degree]
 
     def __getitem__(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
-    # arithmetic ---------------------------------------------------------
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-other))
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = LaurentPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return self.terms.get(e, 0)
 
     def shifted(self, e: int) -> "LaurentPoly":
         """Multiply by q^e."""
-        return LaurentPoly({k + e: c for k, c in self.coeffs.items()})
+        return LaurentPoly({k + e: c for k, c in self.terms.items()})
 
     def __call__(self, x: Scalar) -> Scalar:
-        if any(e < 0 for e in self.coeffs) and x == 0:
+        if any(e < 0 for e in self.terms) and x == 0:
             raise ZeroDivisionError("negative exponent at 0")
-        return sum(c * Fraction(x) ** e for e, c in self.coeffs.items()) if isinstance(
-            x, Fraction
-        ) else self._eval_int(x)
+        return sum(
+            c * (x ** e if e >= 0 else Fraction(1, x ** -e)) for e, c in self.terms.items()
+        )
 
-    def _eval_int(self, x: int) -> Scalar:
-        total: Scalar = 0
-        for e, c in self.coeffs.items():
-            total += c * (x ** e if e >= 0 else Fraction(1, x ** (-e)))
-        return total
-
-    # printing -----------------------------------------------------------
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}q"
-            else:
-                body = f"q^{e}" if mag == 1 else f"{mag}q^{e}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            body = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+            if abs(c) != 1 or e == 0:
+                body = f"{abs(c)}{body}"
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + body)
         return " ".join(parts)
-
-    __repr__ = __str__
-
-
-class QPoly(LaurentPoly):
-    """LaurentPoly restricted to nonnegative exponents."""
-
-    def __init__(self, coeffs: Optional[Mapping[int, int]] = None):
-        super().__init__(coeffs)
-        if not self.is_polynomial():
-            raise ValueError(f"negative exponent in polynomial: {self}")
 
 
 ZERO = LaurentPoly()
@@ -205,11 +122,11 @@ Q = LaurentPoly.q_power(1)
 Q_MINUS_1 = Q - ONE
 
 
-def as_qpoly(p: LaurentPoly) -> QPoly:
-    """Assert p clears to a genuine polynomial in q."""
-    if not p.is_polynomial():
+def as_qpoly(p: LaurentPoly) -> LaurentPoly:
+    """p, checked to be a genuine polynomial in q."""
+    if any(e < 0 for e in p.terms):
         raise InternalConsistencyError(f"expected a polynomial in q, got {p}")
-    return QPoly(p.coeffs)
+    return p
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -294,7 +211,7 @@ class HeckeElt:
 
     def scale(self, c: LaurentPoly) -> "HeckeElt":
         return HeckeElt(
-            self.n, {w: (c * LaurentPoly(cw)).coeffs for w, cw in self.terms.items()}
+            self.n, {w: (c * LaurentPoly(cw)).terms for w, cw in self.terms.items()}
         )
 
     def _pairs(
@@ -415,17 +332,12 @@ def trace_product(x: HeckeElt, y: HeckeElt) -> LaurentPoly:
         raise ValueError("size mismatch")
     if len(x.terms) > len(y.terms):
         x, y = y, x
-    out: dict[int, int] = {}
+    out = ZERO
     for w, cx in x.terms.items():
         cy = y.terms.get(inverse(w))
-        if cy is None:
-            continue
-        lw = length(w)
-        for e1, k1 in cx.items():
-            for e2, k2 in cy.items():
-                e = e1 + e2 + lw
-                out[e] = out.get(e, 0) + k1 * k2
-    return LaurentPoly(out)
+        if cy is not None:
+            out = out + LaurentPoly(cx) * LaurentPoly(_shifted(cy, length(w)))
+    return out
 
 
 def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:

@@ -350,7 +350,10 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
 
     Enumerated left to right under the forced-keep rule (a generator whose
     right multiplication decreases the running prefix must be kept), with
-    bar-flattenability enforced and dead branches pruned by a reach table.
+    bar-flattenability enforced.  Dead branches are pruned by ``live``:
+    live[pos] holds the prefixes at position pos that can still end at u,
+    built right to left from live[ell] = {u}, so only states on some path to
+    u are ever held.
     """
     if not a_sim(word_v.a, u, word_v.target):
         raise ValueError("u is not ~_a equivalent to the word's target")
@@ -358,17 +361,18 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
     factors = word_v.factors
     ell = len(factors)
 
-    @functools.lru_cache(maxsize=None)
-    def reach(pos: int, w: Perm) -> bool:
-        if pos == ell:
-            return w == u
+    live: list[set[Perm]] = [set() for _ in range(ell)] + [{u}]
+    for pos in range(ell - 1, -1, -1):
         f = factors[pos]
         aj = seqs[pos + 1]
+        after = live[pos + 1]
         if f is BAR:
-            return flattenable(aj, w) is not None and reach(pos + 1, w)
-        if adj_increases(aj, w, f):
-            return reach(pos + 1, w) or reach(pos + 1, apply_simple(w, f))
-        return reach(pos + 1, apply_simple(w, f))
+            live[pos] = {w for w in after if flattenable(aj, w) is not None}
+        else:
+            # w reaches x in after by skipping f (only if w <_a w s_f) or by
+            # keeping it (w = x s_f)
+            live[pos] = {x for x in after if adj_increases(aj, x, f)}
+            live[pos].update(apply_simple(x, f) for x in after)
 
     out: list[Subword] = []
     keep: list[bool] = []
@@ -385,24 +389,17 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
             keep.pop()
             return
         nxt = apply_simple(w, f)
-        if adj_increases(aj, w, f):
-            if reach(pos + 1, w):
-                keep.append(False)
-                walk(pos + 1, w)
-                keep.pop()
-            if reach(pos + 1, nxt):
-                keep.append(True)
-                walk(pos + 1, nxt)
-                keep.pop()
-        elif reach(pos + 1, nxt):
+        if adj_increases(aj, w, f) and w in live[pos + 1]:
+            keep.append(False)
+            walk(pos + 1, w)
+            keep.pop()
+        if nxt in live[pos + 1]:
             keep.append(True)
             walk(pos + 1, nxt)
             keep.pop()
 
-    start = identity(word_v.n)
-    if reach(0, start):
-        walk(0, start)
-    reach.cache_clear()
+    if identity(word_v.n) in live[0]:
+        walk(0, identity(word_v.n))
     return out
 
 

@@ -76,7 +76,7 @@ def _prop_interval_membership(n: int, rng: random.Random, level: str) -> Optiona
 
 
 def _prop_thin_intervals(n: int, rng: random.Random, level: str) -> Optional[str]:
-    for u, v in _cases(n, 2, rng):
+    for u, v in _cases(n, 2, rng, _sampled(n, level, 200)):
         iv = qbgraph.tilted_interval(u, v)
         if iv.ell == 2 and len(iv.members) != 4:
             return f"rank-2 interval [{format_perm(u)},{format_perm(v)}] is not a diamond"
@@ -227,7 +227,7 @@ def _prop_exploratory_increasing_path_formula(
         walk(u, 0, 0)
         rhs = total.shifted(iv.ell)  # times s^{l(u,v)}
         lhs = rpolyhecke.LaurentPoly(
-            {2 * e: c for e, c in rpolyhecke.rtilt_deodhar(u, v).coeffs.items()}
+            {2 * e: c for e, c in rpolyhecke.rtilt_deodhar(u, v).terms.items()}
         )
         checked += 1
         if lhs == rhs:

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import os
+import random
 import warnings
 
 import pytest
@@ -78,6 +80,25 @@ def test_word_and_subwords(capsys):
     assert sizes == [(4, 2), (6, 1), (6, 1), (8, 0)]
 
 
+def test_subwords_json_pinned(capsys):
+    # 24 seeded pairs of S_5, S_6 and S_7 (131 subwords), pinned before the
+    # enumeration pruned by right-to-left sets of live prefixes
+    rng = random.Random(13)
+    perms = []
+    for n in (5, 6, 7):
+        for _ in range(16):
+            w = list(range(1, n + 1))
+            rng.shuffle(w)
+            perms.append("".join(map(str, w)))
+    outputs = []
+    for u, v in zip(perms[::2], perms[1::2]):
+        code, out = invoke(capsys, "subwords", u, v, "--format", "json")
+        outputs.append(f"{code} {out}")
+    assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == (
+        "6e15e2e51e18fced2f1173ed54ce508067453a4235b73c4d6ba7bb6faf16f865"
+    )
+
+
 def test_member(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(matrix_to_json(permutation_matrix(parse_perm("321"))))
@@ -151,6 +172,23 @@ def test_gw_and_descent_cycle(capsys):
     assert data["d"] == [1, 1] and sum(data["coeffs"].values()) >= 1
     code, out = invoke(capsys, "descent-cycle", "231", "123", "1")
     assert code == 0 and "pass" in out
+
+
+@pytest.mark.parametrize("u, v, i, n", [("231", "123", "5", 3), ("231", "123", "0", 3),
+                                        ("1", "1", "1", 1)])
+def test_descent_cycle_rejects_i_before_any_work(capsys, monkeypatch, u, v, i, n):
+    from qbruhat import qbgraph
+
+    def no_interval(*args):
+        raise AssertionError("interval built before i was checked")
+
+    monkeypatch.setattr(qbgraph, "tilted_interval", no_interval)
+    code = run(["descent-cycle", u, v, i])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: descent position i={i} out of range for n={n} (need 1 <= i <= n-1)\n"
+    )
 
 
 def test_verify(capsys):

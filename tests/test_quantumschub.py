@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -191,3 +192,18 @@ def test_monk_against_schubert_products():
             monk = classical_monk(k, w)
             for t in all_permutations(3):
                 assert prod.get(_embed(t, 5), 0) == monk.get(t, 0), (w, k, t)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_path_schubert_and_gw_outputs_pinned():
+    # every S_3 and S_4 pair, pinned before MultiPoly became a Poly
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    assert _digest(repr(sorted(path_schubert(u, v).terms.items())) for u, v in pairs) == (
+        "8bdbe9671278a4ed0e66a3474ee7c7cb64d52bd0921e76139e79db1bc99c8f07"
+    )
+    assert _digest(repr(sorted(gw_min_degree(u, v).items())) for u, v in pairs) == (
+        "2b7bad6d35c6c0dcda771f3dd4689cf2539929af0cfef11a6426b971ad5b76db"
+    )

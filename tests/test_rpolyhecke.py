@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from qbruhat.permcore import (
     reduced_word,
 )
 from qbruhat.qbgraph import ell
+from qbruhat.quantumschub import MultiPoly
 from qbruhat.rpolyhecke import (
     ONE,
     Q,
@@ -20,7 +22,6 @@ from qbruhat.rpolyhecke import (
     ZERO,
     HeckeElt,
     LaurentPoly,
-    QPoly,
     as_qpoly,
     classical_r,
     hecke_gen,
@@ -44,14 +45,28 @@ lpolys = st.dictionaries(
 ).map(LaurentPoly)
 
 
+# polynomials in x_1..x_3, q_1, q_2, keyed by (x-exponents, q-exponents)
+mpolys = st.dictionaries(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[st.integers(0, 2)] * 2)),
+    st.integers(-9, 9),
+    max_size=4,
+).map(lambda terms: MultiPoly(3, terms))
+
+
 @settings(max_examples=60)
-@given(lpolys, lpolys, lpolys)
-def test_ring_axioms(p, q, r):
+@given(st.one_of(
+    st.tuples(lpolys, lpolys, lpolys, st.just((ZERO, ONE))),
+    st.tuples(mpolys, mpolys, mpolys, st.just((MultiPoly(3), MultiPoly.one(3)))),
+))
+def test_ring_axioms(case):
+    p, q, r, (zero, one) = case
     assert p + q == q + p
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
-    assert p + ZERO == p and p * ONE == p
+    assert p + zero == p and p * one == p
+    assert p - p == zero and p - q == p + -q
+    assert p ** 2 == p * p and p ** 0 == one
 
 
 def test_poly_printing_and_parsing():
@@ -66,13 +81,20 @@ def test_poly_printing_and_parsing():
 
 def test_poly_invariants():
     p = LaurentPoly({2: 1, 0: 0, 1: -1})
-    assert 0 not in {c for c in p.coeffs.values()}
+    assert 0 not in {c for c in p.terms.values()}
     assert p.degree == 2 and p.leading_coefficient() == 1
     assert p(3) == 9 - 3
-    with pytest.raises(ValueError):
-        QPoly({-1: 1})
+    assert as_qpoly(p) == p
     with pytest.raises(Exception):
         as_qpoly(LaurentPoly({-2: 3}))
+    # a polynomial equals only a polynomial of its own kind, and equal
+    # polynomials hash equal
+    assert ONE != 1 and 1 not in {ONE} and len({ONE, 1}) == 2
+    assert hash(Q_MINUS_1) == hash(Q - ONE) and len({Q_MINUS_1, Q - ONE}) == 1
+    x1 = MultiPoly.monomial(3, (1, 0, 0))
+    x1q1 = MultiPoly.monomial(3, (1, 0, 0), (1, 0))
+    assert hash(x1 * x1q1) == hash(x1q1 * x1) and len({x1 * x1q1, x1q1 * x1}) == 1
+    assert MultiPoly(3, {((0, 0, 0), (0, 0)): 1}) != ONE
 
 
 def test_hecke_relations():
@@ -308,3 +330,16 @@ def test_three_routes_agree_s6_near_w0():
 def test_deodhar_zero_for_incomparable_tilt():
     # an explicit tilt without u <~_a v: no distinguished subword ends at u
     assert rtilt_deodhar((2, 1, 3), (1, 3, 2), (1, 1, 1)) == ZERO
+
+
+def test_rtilt_all_output_pinned():
+    # str(rtilt(u, v, "all")) over every S_4 pair and 30 seeded S_5/S_6 pairs,
+    # pinned before LaurentPoly became a Poly
+    perms = list(all_permutations(4))
+    rng = random.Random(12)
+    pairs = [(u, v) for u in perms for v in perms]
+    pairs += [(_random_perm(rng, n), _random_perm(rng, n)) for n in (5, 6) for _ in range(15)]
+    text = "\n".join(str(rtilt(u, v, "all")) for u, v in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "65809825b6e9e2510f0dec628723668a261a4519d0fc993405a66e7ffd12fdae"
+    )

@@ -77,3 +77,14 @@ def test_cases_are_lazy():
         got.append((u, v, rng.randint(1, 9)))
         want.append((ref.choice(perms), ref.choice(perms), ref.randint(1, 9)))
     assert got == want
+
+
+@pytest.mark.parametrize("level, calls", [("fast", 200), ("full", 24 * 24)])
+def test_thin_intervals_samples_at_level_fast(monkeypatch, level, calls):
+    from qbruhat import qbgraph
+
+    seen = []
+    real = qbgraph.tilted_interval
+    monkeypatch.setattr(qbgraph, "tilted_interval", lambda u, v: seen.append(1) or real(u, v))
+    report, _ = verify.run_property(("thin-intervals", 4, 0, level))
+    assert report["status"] == "pass" and len(seen) == calls
