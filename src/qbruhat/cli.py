@@ -45,6 +45,14 @@ def _size(text: str) -> int:
     return n
 
 
+def _workers(text: str) -> int:
+    """argparse type for --workers: an integer >= 1."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def _parse_tilt(text: str, n: int) -> tuple[int, ...]:
     vals = tuple(int(p) for p in text.split(","))
     return tiltorder.check_tilt(vals, n)
@@ -452,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", choices=["fast", "full"], default="fast")
     p.add_argument("--n", type=_size, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=_cmd_verify)
 

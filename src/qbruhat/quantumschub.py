@@ -103,9 +103,8 @@ def schubert_poly(w: Perm) -> MultiPoly:
     if w == longest(n):
         return MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)))
     for i in range(1, n):
-        ws = apply_simple(w, i)
-        if length(ws) > length(w):
-            return divided_difference(i, schubert_poly(ws))
+        if w[i - 1] < w[i]:
+            return divided_difference(i, schubert_poly(apply_simple(w, i)))
     raise AssertionError("unreachable: only w_0 has no ascent")
 
 
@@ -278,9 +277,9 @@ def check_descent_cycling(u: Perm, v: Perm, i: int) -> dict:
     violations = []
     instances = 0
     for w in all_permutations(n):
-        wsi = apply_simple(w, i)
-        if length(wsi) <= length(w):
+        if w[i - 1] > w[i]:
             continue
+        wsi = apply_simple(w, i)
         if base.get(w, 0) != 0:
             violations.append(("vanishing", w, base[w]))
         if length(w) == grade:

@@ -17,23 +17,23 @@ rank per field by wrapping them by name.  Deodhar points are built by
 two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
 are the dense reference that tests compare against.
 
-``count_points_fq`` walks the Schubert-cell matrices of Fl_n(F_p) column
-by column and tests each rank condition of ``in_tilted_richardson`` on
-the first column prefix that decides it, so a failing prefix prunes
-every flag that extends it.  ``enumerate_flags_fq`` with
-``in_tilted_richardson`` on each flag is the brute-force oracle that
-tests compare it against.
+``_rank_conditions`` is the one place that forms the cyclic rank
+conditions defining T_{u,v}.  ``in_tilted_richardson`` tests them on one
+flag; ``count_points_fq`` walks the Schubert-cell matrices of Fl_n(F_p)
+column by column and tests each level on the first column prefix that
+decides it, so a failing prefix prunes every flag that extends it.
+``enumerate_flags_fq`` with ``in_tilted_richardson`` on each flag is the
+brute-force oracle that tests compare it against.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .permcore import (
     InternalConsistencyError,
@@ -232,12 +232,6 @@ def is_invertible(M: ExactMatrix) -> bool:
     return det(M) != 0
 
 
-def rank_region(M: ExactMatrix, row_set: Iterable[int], k: int) -> int:
-    """Rank of the submatrix on the given rows and the first k columns
-    (in any order: the rank does not depend on it)."""
-    return _rank([M.rows[i - 1][:k] for i in row_set], M.field)
-
-
 # ---------------------------------------------------------------------------
 # Plücker coordinates
 
@@ -278,11 +272,36 @@ def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
 # membership routes
 
 
-@functools.lru_cache(maxsize=1024)
-def _regions(n: int, a: int, i: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The row regions [a, i)_c and [i, a)_c of one rank condition; they
-    depend only on (n, a, i), not on the flag."""
-    return cyclic_interval(n, a, i), cyclic_interval(n, i, a)
+def _rank_conditions(
+    u: Perm, v: Perm, a: Optional[Tilt] = None
+) -> Optional[list[list[tuple[list[int], int]]]]:
+    """The cyclic rank conditions that cut T_{u,v} out of Fl_n, for the tilt
+    a (the witness tilt when None); None when u is not <=_a v, where the
+    variety is empty.
+
+    Entry k - 1 lists level k's conditions as (0-indexed rows, bound): the
+    first k columns of a flag in T_{u,v} have rank at most the bound on
+    those rows, and exactly the bound on T°_{u,v}.  The rows are the
+    regions [a_k, i)_c with bound |u[k] n region| and [i, a_k)_c with bound
+    |v[k] n region|.  On an invertible matrix the conditions on an empty
+    region (i = a_k) or at level n hold for every u, v, so they are left
+    out: 2(n-1)^2 conditions in all.
+    """
+    n = len(u)
+    a = witness_a(u, v) if a is None else check_tilt(a, n)
+    if not a_leq(a, u, v):
+        return None
+    levels = []
+    for k in range(1, n):
+        uk, vk, ak = prefix_set(u, k), prefix_set(v, k), a[k - 1]
+        conds = []
+        for i in range(1, n + 1):
+            if i != ak:
+                for region, prefix in ((cyclic_interval(n, ak, i), uk),
+                                       (cyclic_interval(n, i, ak), vk)):
+                    conds.append(([r - 1 for r in sorted(region)], len(region & prefix)))
+        levels.append(conds)
+    return levels
 
 
 def in_tilted_richardson(
@@ -292,39 +311,22 @@ def in_tilted_richardson(
     open_flag: bool = False,
     a: Optional[Tilt] = None,
 ) -> bool:
-    """Rank-condition route: the 2n^2 cyclic region conditions."""
+    """Rank-condition route: the conditions of ``_rank_conditions``, as
+    rank <= bound (rank == bound for the open variety)."""
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
     if not is_invertible(M):
         raise ValueError("matrix does not represent a flag (singular)")
-    if a is None:
-        a = witness_a(u, v)
-    else:
-        a = check_tilt(a, n)
-        if not a_leq(a, u, v):
-            # the variety for this tilt is empty unless u <=_a v
-            return False
-    for k in range(1, n + 1):
-        uk = prefix_set(u, k)
-        vk = prefix_set(v, k)
-        ak = a[k - 1]
-        for i in range(1, n + 1):
-            lo, hi = _regions(n, ak, i)
-            r_lo = rank_region(M, lo, k)
-            r_hi = rank_region(M, hi, k)
-            if open_flag:
-                if r_lo != len(uk & lo) or r_hi != len(vk & hi):
-                    return False
-            else:
-                if r_lo > len(uk & lo) or r_hi > len(vk & hi):
-                    return False
+    levels = _rank_conditions(u, v, a)
+    if levels is None:
+        return False
+    for k, conds in enumerate(levels, start=1):
+        for rows, bound in conds:
+            r = _rank([M.rows[i][:k] for i in rows], M.field)
+            if r > bound or (open_flag and r < bound):
+                return False
     return True
-
-
-@functools.lru_cache(maxsize=4096)
-def _interval_members(u: Perm, v: Perm) -> frozenset[Perm]:
-    return qbgraph.tilted_interval(u, v).members
 
 
 def in_tilted_richardson_plucker(
@@ -355,7 +357,7 @@ def in_tilted_richardson_plucker(
                 return False
         return True
 
-    members = _interval_members(u, v)
+    members = qbgraph.tilted_interval(u, v).members
     result = True
     for w in all_permutations(n):
         if w not in members and multi_nonzero(w):
@@ -608,35 +610,23 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
 
     Column k holds a 1 in row w_k and free entries in the rows i < w_k
     not used by w_1..w_{k-1}, so the first k columns depend only on
-    w_1..w_k.  The level-k conditions of ``in_tilted_richardson`` (open,
+    w_1..w_k.  The level-k conditions of ``_rank_conditions`` (open,
     witness tilt) read only those columns, so a prefix that fails one is
     dropped with every flag that extends it; a flag is counted when it
-    passes all n levels.  The walked matrices have a permutation pivot
-    pattern, so they are invertible and their first k columns have
-    rank k.  That alone decides a condition on an empty or full region,
-    or at level n; those ranks are not computed.
+    passes every level.  The walked matrices have a permutation pivot
+    pattern, so they are invertible and the conditions that
+    ``_rank_conditions`` leaves out hold on them.
     """
     n = len(u)
     check_gate("QBRUHAT_MAX_COUNT_N", n)
     if len(v) != n:
         raise ValueError("size mismatch")
-    a = witness_a(u, v)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not a_leq(a, u, v):
+    levels = _rank_conditions(u, v)
+    if levels is None:
         return 0
-    # levels[k - 1]: level k's (0-indexed rows, required rank) pairs that
-    # the column rank leaves open
-    levels: list[list[tuple[list[int], int]]] = []
-    for k in range(1, n + 1):
-        uk, vk = prefix_set(u, k), prefix_set(v, k)
-        conds = []
-        for i in range(1, n + 1):
-            lo, hi = _regions(n, a[k - 1], i)
-            for region, bound in ((lo, len(uk & lo)), (hi, len(vk & hi))):
-                if k < n and 0 < len(region) < n:
-                    conds.append(([r - 1 for r in sorted(region)], bound))
-        levels.append(conds)
+    levels.append([])  # level n: no condition
 
     rows = [[0] * n for _ in range(n)]
     used = [False] * n  # rows holding the pivot of an earlier column

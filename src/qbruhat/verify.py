@@ -274,7 +274,8 @@ def run_catalogue(n: int, seed: int, level: str, workers: int) -> tuple[list[dic
     """The reports of every property the level runs, sorted by name, and
     whether any of them raised an ``InternalConsistencyError``.  Each
     property gets a fresh ``random.Random(seed)``, so the reports do not
-    depend on ``workers``."""
+    depend on ``workers``.  The pool starts no more processes than there
+    are properties to run."""
     items = [
         (name, n, seed, level)
         for name, _, exploratory in PROPERTIES
@@ -283,7 +284,8 @@ def run_catalogue(n: int, seed: int, level: str, workers: int) -> tuple[list[dic
     if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, len(items))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(run_property, items))
     else:
         results = [run_property(it) for it in items]

@@ -255,6 +255,40 @@ def test_verify_workers_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_workers_bounded_by_the_properties(capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify", "--level", "fast", "--n", "3"]
+    code, serial = invoke(capsys, *argv, "--workers", "1")
+    assert code == 0 and started == []
+    code, pooled = invoke(capsys, *argv, "--workers", "1000")
+    assert code == 0 and pooled == serial
+    assert serial.count("[PASS]") == 10 and started == [10]
+    for bad in ("0", "-3"):
+        assert run([*argv, "--workers", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "workers must be at least 1" in captured.err
+    assert started == [10]
+
+
 def test_gate_overrides_do_not_outlive_the_call(capsys, tmp_path, monkeypatch):
     # graph builds no cached table, so every call probes the gate afresh
     monkeypatch.delenv("QBRUHAT_MAX_N", raising=False)

@@ -7,13 +7,15 @@ import pytest
 from qbruhat import varietylab
 from qbruhat.permcore import (
     all_permutations,
+    cyclic_interval,
     identity,
     length,
     parse_perm,
+    prefix_set,
 )
 from qbruhat.qbgraph import ell, tilted_interval
 from qbruhat.rpolyhecke import rtilt_deodhar
-from qbruhat.tiltorder import a_length, a_lesssim, witness_a
+from qbruhat.tiltorder import a_leq, a_length, a_lesssim, witness_a
 from qbruhat.tiltwords import (
     BAR,
     distinguished_subwords,
@@ -43,7 +45,6 @@ from qbruhat.varietylab import (
     plucker,
     plucker_add,
     plucker_drop,
-    rank_region,
     sdot_inverse_matrix,
     sdot_matrix,
     solve_exact,
@@ -69,9 +70,9 @@ def test_det_and_rank():
     assert det(M) == 18
     assert det(make_matrix(M.rows, field=5)) == 3
     assert det(make_matrix([[Fraction(1, 2), 1], [1, 2]])) == 0
-    assert rank_region(M, {1, 2, 3}, 2) == 2
-    assert rank_region(M, {1}, 3) == 1
-    assert rank_region(M, set(), 3) == 0
+    assert varietylab._rank([row[:2] for row in M.rows], None) == 2
+    assert varietylab._rank([list(M.rows[0])], None) == 1
+    assert varietylab._rank([], None) == 0
     with pytest.raises(ValueError):
         make_matrix([[1, 2], [3, 4]], field=4)
 
@@ -158,6 +159,86 @@ def test_classical_richardson_specialization():
                     if not (bruhat_leq(u, w) and bruhat_leq(w, v))
                 )
                 assert in_tilted_richardson(M, u, v) == classical
+
+
+def all_region_conditions(M, u, v, open_flag=False, a=None):
+    """The rank route as defined: all 2n^2 conditions, on every level k and
+    both regions [a_k, i)_c and [i, a_k)_c, empty ones and level n included."""
+    n = M.n
+    if a is None:
+        a = witness_a(u, v)
+    elif not a_leq(a, u, v):
+        return False
+    for k in range(1, n + 1):
+        uk, vk = prefix_set(u, k), prefix_set(v, k)
+        for i in range(1, n + 1):
+            lo, hi = cyclic_interval(n, a[k - 1], i), cyclic_interval(n, i, a[k - 1])
+            r_lo = varietylab._rank([M.rows[r - 1][:k] for r in lo], M.field)
+            r_hi = varietylab._rank([M.rows[r - 1][:k] for r in hi], M.field)
+            if open_flag:
+                if r_lo != len(uk & lo) or r_hi != len(vk & hi):
+                    return False
+            elif r_lo > len(uk & lo) or r_hi > len(vk & hi):
+                return False
+    return True
+
+
+def test_rank_route_matches_all_region_conditions():
+    pick = random.Random(21)
+
+    def agree(M, u, v, tilts):
+        for a in tilts:
+            for open_flag in (False, True):
+                assert in_tilted_richardson(M, u, v, open_flag, a) == all_region_conditions(
+                    M, u, v, open_flag, a), (M.rows, u, v, open_flag, a)
+
+    # every flag of Fl_3(F_2) and Fl_3(F_3), every pair, the witness tilt and
+    # two seeded tilts, which often have u not <=_a v
+    empty = 0
+    for p in (2, 3):
+        flags = list(enumerate_flags_fq(3, p))
+        for u in all_permutations(3):
+            for v in all_permutations(3):
+                tilts = [None] + [tuple(pick.choices((1, 2, 3), k=3)) for _ in range(2)]
+                empty += sum(a is not None and not a_leq(a, u, v) for a in tilts)
+                for M in flags:
+                    agree(M, u, v, tilts)
+    assert empty > 0
+    s4 = list(all_permutations(4))
+    flags = list(enumerate_flags_fq(4, 2))
+    for _ in range(300):
+        u, v = pick.choice(s4), pick.choice(s4)
+        agree(pick.choice(flags), u, v, [None, tuple(pick.choices(range(1, 5), k=4))])
+    # rational Deodhar points of T°_{x,y}, against (x, y), a random pair and
+    # the two mixed pairs; and random invertible matrices
+    for n, cases in ((4, 30), (5, 10)):
+        perms = list(all_permutations(n))
+        for _ in range(cases):
+            x, y, u, v = (pick.choice(perms) for _ in range(4))
+            word = regular_tilted_reduced_word(witness_a(x, y), y)
+            sub = positive_distinguished_subword(word, x)
+            params = {j: Fraction(pick.choice((-3, -1, 1, 2)), pick.randint(1, 3))
+                      for j in sub.jcirc}
+            M = deodhar_point(word, sub, params)
+            for pair in ((x, y), (u, v), (x, v), (u, y)):
+                agree(M, *pair, [None, tuple(pick.choices(range(1, n + 1), k=n))])
+            agree(rand_invertible(n, -2, 2), u, v, [None])
+
+
+def test_rank_route_skips_conditions_every_flag_meets(monkeypatch):
+    # an open n = 4 member passes every condition, so each one is ranked:
+    # 2(n-1)^2 = 18 of the 2n^2 = 32, none on an empty or a full region
+    calls = []
+    real = varietylab._rank
+
+    def counting(rows, field):
+        calls.append(len(rows))
+        return real(rows, field)
+
+    monkeypatch.setattr(varietylab, "_rank", counting)
+    w = (2, 4, 1, 3)
+    assert in_tilted_richardson(permutation_matrix(w), w, w, open_flag=True)
+    assert len(calls) == 18 and 0 < min(calls) and max(calls) < 4
 
 
 def test_singular_matrix_rejected():
