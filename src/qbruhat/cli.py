@@ -37,9 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _int(text: str) -> int:
+    """int(text), failing in the words argparse uses for ``type=int``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _size(text: str) -> int:
     """argparse type for n: an integer >= 1."""
-    n = int(text)
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
     return n
@@ -47,7 +55,7 @@ def _size(text: str) -> int:
 
 def _workers(text: str) -> int:
     """argparse type for --workers: an integer >= 1."""
-    workers = int(text)
+    workers = _int(text)
     if workers < 1:
         raise argparse.ArgumentTypeError(f"workers must be at least 1, got {workers}")
     return workers
@@ -94,8 +102,9 @@ def _cmd_graph(args) -> int:
 
 def _cmd_mindeg(args) -> int:
     u, v = parse_perm(args.u), parse_perm(args.v)
+    ell = qbgraph.ell(u, v)  # checks the gate before the cross-checked walk
     d = qbgraph.min_degree(u, v)
-    print(json.dumps({"ell": qbgraph.ell(u, v), "d": list(d)}, separators=(",", ":")))
+    print(json.dumps({"ell": ell, "d": list(d)}, separators=(",", ":")))
     return 0
 
 

@@ -15,12 +15,19 @@ vertex in a single O(n^2) scan that keeps, per i, a running cyclic minimum
 and a bitmask of the entries passed; every traversal of the graph reads it.
 ``edge_weight`` is the same test for one pair (i, j), in O(j-i).
 
-Shortest-path lengths ell(u,v) are distances in the forward BFS table
-from u; minimal degrees d(u,v) come from the lattice-path depth formula
-and are cross-checked against the weight of an actual BFS shortest path.
-A tilted interval [u,v] is read off the same forward table by walking
-back from v over its shortest-path DAG.  The reverse BFS (``_bfs_reverse``)
-is an independent oracle for tests and is not used by production routes.
+No graph query builds a table over S_n.  Minimal degrees d(u,v) come
+from the lattice-path depth formula, and ell(u,v) = l(v) - l(u) + 2|d(u,v)|
+(Postnikov).  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
+path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
+each is decided in O(1) by where w's lattice path toward v attains its
+minimum (``_keeps``).  A tilted interval [u,v] is the forward walk from u
+over the edges that pass this test; ``min_degree`` cross-checks d by a
+greedy walk over the same test, which must reach v in exactly ell steps
+with weights summing to d.  The forward
+and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
+(``bfs_ell``, ``shortest_path``, ``shortest_path_weight``) are oracles for
+tests, ``verify`` and ``min_degree(check=True)``; no production route calls
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .permcore import (
     check_gate,
     compose,
     format_perm,
-    gate,
+    length,
     long_cycle,
     perm_from_word,
     prefix_set,
@@ -52,6 +59,10 @@ def deg_zero(n: int) -> DegreeVec:
 
 def deg_add(a: DegreeVec, b: DegreeVec) -> DegreeVec:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def deg_sub(a: DegreeVec, b: DegreeVec) -> DegreeVec:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def deg_leq(a: DegreeVec, b: DegreeVec) -> bool:
@@ -206,15 +217,16 @@ def rotate(w: Perm) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# BFS distances and shortest-path weights
+# BFS oracles: distances and shortest-path weights over all of S_n
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _bfs(src: Perm) -> dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]]:
     """BFS table from src: w -> (distance, (predecessor, edge weight)).
 
-    Ungated: a cache hit would skip a check here, so every caller checks
-    the graph gate before it asks for a table.
+    An oracle; no production route calls it.  Ungated: a cache hit would
+    skip a check here, so every caller checks the graph gate before it asks
+    for a table.  The cache holds every source of S_5.
     """
     table: dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]] = {
         src: (0, None)
@@ -233,12 +245,12 @@ def _bfs(src: Perm) -> dict[Perm, tuple[int, Optional[tuple[Perm, DegreeVec]]]]:
     return table
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
     """Distance-to table: w -> length of the shortest path w -> dst.
 
     An oracle for ``tilted_interval``; no production route calls it.
-    Ungated, like ``_bfs``.
+    Ungated and bounded, like ``_bfs``.
     """
     n = len(dst)
     dist = {dst: 0}
@@ -263,8 +275,8 @@ def _check_pair(u: Perm, v: Perm) -> None:
     check_gate("QBRUHAT_MAX_N", len(u))
 
 
-def ell(u: Perm, v: Perm) -> int:
-    """Length of the shortest directed path from u to v; always finite."""
+def bfs_ell(u: Perm, v: Perm) -> int:
+    """ell(u,v) as the distance in the BFS table from u (oracle)."""
     _check_pair(u, v)
     return _bfs(u)[v][0]
 
@@ -336,12 +348,66 @@ def min_set(n: int, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     return frozenset(r for r in range(1, n + 1) if h[r - 1] == m)
 
 
+Levels = list[tuple[list[int], int]]
+
+
+def _level(row: list[int]) -> tuple[list[int], int]:
+    """A lattice path's heights with the bitmask of the abscissae x where it
+    attains its minimum (bit x stands for h_x)."""
+    m = min(row)
+    return row, sum(1 << x for x, y in enumerate(row) if y == m)
+
+
+def _levels(u: Perm, v: Perm) -> Levels:
+    """``_level`` of the lattice path of (u[k], v[k]) for k = 1..n-1; its
+    depth is d(u,v)_k."""
+    n = len(u)
+    return [
+        _level(_lattice_heights(n, prefix_set(u, k), prefix_set(v, k)))
+        for k in range(1, n)
+    ]
+
+
+def _keeps(w: Perm, i: int, j: int, levels: Levels) -> bool:
+    """Whether d(t,v) = d(w,v) - wt for the edge w -> t = w*t_{ij} of weight
+    wt, given w's ``_levels`` toward v.
+
+    By Postnikov's theorem this is ell(t,v) = ell(w,v) - 1: the edge lies on
+    a shortest path to v.  Only the levels i..j-1 differ: there t's prefix
+    trades w_i for w_j, which lowers the heights on [w_i, w_j) by one for a
+    strong edge (weight 0 there) and raises them on [w_j, w_i) by one for a
+    quantum edge (weight 1 there).  So the depth stays put iff no minimum
+    lies in [w_i, w_j), and drops by one iff every minimum lies in [w_j, w_i).
+    """
+    wi, wj = w[i - 1], w[j - 1]
+    # the abscissae where no minimum may lie: [w_i, w_j), or outside [w_j, w_i)
+    banned = (1 << wj) - (1 << wi) if wi < wj else ~((1 << wi) - (1 << wj))
+    for k in range(i - 1, j - 1):
+        if levels[k][1] & banned:
+            return False
+    return True
+
+
+def _advance(w: Perm, i: int, j: int, levels: Levels) -> Levels:
+    """The ``_levels`` of w*t_{ij} toward v, from w's."""
+    wi, wj = w[i - 1], w[j - 1]
+    lo, hi, s = (wi, wj, -1) if wi < wj else (wj, wi, 1)
+    out = list(levels)
+    for k in range(i - 1, j - 1):
+        row = levels[k][0]
+        out[k] = _level(row[:lo] + [x + s for x in row[lo:hi]] + row[hi:])
+    return out
+
+
 def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
     """Minimal degree d(u,v): d_k = depth of the lattice path of (u[k], v[k]).
 
-    With check on (the default up to the graph gate) the result is compared
-    against the weight of an actual BFS shortest path; disagreement is a
-    hard failure.
+    By default (check None) the result is cross-checked by a greedy walk
+    from u that takes, at each vertex, the first edge passing ``_keeps``'s
+    test; it must reach v in exactly ell(u,v) steps with weights summing to
+    d.  check=True also compares d against the weight of a BFS shortest path
+    (an oracle, behind the graph gate); check=False skips both.  A
+    disagreement raises ``InternalConsistencyError``.
     """
     if len(u) != len(v):
         raise ValueError("size mismatch")
@@ -349,8 +415,23 @@ def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
     d = tuple(
         lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
     )
-    if check is None:
-        check = n <= gate("QBRUHAT_MAX_N")
+    if check is False:
+        return d
+    w, levels, delta = u, _levels(u, v), d
+    for _ in range(_ell(u, v, d)):
+        for i, j, wt in edges_from(w):
+            if _keeps(w, i, j, levels):
+                levels = _advance(w, i, j, levels)
+                w, delta = apply_transposition(w, i, j), deg_sub(delta, wt)
+                break
+        else:
+            break
+    if w != v or any(delta):
+        raise InternalConsistencyError(
+            f"depth formula {d} has no path of its length and weight from "
+            f"{format_perm(u)} to {format_perm(v)}: the walk stopped at "
+            f"{format_perm(w)} with {delta} left"
+        )
     if check:
         bfs_d = shortest_path_weight(u, v)
         if bfs_d != d:
@@ -359,6 +440,19 @@ def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
                 f"{format_perm(u)}, {format_perm(v)}"
             )
     return d
+
+
+def _ell(u: Perm, v: Perm, d: DegreeVec) -> int:
+    return length(v) - length(u) + 2 * sum(d)
+
+
+def ell(u: Perm, v: Perm) -> int:
+    """Length of the shortest directed path from u to v; always finite.
+
+    Closed form l(v) - l(u) + 2|d(u,v)| over the lattice-path depths.
+    """
+    _check_pair(u, v)
+    return _ell(u, v, min_degree(u, v, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +480,35 @@ class TiltedInterval:
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     """[u,v] = permutations on some shortest path from u to v.
 
-    Walks back from v over the shortest-path DAG of the forward BFS table
-    from u: p = x*t_{ij} joins when dist(u,p) = dist(u,x) - 1 and p -> x is
-    an edge.  Ranks are distances from u.  Costs O(|[u,v]| n^2) edge tests
-    once the table exists.
+    Walks forward from u, rank by rank: t = w*t_{ij} joins at rank(w) + 1
+    when w -> t is an edge that passes ``_keeps``'s test d(t,v) = d(w,v) - wt,
+    i.e. ell(t,v) = ell(w,v) - 1.  Ranks are distances from u.  Each member
+    costs one O(n^2) ``edges_from`` scan, O(1) per tested level, and O(n)
+    per changed level when it joins.  d(w,v) is carried down the walk as
+    d(u,v) minus the weights taken; the walk must end at rank ell(u,v) on
+    v alone with d(v,v) = 0, or ``InternalConsistencyError``.
     """
     _check_pair(u, v)
-    n = len(u)
-    dist_u = _bfs(u)
-    total = dist_u[v][0]
-    rank = {v: total}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            dp = rank[x] - 1
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    p = apply_transposition(x, i, j)
-                    if (
-                        p not in rank
-                        and dist_u[p][0] == dp
-                        and edge_weight(p, i, j) is not None
-                    ):
-                        rank[p] = dp
-                        nxt.append(p)
-        frontier = nxt
+    d = min_degree(u, v, check=False)
+    total = _ell(u, v, d)
+    rank = {u: 0}
+    level = {u: (_levels(u, v), d)}
+    for r in range(1, total + 1):
+        nxt = {}
+        for w, (levels, delta) in level.items():
+            for i, j, wt in edges_from(w):
+                if _keeps(w, i, j, levels):
+                    t = apply_transposition(w, i, j)
+                    if t not in rank:
+                        rank[t] = r
+                        nxt[t] = (_advance(w, i, j, levels), deg_sub(delta, wt))
+        level = nxt
+    if list(level) != [v] or any(level[v][1]):
+        raise InternalConsistencyError(
+            f"the walk from {format_perm(u)} ends at rank {total} on "
+            f"{sorted(format_perm(w) for w in level)}, not on {format_perm(v)} "
+            f"with d = 0"
+        )
     return TiltedInterval(u=u, v=v, ell=total, members=frozenset(rank), rank=rank)
 
 

@@ -140,7 +140,7 @@ def in_tilted_interval(u: Perm, v: Perm, w: Perm, check: Optional[bool] = None) 
     if check is None:
         check = n <= 5
     if check:
-        bfs = qbgraph.ell(u, w) + qbgraph.ell(w, v) == qbgraph.ell(u, v)
+        bfs = qbgraph.bfs_ell(u, w) + qbgraph.bfs_ell(w, v) == qbgraph.bfs_ell(u, v)
         if bfs != result:
             raise InternalConsistencyError(
                 f"witness criterion disagrees with BFS membership at {u}, {v}, {w}"

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from qbruhat import varietylab, verify
+from qbruhat import qbgraph, varietylab, verify
 from qbruhat.cli import run
 from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
@@ -287,6 +287,46 @@ def test_verify_workers_bounded_by_the_properties(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "" and "workers must be at least 1" in captured.err
     assert started == [10]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["verify", "--n", "abc"], "--n"), (["verify", "--workers", "abc"], "--workers"),
+     (["graph", "abc"], "n")],
+)
+def test_non_integer_reads_like_type_int(capsys, argv, name):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"argument {name}: invalid int value: 'abc'\n")
+
+
+def test_graph_verbs_at_n7_build_no_bfs_table(capsys, monkeypatch):
+    u, v = "3172654", "5241736"
+    expected_ell = qbgraph.bfs_ell(parse_perm(u), parse_perm(v))
+
+    def forbidden(*args):
+        raise AssertionError("a production route built a BFS table")
+
+    monkeypatch.setattr(qbgraph, "_bfs", forbidden)
+    monkeypatch.setattr(qbgraph, "_bfs_reverse", forbidden)
+    code, out = invoke(capsys, "mindeg", u, v)
+    assert code == 0 and json.loads(out)["ell"] == expected_ell
+    code, out = invoke(capsys, "interval", u, v, "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["ell"] == expected_ell
+    assert data["members"][0] == u and data["members"][-1] == v
+    code, out = invoke(capsys, "order", u, v, "--format", "json")
+    assert code == 0 and json.loads(out)["holds"] is True
+
+
+def test_mindeg_checks_the_gate_before_walking(capsys, monkeypatch):
+    def forbidden(w):
+        raise AssertionError("walked the graph past the gate")
+
+    monkeypatch.setattr(qbgraph, "edges_from", forbidden)
+    assert run(["--max-n", "5", "mindeg", "123456", "654321"]) == 1
+    assert "exceeds the graph gate 5" in capsys.readouterr().err
 
 
 def test_gate_overrides_do_not_outlive_the_call(capsys, tmp_path, monkeypatch):

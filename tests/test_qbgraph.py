@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qbruhat.permcore import (
+    GateError,
     InternalConsistencyError,
     all_permutations,
     apply_transposition,
@@ -12,7 +13,7 @@ from qbruhat.permcore import (
     length,
     parse_perm,
 )
-from qbruhat import qbgraph
+from qbruhat import qbgraph, tiltorder, tiltwords
 from qbruhat.qbgraph import (
     deg_add,
     deg_leq,
@@ -231,6 +232,7 @@ def test_tilted_interval_matches_bfs_oracle_exhaustive(n):
             iv = tilted_interval(u, v)
             assert iv.rank == _interval_ranks_oracle(u, v), (u, v)
             assert iv.members == frozenset(iv.rank)
+            assert ell(u, v) == qbgraph.bfs_ell(u, v) == iv.ell, (u, v)
 
 
 def test_tilted_interval_matches_bfs_oracle_s6_sample():
@@ -343,3 +345,93 @@ def test_minimal_weight_paths_are_shortest():
             assert steps == ell(u, w), (u, w)
             hits += 1
     assert hits > 40
+
+
+def _seeded_pairs(seed, sizes, count):
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(count):
+            yield tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+
+
+def test_ell_equals_the_tilted_word_length_difference():
+    # an independent route: reduced tilted words for the witness tilt
+    cases = [(u, v) for u in all_permutations(4) for v in all_permutations(4)]
+    cases += list(_seeded_pairs(8, range(5, 9), 40))
+    for u, v in cases:
+        a = tiltorder.witness_a(u, v)
+        expected = tiltwords.word_length(a, v) - tiltwords.word_length(a, u)
+        assert ell(u, v) == expected, (u, v)
+
+
+def test_bfs_caches_are_bounded():
+    assert qbgraph._bfs.cache_info().maxsize is not None
+    assert qbgraph._bfs_reverse.cache_info().maxsize is not None
+
+
+def test_production_routes_build_no_bfs_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a production route built a BFS table")
+
+    monkeypatch.setattr(qbgraph, "_bfs", forbidden)
+    monkeypatch.setattr(qbgraph, "_bfs_reverse", forbidden)
+    rng = random.Random(67)
+    for u, v in _seeded_pairs(67, (6, 7), 4):
+        d = min_degree(u, v)
+        total = ell(u, v)
+        assert total == length(v) - length(u) + 2 * sum(d)
+        iv = tilted_interval(u, v)
+        assert iv.ell == total and iv.rank[v] == total
+        members = sorted(iv.members)
+        probes = [rng.choice(members) for _ in range(5)]
+        probes += [tuple(rng.sample(u, len(u))) for _ in range(5)]
+        for w in probes:
+            inside = tiltorder.in_tilted_interval(u, v, w, check=False)
+            assert inside == (w in iv), (u, v, w)
+        for x in probes[:5]:
+            assert iv.poset_leq(u, x) and iv.poset_leq(x, v)
+
+
+def _perturbed_depth(monkeypatch, shift):
+    """Shift the level-2 depth of every lattice path by ``shift``."""
+    real = qbgraph.lattice_depth
+
+    def depth(n, A, B):
+        A = set(A)
+        return real(n, A, B) + (shift if len(A) == 2 else 0)
+
+    monkeypatch.setattr(qbgraph, "lattice_depth", depth)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_wrong_depth_is_caught(monkeypatch, shift):
+    pairs = [(u, v) for u, v in _seeded_pairs(15, (3, 5, 7), 10) if min_degree(u, v)[1] >= 1]
+    pairs.append(((2, 1, 3, 4), (2, 1, 3, 4)))
+    _perturbed_depth(monkeypatch, shift)
+    checked = 0
+    for u, v in pairs:
+        if shift < 0 and u == v:
+            continue
+        with pytest.raises(InternalConsistencyError):
+            min_degree(u, v)
+        with pytest.raises(InternalConsistencyError):
+            tilted_interval(u, v)
+        assert min_degree(u, v, check=False)[1] >= 0
+        checked += 1
+    assert checked > 10
+
+
+def test_min_degree_check_modes(monkeypatch):
+    u, v = parse_perm("7364152"), parse_perm("2513746")
+    steps = []
+    real = qbgraph.edges_from
+    monkeypatch.setattr(qbgraph, "edges_from", lambda w: steps.append(w) or real(w))
+    d = min_degree(u, v, check=False)
+    assert steps == []  # no cross-check at all
+    assert min_degree(u, v) == d
+    assert len(steps) == ell(u, v) == 7  # one scan per step of the greedy walk
+    assert steps[0] == u
+    monkeypatch.setenv("QBRUHAT_MAX_N", "6")
+    assert min_degree(u, v) == d  # the walk needs no gate
+    with pytest.raises(GateError):
+        min_degree(u, v, check=True)  # the BFS oracle does
