@@ -207,22 +207,12 @@ def _cmd_subwords(args) -> int:
 def _cmd_rpoly(args) -> int:
     u, v = parse_perm(args.u), parse_perm(args.v)
     if args.method == "all":
-        d = rpolyhecke.rtilt_deodhar(u, v)
-        r = rpolyhecke.rtilt_recursive(u, v)
-        h = rpolyhecke.rtilt_hecke(u, v)
+        routes = rpolyhecke.rtilt_routes(u, v)
+        d, r, h = routes.values()
         agree = d == r == h
-        payload = {
-            "deodhar": str(d),
-            "recursive": str(r),
-            "hecke": str(h),
-            "agree": agree,
-        }
-        _emit(
-            args,
-            payload,
-            [f"deodhar:   {d}", f"recursive: {r}", f"hecke:     {h}",
-             f"agreement: {'yes' if agree else 'NO'}"],
-        )
+        payload = {**{name: str(poly) for name, poly in routes.items()}, "agree": agree}
+        lines = [f"{name + ':':11}{poly}" for name, poly in routes.items()]
+        _emit(args, payload, [*lines, f"agreement: {'yes' if agree else 'NO'}"])
         if not agree:
             raise InternalConsistencyError("tilted R-polynomial routes disagree")
         return 0

@@ -509,6 +509,15 @@ def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
     return as_qpoly(signed if dist % 2 == 0 else -signed)
 
 
+def rtilt_routes(u: Perm, v: Perm) -> dict[str, LaurentPoly]:
+    """The three routes' R-polynomials, keyed by method name."""
+    return {
+        "deodhar": rtilt_deodhar(u, v),
+        "recursive": rtilt_recursive(u, v),
+        "hecke": rtilt_hecke(u, v),
+    }
+
+
 def rtilt(u: Perm, v: Perm, method: str = "deodhar") -> LaurentPoly:
     """Dispatch by method name; 'all' cross-checks the three routes."""
     if method == "deodhar":
@@ -518,9 +527,7 @@ def rtilt(u: Perm, v: Perm, method: str = "deodhar") -> LaurentPoly:
     if method == "hecke":
         return rtilt_hecke(u, v)
     if method == "all":
-        d = rtilt_deodhar(u, v)
-        r = rtilt_recursive(u, v)
-        h = rtilt_hecke(u, v)
+        d, r, h = rtilt_routes(u, v).values()
         if not (d == r == h):
             raise InternalConsistencyError(
                 f"tilted R-polynomial routes disagree: {d} / {r} / {h}"

@@ -128,17 +128,14 @@ def witness_a_leq(u: Perm, v: Perm) -> Tilt:
     )
 
 
-def in_tilted_interval(u: Perm, v: Perm, w: Perm, check: Optional[bool] = None) -> bool:
-    """w in [u,v], by the one-witness criterion u <~_a w <~_a v.
+def in_tilted_interval(u: Perm, v: Perm, w: Perm, check: bool = False) -> bool:
+    """w in [u,v], by the one-witness criterion u <~_a w <~_a v alone.
 
-    With check on (default up to the graph gate) the answer is compared
-    against BFS membership; disagreement is a hard failure.
+    With check=True the answer is also compared against BFS membership
+    (gated like every BFS oracle); disagreement is a hard failure.
     """
-    n = len(u)
     a = witness_a(u, v)
     result = a_lesssim(a, u, w, check=False) and a_lesssim(a, w, v, check=False)
-    if check is None:
-        check = n <= 5
     if check:
         bfs = qbgraph.bfs_ell(u, w) + qbgraph.bfs_ell(w, v) == qbgraph.bfs_ell(u, v)
         if bfs != result:

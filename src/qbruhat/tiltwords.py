@@ -6,7 +6,9 @@ bar restores one flattening level; equivalently, scanning from the right,
 crossing a bar flattens the tilt once.  Validity requires that the prefix
 product at each bar splits into the two cyclic bands of the tilt
 (flattenability), and that no generator touches a jump position of its
-active tilt.
+active tilt.  ``bar_splits`` checks both in one walk and returns each
+bar's (jump_min, split), which ``is_regular`` and the TNN signs read.
+Both constructions join waypoints id -> ... -> w, one group per jump.
 
 Factors are ints (generator indices) or BAR (None).  Subwords drop
 generator factors only; bars are never droppable.
@@ -144,29 +146,34 @@ def tilt_sequence(word: TiltedWord) -> list[Tilt]:
     return seqs[::-1]
 
 
-def prefix_products(word: TiltedWord) -> list[Perm]:
-    """v^(0) = id, ..., v^(l) = target; bars contribute the identity."""
-    out = [identity(word.n)]
-    for f in word.factors:
-        out.append(out[-1] if f is BAR else apply_simple(out[-1], f))
-    return out
+def bar_splits(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
+    """{bar position j: (jump_min of the active tilt, split of the prefix
+    product before j)} for a valid word; None for an invalid one.
+
+    >>> bar_splits(make_word((2, 2, 2), (1, 2, None, 2, 1)))
+    {3: (3, 2)}
+    """
+    n = word.n
+    if len(word.bar_positions()) != len(jumps(word.a)):
+        return None
+    seqs = tilt_sequence(word)
+    cur = identity(n)
+    out: dict[int, tuple[int, int]] = {}
+    for j, f in enumerate(word.factors, start=1):
+        if f is BAR:
+            p = flattenable(seqs[j], cur)
+            if p is None:
+                return None
+            out[j] = (jump_min(seqs[j]), p)
+        elif 1 <= f <= n - 1 and f not in jumps(seqs[j]):
+            cur = apply_simple(cur, f)
+        else:
+            return None
+    return out if cur == word.target else None
 
 
 def is_valid(word: TiltedWord) -> bool:
-    """The recursive bar conditions, checked positionally."""
-    n = word.n
-    if len(word.bar_positions()) != len(jumps(word.a)):
-        return False
-    seqs = tilt_sequence(word)
-    prods = prefix_products(word)
-    for j, f in enumerate(word.factors, start=1):
-        if f is BAR:
-            if flattenable(seqs[j], prods[j - 1]) is None:
-                return False
-        else:
-            if not 1 <= f <= n - 1 or f in jumps(seqs[j]):
-                return False
-    return prods[-1] == word.target
+    return bar_splits(word) is not None
 
 
 def is_reduced(word: TiltedWord) -> bool:
@@ -177,59 +184,45 @@ def is_reduced(word: TiltedWord) -> bool:
 # the two constructions
 
 
-def _sorting_chain(a: Tilt) -> list[int]:
-    """Jump positions of a in increasing order jump_1 < ... < jump_t."""
-    return sorted(jumps(a))
-
-
 def _sorted_prefix(w: Perm, count: int, n: int, r: int) -> Perm:
     return tuple(sort_shifted(n, r, w[:count])) + w[count:]
 
 
-def _segment(src: Perm, dst: Perm) -> tuple[int, ...]:
-    """Canonical reduced word for src^{-1} . dst."""
-    return reduced_word(compose(inverse(src), dst))
+def _join(a: Tilt, w: Perm, groups: list[list[Perm]]) -> TiltedWord:
+    """Walk from id through each group's waypoints to w: the canonical
+    reduced word of src^{-1} . dst for every step, a bar between groups."""
+    factors: list[Factor] = []
+    src = identity(len(w))
+    for k, group in enumerate(groups):
+        if k:
+            factors.append(BAR)
+        for dst in group:
+            factors.extend(reduced_word(compose(inverse(src), dst)))
+            src = dst
+    return TiltedWord(a=a, factors=tuple(factors), target=w)
 
 
 def tilted_reduced_word(a: Tilt, w: Perm) -> TiltedWord:
-    """The sorting construction: sort the first jump_k entries of w for each
-    jump, largest jump first, and join the step words with bars.
+    """The sorting construction id -> w^(t) -> ... -> w^(1) -> w: w^(k)
+    sorts the first jump_k entries of w for a_{jump_k}, largest jump first.
     """
     n = len(w)
     a = check_tilt(a, n)
-    chain = [w]
-    for jk in _sorting_chain(a):
-        chain.append(_sorted_prefix(w, jk, n, a[jk - 1]))
-    chain.append(identity(n))
-    chain.reverse()  # id = w^(t+1), w^(t), ..., w^(0) = w
-    factors: list[Factor] = []
-    for idx, (src, dst) in enumerate(zip(chain, chain[1:])):
-        if idx:
-            factors.append(BAR)
-        factors.extend(_segment(src, dst))
-    return TiltedWord(a=a, factors=tuple(factors), target=w)
+    js = sorted(jumps(a), reverse=True)
+    return _join(a, w, [[_sorted_prefix(w, jk, n, a[jk - 1])] for jk in js] + [[w]])
 
 
 def regular_tilted_reduced_word(a: Tilt, w: Perm) -> TiltedWord:
-    """The sorting construction refined so that a reduced word for a
-    bi-Grassmannian permutation lands immediately before every bar.
+    """The sorting construction with wtilde^(k), the prefix sorted for the
+    tilt past the jump, in front of each w^(k): a reduced word for a
+    bi-Grassmannian then lands immediately before every bar.
     """
     n = len(w)
     a = check_tilt(a, n)
-    chain = [w]
-    for jk in _sorting_chain(a):
-        chain.append(_sorted_prefix(w, jk, n, a[jk - 1]))
-        nxt = a[jk] if jk < n else 1
-        chain.append(_sorted_prefix(w, jk, n, nxt))
-    chain.append(identity(n))
-    chain.reverse()  # id, wtilde^(t), w^(t), ..., wtilde^(1), w^(1), w
-    factors: list[Factor] = []
-    for idx, (src, dst) in enumerate(zip(chain, chain[1:])):
-        factors.extend(_segment(src, dst))
-        # a bar follows every second transition, the last group is bar-less
-        if idx % 2 == 1:
-            factors.append(BAR)
-    return TiltedWord(a=a, factors=tuple(factors), target=w)
+    js = sorted(jumps(a), reverse=True)
+    past = a + (1,)
+    groups = [[_sorted_prefix(w, jk, n, r) for r in (past[jk], a[jk - 1])] for jk in js]
+    return _join(a, w, groups + [[w]])
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -248,23 +241,15 @@ def bigrassmannian(n: int, a: int, b: int) -> Perm:
 def is_regular(word: TiltedWord) -> bool:
     """Every bar is immediately preceded by a reduced word for the
     bi-Grassmannian s_{q-p,p} attached to that bar."""
-    if not is_valid(word):
+    splits = bar_splits(word)
+    if splits is None:
         return False
     n = word.n
-    seqs = tilt_sequence(word)
-    prods = prefix_products(word)
-    for j in word.bar_positions():
-        aj = seqs[j]
-        q = jump_min(aj)
-        p = flattenable(aj, prods[j - 1])
-        if p is None:
-            return False
+    for j, (q, p) in splits.items():
         x = bigrassmannian(n, q - p, p)
         need = length(x)
         block = word.factors[j - 1 - need : j - 1]
-        if len(block) != need or any(f is BAR for f in block):
-            return False
-        if perm_from_word(n, block) != x:
+        if len(block) != need or BAR in block or perm_from_word(n, block) != x:
             return False
     return True
 

@@ -53,11 +53,8 @@ from .tiltwords import (
     BAR,
     Subword,
     TiltedWord,
-    flattenable,
+    bar_splits,
     is_regular,
-    jump_min,
-    prefix_products,
-    tilt_sequence,
 )
 
 Scalar = Union[int, Fraction]
@@ -528,18 +525,13 @@ def tnn_signs(
     n = word_v.n
     if not is_regular(word_v):
         raise ValueError("sign data requires a regular word")
-    seqs = tilt_sequence(word_v)
-    prods = prefix_products(word_v)
+    splits = bar_splits(word_v)
     sign = [1] * n
     trace: list[tuple[int, ...]] = [tuple(sign)]
     out: dict[int, int] = {}
     for j, f in enumerate(word_v.factors, start=1):
         if f is BAR:
-            aj = seqs[j]
-            q = jump_min(aj)
-            p = flattenable(aj, prods[j - 1])
-            if p is None:
-                raise InternalConsistencyError("invalid word reached tnn_signs")
+            q, p = splits[j]
             if p % 2:
                 for t in range(p, q):
                     sign[t] = -sign[t]
@@ -702,5 +694,25 @@ def matrix_to_json(M: ExactMatrix) -> str:
 
 
 def matrix_from_json(text: str, field: Optional[int] = None) -> ExactMatrix:
-    rows = [[Fraction(cell) for cell in row] for row in json.loads(text)]
+    """A JSON list of rows whose entries are integers or exact rational
+    strings ("3/2", "0.1" = 1/10).  Floats, booleans, null and nested
+    lists are refused, naming the row and column (1-indexed)."""
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("matrix JSON must be a list of rows")
+    rows = []
+    for i, row in enumerate(data, start=1):
+        if not isinstance(row, list):
+            raise ValueError(f"matrix row {i} is {json.dumps(row)}, not a list")
+        rows.append([])
+        for k, cell in enumerate(row, start=1):
+            try:
+                if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                    raise TypeError
+                rows[-1].append(Fraction(cell))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"matrix entry at row {i}, column {k} is {json.dumps(cell)}: "
+                    'expected an integer or a string such as "3/2"'
+                ) from None
     return make_matrix(rows, field)

@@ -85,8 +85,8 @@ def _prop_thin_intervals(n: int, rng: random.Random, level: str) -> Optional[str
 
 def _prop_rpoly_threeway(n: int, rng: random.Random, level: str) -> Optional[str]:
     for u, v in _cases(n, 2, rng, _sampled(n, level, 60)):
-        d = rpolyhecke.rtilt_deodhar(u, v)
-        if d != rpolyhecke.rtilt_recursive(u, v) or d != rpolyhecke.rtilt_hecke(u, v):
+        d, r, h = rpolyhecke.rtilt_routes(u, v).values()
+        if not (d == r == h):
             return f"routes disagree at ({format_perm(u)},{format_perm(v)})"
         if d.degree != qbgraph.ell(u, v) or d.leading_coefficient() != 1:
             return f"degree/monic failure at ({format_perm(u)},{format_perm(v)})"

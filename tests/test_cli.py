@@ -4,10 +4,11 @@ import json
 import os
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from qbruhat import qbgraph, varietylab, verify
+from qbruhat import qbgraph, rpolyhecke, varietylab, verify
 from qbruhat.cli import run
 from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
@@ -52,6 +53,16 @@ def test_rpoly_all(capsys):
     code, out = invoke(capsys, "rpoly", "231", "123", "--format", "json")
     poly = json.loads(out)["poly"]
     assert parse_poly(poly) == rtilt_deodhar(parse_perm("231"), parse_perm("123"))
+
+
+def test_rpoly_all_disagreement_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(rpolyhecke, "rtilt_hecke", lambda u, v: rtilt_deodhar(v, v))
+    code = run(["rpoly", "231", "123", "--method", "all"])
+    captured = capsys.readouterr()
+    assert code == 2 and "hecke:     1\nagreement: NO" in captured.out
+    code = run(["rpoly", "231", "123", "--method", "all", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["hecke"] == "1" and data["agree"] is False
 
 
 def test_order_witness_echo(capsys):
@@ -109,6 +120,42 @@ def test_member(capsys, tmp_path):
         capsys, "member", str(path), "231", "123", "--open", "--format", "json"
     )
     assert json.loads(out)["member"] is False
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[[0.1,1],[1,0]]", "row 1, column 1 is 0.1"),
+        ("[[1,0],[0,1.0]]", "row 2, column 2 is 1.0"),
+        ("[[true,false],[false,true]]", "row 1, column 1 is true"),
+        ('[["1",null],["0","1"]]', "row 1, column 2 is null"),
+        ("[[null]]", "row 1, column 1 is null"),
+        ('[["1","x"],["0","1"]]', 'row 1, column 2 is "x"'),
+        ('[["1","1/0"],["0","1"]]', 'row 1, column 2 is "1/0"'),
+        ('[["1",[0]],["0","1"]]', "row 1, column 2 is [0]"),
+        ("[1,2]", "row 1 is 1, not a list"),
+        ('{"rows": 1}', "must be a list of rows"),
+    ],
+)
+def test_member_rejects_malformed_matrix_json(capsys, tmp_path, text, where):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code = run(["member", str(path), "231", "123"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert where in captured.err
+
+
+def test_member_reads_exact_entries(capsys, tmp_path):
+    assert varietylab.matrix_from_json('[["0.1", 1], [-2, "3/2"]]').rows == (
+        (Fraction(1, 10), Fraction(1)),
+        (Fraction(-2), Fraction(3, 2)),
+    )
+    path = tmp_path / "m.json"
+    path.write_text('[["0.1", 1, "0"], [1, "0", "0"], ["0", "0", 1]]')
+    code, out = invoke(capsys, "member", str(path), "123", "123", "--format", "json")
+    assert code == 0 and json.loads(out)["routes_agree"]
 
 
 def test_member_runs_the_rank_route_once(capsys, tmp_path, monkeypatch):
@@ -470,3 +517,32 @@ def test_member_closes_its_matrix_file(capsys, tmp_path):
         gc.collect()
     assert code == 0
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# Every word-layer verb, in-process.  The digest is the sha256 of the
+# concatenated stdout of these calls, taken before the word constructions
+# and the bar walk were rewritten; a change that moves it changes output.
+WORD_LAYER_CALLS = [
+    [*argv, *regular, "--format", fmt]
+    for argv in (["word", "3,3,1,1,1,6", "136254"], ["word", "2,2,4,4,4,3", "635241"])
+    for regular in ([], ["--regular"])
+    for fmt in ("text", "json")
+] + [
+    ["subwords", "512346", "246513"],
+    ["subwords", "512346", "246513", "--plain-word"],
+    ["tnn", "4231", "3142"],
+    ["tnn", "4231", "3142", "--a", "4,4,2,2"],
+    ["sample-deodhar", "4231", "3142", "--seed", "7"],
+    ["rpoly", "231", "123", "--method", "all"],
+    ["rpoly", "4231", "3142", "--method", "all", "--format", "json"],
+]
+
+
+def test_word_layer_output_is_pinned(capsys):
+    out = []
+    for argv in WORD_LAYER_CALLS:
+        code, text = invoke(capsys, *argv)
+        assert code == 0, argv
+        out.append(text)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "de0c147175d56007c5e5f536b0da506a4c9f93e8aeaa26e7317761412895cd1c"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbruhat import rpolyhecke
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     bruhat_leq,
     identity,
@@ -343,3 +345,15 @@ def test_rtilt_all_output_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "65809825b6e9e2510f0dec628723668a261a4519d0fc993405a66e7ffd12fdae"
     )
+
+
+def test_routes_are_looked_up_at_call_time(monkeypatch):
+    u, v = parse_perm("231"), parse_perm("123")
+    routes = rpolyhecke.rtilt_routes(u, v)
+    assert list(routes) == ["deodhar", "recursive", "hecke"]
+    assert set(routes.values()) == {rtilt(u, v, "all")}
+    # a rebound route (as a tracer wraps it) is the one that runs
+    monkeypatch.setattr(rpolyhecke, "rtilt_hecke", lambda u, v: ONE)
+    assert rpolyhecke.rtilt_routes(u, v)["hecke"] == ONE
+    with pytest.raises(InternalConsistencyError, match="tilted R-polynomial routes disagree: "):
+        rtilt(u, v, "all")

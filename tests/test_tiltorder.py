@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qbruhat import qbgraph
 from qbruhat.permcore import (
     all_permutations,
     apply_simple,
@@ -85,6 +86,19 @@ def test_interval_membership_examples():
     assert in_tilted_interval(u, v, u) and in_tilted_interval(u, v, v)
     assert in_tilted_interval(u, v, (3, 2, 1))
     assert not in_tilted_interval(u, v, (3, 1, 2))
+
+
+def test_interval_membership_default_builds_no_bfs_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the default membership test ran BFS")
+
+    monkeypatch.setattr(qbgraph, "_bfs", forbidden)
+    rng = random.Random(16)
+    for n in (3, 4):
+        perms = list(all_permutations(n))
+        for _ in range(40):
+            u, v, w = (rng.choice(perms) for _ in range(3))
+            assert in_tilted_interval(u, v, w) == (w in tilted_interval(u, v)), (u, v, w)
 
 
 def test_interval_membership_vs_bfs_s3():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from qbruhat.permcore import (
     all_permutations,
+    apply_simple,
     identity,
     length,
     parse_perm,
@@ -15,6 +17,7 @@ from qbruhat.tiltorder import a_lesssim, covers, witness_a
 from qbruhat.tiltwords import (
     BAR,
     back_flatten,
+    bar_splits,
     bigrassmannian,
     distinguished_subwords,
     flatten,
@@ -162,6 +165,51 @@ def test_validity_detects_bad_words():
     assert not is_valid(make_word(a, (1, 2, 2, 1)))
     # prefix at the bar not flattenable: 213 splits {2},{1,3}? order 2<3<1
     assert not is_valid(make_word(a, (1, BAR, 2)))
+
+
+def test_bar_splits_rejects_invalid_words():
+    a = (2, 2, 2)
+    assert bar_splits(parse_word(a, "s1 s2 | s2 s1")) == {3: (3, 2)}
+    # wrong number of bars
+    assert bar_splits(make_word(a, (1, 2, 2, 1))) is None
+    assert bar_splits(make_word(a, (BAR, BAR, 1))) is None
+    # s1 after the bar of (2, 1, 1) sits on the jump 1 of its active tilt
+    assert bar_splits(make_word((2, 1, 1), (BAR, 2))) is not None
+    assert bar_splits(make_word((2, 1, 1), (BAR, 1))) is None
+    # the prefix 213 before the bar does not split into {2, 3} then {1}
+    assert bar_splits(make_word(a, (1, BAR, 2))) is None
+
+
+def test_bar_splits_match_positional_walk_s4():
+    n = 4
+    for a in all_tilts(n):
+        for w in all_permutations(n):
+            word = regular_tilted_reduced_word(a, w)
+            seqs = tilt_sequence(word)
+            prods = [identity(n)]
+            for f in word.factors:
+                prods.append(prods[-1] if f is BAR else apply_simple(prods[-1], f))
+            expected = {
+                j: (jump_min(seqs[j]), flattenable(seqs[j], prods[j - 1]))
+                for j in word.bar_positions()
+            }
+            assert bar_splits(word) == expected, (a, w)
+            assert None not in (p for _, p in expected.values())
+
+
+def test_both_constructions_pinned_s3_s4():
+    h = hashlib.sha256()
+    for n in (3, 4):
+        for a in all_tilts(n):
+            for w in all_permutations(n):
+                line = (
+                    format_word(tilted_reduced_word(a, w))
+                    + "/"
+                    + format_word(regular_tilted_reduced_word(a, w))
+                    + "\n"
+                )
+                h.update(line.encode())
+    assert h.hexdigest() == "c5e16101b29043da0f720cde1dde0c0a9ddeb5c1bdfd32935f90f68cab67084e"
 
 
 def test_word_property_random_moves():

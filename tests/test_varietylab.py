@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from qbruhat import varietylab
 from qbruhat.permcore import (
     all_permutations,
     cyclic_interval,
+    format_perm,
     identity,
     length,
     parse_perm,
@@ -20,6 +22,7 @@ from qbruhat.tiltwords import (
     BAR,
     distinguished_subwords,
     positive_distinguished_subword,
+    positive_word,
     regular_tilted_reduced_word,
     tilted_reduced_word,
 )
@@ -336,6 +339,18 @@ def test_tnn_signs_pinned_trace():
     )
     assert trace == expected
     assert len(trace) == 12
+
+
+def test_tnn_signs_pinned_s3_s4():
+    h = hashlib.sha256()
+    for n in (3, 4):
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                a, word, sub = positive_word(u, v)
+                signs, trace = tnn_signs(word, sub)
+                line = f"{format_perm(u)} {format_perm(v)} {sorted(signs.items())} {trace}\n"
+                h.update(line.encode())
+    assert h.hexdigest() == "fe1ecff0901ecd673a38162424fca1e40f4e536b01e3d72b8267adc9322b61ac"
 
 
 def test_tnn_membership_and_flips():
