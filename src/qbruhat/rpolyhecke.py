@@ -15,9 +15,14 @@ product is a pairing of the two factors,
     eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)},
 
 so T_v^{-1} and T_u are built separately (each from the unit, one
-generator at a time) and paired by ``trace_product``.  Hecke coefficients
-are plain integer maps exponent -> coefficient; ``LaurentPoly`` is used at
-the boundary only.
+generator at a time) and paired by ``trace_product``.  The pairing reads
+T_v^{-1} only at the inverses of T_u's support, so T_u is built first and
+T_v^{-1} only toward those targets (``hecke_t_inverse_at``): a term is
+dropped once the factors still to apply cannot carry it there.  That reach
+test is the trace route's own; it shares nothing with the Deodhar DP or the
+recursion, and the full ``hecke_t_inverse`` stays as the tests' oracle.
+Hecke coefficients are plain integer maps exponent -> coefficient;
+``LaurentPoly`` is used at the boundary only.
 
 ``LaurentPoly`` is the ``poly.Poly`` with int exponents; it adds the
 constructors, degree, evaluation at q and the printed form that the CLI
@@ -332,12 +337,16 @@ def trace_product(x: HeckeElt, y: HeckeElt) -> LaurentPoly:
         raise ValueError("size mismatch")
     if len(x.terms) > len(y.terms):
         x, y = y, x
-    out = ZERO
+    out: dict[int, int] = {}
     for w, cx in x.terms.items():
         cy = y.terms.get(inverse(w))
         if cy is not None:
-            out = out + LaurentPoly(cx) * LaurentPoly(_shifted(cy, length(w)))
-    return out
+            lw = length(w)
+            for ex, kx in cx.items():
+                for ey, ky in cy.items():
+                    e = ex + ey + lw
+                    out[e] = out.get(e, 0) + kx * ky
+    return LaurentPoly(out)
 
 
 def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:
@@ -353,6 +362,35 @@ def hecke_t_inverse(word_gens: Iterable[int], n: int) -> HeckeElt:
     out = HeckeElt.unit(n)
     for i in reversed(list(word_gens)):
         out = out.mul_gen_inverse(i)
+    return out
+
+
+def hecke_t_inverse_at(
+    word_gens: Iterable[int], n: int, targets: Iterable[Perm]
+) -> HeckeElt:
+    """(T_w)^{-1} restricted to the basis elements in targets.
+
+    Right multiplication by T_i^{-1} sends T_x into the span of T_x and
+    T_{x s_i}, so a term can end in targets only if the factors still to
+    apply can carry it there: after the factor of gens[j], those are the
+    factors of gens[j-1], ..., gens[0], and reach[j] holds the x they can
+    carry into targets.  Every other term is dropped as soon as it is
+    formed; the coefficients at targets are those of ``hecke_t_inverse``.
+    """
+    gens = list(word_gens)
+    whole = math.factorial(n)
+    reach = [frozenset(targets)]
+    for i in gens[:-1]:
+        last = reach[-1]
+        if len(last) == whole:
+            break  # every earlier set is the whole group: nothing to drop
+        reach.append(last.union([apply_simple(x, i) for x in last]))
+    out = HeckeElt.unit(n)
+    for j in range(len(gens) - 1, -1, -1):
+        out = out.mul_gen_inverse(gens[j])
+        if j < len(reach):
+            keep = reach[j]
+            out.terms = {x: c for x, c in out.terms.items() if x in keep}
     return out
 
 
@@ -492,6 +530,8 @@ def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
     T_v^{-1} and T_u are built from the unit over the generators of the
     tilted reduced words of v and u, and the trace of their product is the
     pairing eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)} (``trace_product``).
+    Only the coefficients of T_v^{-1} at the inverses of T_u's support enter
+    it, so T_v^{-1} is built toward those alone (``hecke_t_inverse_at``).
     With the genuine generator inverse the trace picks up a sign
     (-1)^{l(u,v)}, absorbed here so that the result is the point count.
     A result with negative exponents is reported as a hard failure.
@@ -503,7 +543,9 @@ def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
         a = witness_a(u, v)
     wu = tilted_reduced_word(a, u)
     wv = tilted_reduced_word(a, v)
-    pairing = trace_product(hecke_t_inverse(_gens_of(wv), n), hecke_t(_gens_of(wu), n))
+    tu = hecke_t(_gens_of(wu), n)
+    tv_inv = hecke_t_inverse_at(_gens_of(wv), n, map(inverse, tu.terms))
+    pairing = trace_product(tv_inv, tu)
     dist = a_length(a, v) - a_length(a, u)
     signed = pairing.shifted(dist)
     return as_qpoly(signed if dist % 2 == 0 else -signed)

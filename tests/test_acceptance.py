@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from qbruhat.permcore import (
     all_permutations,
+    apply_simple,
     apply_transposition,
     bruhat_leq,
     compose,
@@ -163,22 +164,34 @@ def test_c06_distinguished_subwords():
     _ok(6, "S_6 example: exactly 4 subwords, multiset {(8,0),(6,1),(6,1),(4,2)}")
 
 
-def test_c07_rpoly_three_way():
-    for n in (3, 4):
-        perms = list(all_permutations(n))
-        for u in perms:
-            for v in perms:
-                d = rtilt_deodhar(u, v)
-                assert d == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
-                from qbruhat.qbgraph import ell
+def _random_perm(rng, n):
+    w = list(range(1, n + 1))
+    rng.shuffle(w)
+    return tuple(w)
 
-                assert d.degree == ell(u, v)
-                assert d.leading_coefficient() == 1
-                if u != v:
-                    assert d(1) == 0
-                if bruhat_leq(u, v):
-                    assert d == classical_r(u, v)
-    _ok(7, "three routes agree on all S_3 and S_4 pairs; classical; deg/monic/R(1)")
+
+def test_c07_rpoly_three_way():
+    from qbruhat.qbgraph import ell
+
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    rng = random.Random(7)
+    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(30)]
+    # v = w0 or w0 s_i: the longest tilted words, as in the benchmark's three-route class
+    for _ in range(10):
+        i = rng.randint(0, 5)
+        pairs.append((_random_perm(rng, 6), longest(6) if i == 0 else apply_simple(longest(6), i)))
+    pairs.append((identity(7), longest(7)))
+    for u, v in pairs:
+        d = rtilt_deodhar(u, v)
+        assert d == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
+        assert d.degree == ell(u, v)
+        assert d.leading_coefficient() == 1
+        if u != v:
+            assert d(1) == 0
+        if bruhat_leq(u, v):
+            assert d == classical_r(u, v)
+    _ok(7, "three routes agree on all S_3 and S_4 pairs, 30 S_5 pairs, 10 S_6 pairs"
+           " near w0 and S_7 e -> w0; classical; deg/monic/R(1)")
 
 
 def test_c08_fq_oracle():

@@ -11,6 +11,7 @@ from qbruhat.permcore import (
     all_permutations,
     bruhat_leq,
     identity,
+    inverse,
     length,
     parse_perm,
     reduced_word,
@@ -31,6 +32,7 @@ from qbruhat.rpolyhecke import (
     hecke_mul,
     hecke_t,
     hecke_t_inverse,
+    hecke_t_inverse_at,
     parse_poly,
     rtilt,
     rtilt_deodhar,
@@ -40,7 +42,7 @@ from qbruhat.rpolyhecke import (
     trace_product,
 )
 from qbruhat.tiltorder import witness_a
-from qbruhat.tiltwords import regular_tilted_reduced_word, word_moves
+from qbruhat.tiltwords import regular_tilted_reduced_word, tilted_reduced_word, word_moves
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -316,17 +318,83 @@ def test_deodhar_matches_recursion_s7_sample():
         assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
 
 
-def test_three_routes_agree_s6_near_w0():
+def _near_w0_pair(rng, n):
     # v within one simple reflection of w0: the longest words, the most
     # distinguished subwords
+    w0 = tuple(range(n, 0, -1))
+    i = rng.randint(0, n - 1)
+    v = w0 if i == 0 else w0[: i - 1] + (w0[i], w0[i - 1]) + w0[i + 1:]
+    return _random_perm(rng, n), v
+
+
+def test_three_routes_agree_s6_near_w0():
     rng = random.Random(11)
-    w0 = tuple(range(6, 0, -1))
     for _ in range(10):
-        i = rng.randint(0, 5)
-        v = w0 if i == 0 else w0[: i - 1] + (w0[i], w0[i - 1]) + w0[i + 1:]
-        u = _random_perm(rng, 6)
+        u, v = _near_w0_pair(rng, 6)
         d = rtilt_deodhar(u, v)
         assert d == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
+
+
+def _t_inverse_at_targets(x, targets):
+    return {t: x.terms.get(t) for t in targets}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pruned_t_inverse_matches_full_build_at_targets(data):
+    n = data.draw(st.integers(2, 5))
+    word = data.draw(st.lists(st.integers(1, n - 1), max_size=12))
+    full = hecke_t_inverse(word, n)
+    # targets mix arbitrary permutations with terms the full build has
+    targets = data.draw(st.sets(st.permutations(range(1, n + 1)).map(tuple), max_size=3))
+    targets |= data.draw(st.sets(st.sampled_from(sorted(full.terms)), max_size=3))
+    pruned = hecke_t_inverse_at(word, n, targets)
+    assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(full, targets)
+    if word:
+        assert set(pruned.terms) <= targets
+
+
+def _route_words(u, v):
+    a = witness_a(u, v)
+    return (rpolyhecke._gens_of(tilted_reduced_word(a, u)),
+            rpolyhecke._gens_of(tilted_reduced_word(a, v)))
+
+
+def test_pruned_t_inverse_matches_full_build_s4_pairs():
+    # the targets rtilt_hecke passes: the inverses of T_u's support
+    perms = list(all_permutations(4))
+    for u in perms:
+        for v in perms:
+            gens_u, gens_v = _route_words(u, v)
+            targets = {inverse(w) for w in hecke_t(gens_u, 4).terms}
+            pruned = hecke_t_inverse_at(gens_v, 4, targets)
+            full = hecke_t_inverse(gens_v, 4)
+            assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(
+                full, targets
+            ), (u, v)
+
+
+def test_hecke_route_builds_only_toward_t_u(monkeypatch):
+    # a fall-back to the full T_v^{-1} would pass every agreement test
+    terms_in = [0]
+    mul_gen_inverse = HeckeElt.mul_gen_inverse
+
+    def counting(self, i):
+        terms_in[0] += len(self.terms)
+        return mul_gen_inverse(self, i)
+
+    monkeypatch.setattr(HeckeElt, "mul_gen_inverse", counting)
+    rng = random.Random(23)
+    pruned = full = 0
+    for _ in range(10):
+        u, v = _near_w0_pair(rng, 6)
+        terms_in[0] = 0
+        rtilt_hecke(u, v)
+        pruned += terms_in[0]
+        terms_in[0] = 0
+        hecke_t_inverse(_route_words(u, v)[1], 6)
+        full += terms_in[0]
+    assert 0 < pruned * 10 <= full, (pruned, full)
 
 
 def test_deodhar_zero_for_incomparable_tilt():
