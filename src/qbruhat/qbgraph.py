@@ -26,8 +26,8 @@ greedy walk over the same test, which must reach v in exactly ell steps
 with weights summing to d.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
 (``bfs_ell``, ``shortest_path``, ``shortest_path_weight``) are oracles for
-tests, ``verify`` and ``min_degree(check=True)``; no production route calls
-them.
+tests and ``verify``, which compare them against these routes; no
+production route calls them.
 """
 
 from __future__ import annotations
@@ -399,15 +399,13 @@ def _advance(w: Perm, i: int, j: int, levels: Levels) -> Levels:
     return out
 
 
-def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
+def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     """Minimal degree d(u,v): d_k = depth of the lattice path of (u[k], v[k]).
 
-    By default (check None) the result is cross-checked by a greedy walk
+    With check (the default) the result is cross-checked by a greedy walk
     from u that takes, at each vertex, the first edge passing ``_keeps``'s
     test; it must reach v in exactly ell(u,v) steps with weights summing to
-    d.  check=True also compares d against the weight of a BFS shortest path
-    (an oracle, behind the graph gate); check=False skips both.  A
-    disagreement raises ``InternalConsistencyError``.
+    d, or ``InternalConsistencyError``.  check=False skips the walk.
     """
     if len(u) != len(v):
         raise ValueError("size mismatch")
@@ -415,7 +413,7 @@ def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
     d = tuple(
         lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
     )
-    if check is False:
+    if not check:
         return d
     w, levels, delta = u, _levels(u, v), d
     for _ in range(_ell(u, v, d)):
@@ -432,13 +430,6 @@ def min_degree(u: Perm, v: Perm, check: Optional[bool] = None) -> DegreeVec:
             f"{format_perm(u)} to {format_perm(v)}: the walk stopped at "
             f"{format_perm(w)} with {delta} left"
         )
-    if check:
-        bfs_d = shortest_path_weight(u, v)
-        if bfs_d != d:
-            raise InternalConsistencyError(
-                f"depth formula {d} != BFS path weight {bfs_d} for "
-                f"{format_perm(u)}, {format_perm(v)}"
-            )
     return d
 
 
@@ -464,6 +455,7 @@ class TiltedInterval:
     u: Perm
     v: Perm
     ell: int
+    d: DegreeVec
     members: frozenset[Perm]
     rank: dict[Perm, int]
 
@@ -509,7 +501,7 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
             f"{sorted(format_perm(w) for w in level)}, not on {format_perm(v)} "
             f"with d = 0"
         )
-    return TiltedInterval(u=u, v=v, ell=total, members=frozenset(rank), rank=rank)
+    return TiltedInterval(u=u, v=v, ell=total, d=d, members=frozenset(rank), rank=rank)
 
 
 def interval_hasse_edges(iv: TiltedInterval) -> list[tuple[Perm, Perm]]:
@@ -638,13 +630,12 @@ def interval_dot(iv: TiltedInterval) -> str:
 
 
 def interval_json(iv: TiltedInterval) -> str:
-    d = min_degree(iv.u, iv.v)
     return json.dumps(
         {
             "u": format_perm(iv.u),
             "v": format_perm(iv.v),
             "ell": iv.ell,
-            "d": list(d),
+            "d": list(iv.d),
             "members": [
                 format_perm(w)
                 for w in sorted(iv.members, key=lambda w: (iv.rank[w], w))

@@ -11,7 +11,9 @@ A check draws its pairs or triples from ``_cases``: every k-tuple of S_n,
 or a seeded sample.  ``_sampled`` picks between them: exhaustive at
 ``--level full`` or n <= 3, sampled otherwise.  Layer functions are reached
 through their modules (``qbgraph.min_degree``, ...), so a wrapper bound on
-a module attribute sees the catalogue's calls too.
+a module attribute sees the catalogue's calls too.  The comparisons against
+the BFS oracles (``shortest_path_weight``, ``bfs_ell``) live here and in the
+tests; no production route makes them.
 """
 
 from __future__ import annotations
@@ -65,13 +67,24 @@ def _prop_graph_reconstruction(n: int, rng: random.Random, level: str) -> Option
 
 def _prop_min_degree(n: int, rng: random.Random, level: str) -> Optional[str]:
     for u, v in _cases(n, 2, rng, _sampled(n, level, 200)):
-        qbgraph.min_degree(u, v, check=True)  # raises on disagreement
+        d = qbgraph.min_degree(u, v)
+        bfs_d = qbgraph.shortest_path_weight(u, v)
+        if bfs_d != d:
+            raise InternalConsistencyError(
+                f"depth formula {d} != BFS path weight {bfs_d} for "
+                f"{format_perm(u)}, {format_perm(v)}"
+            )
     return None
 
 
 def _prop_interval_membership(n: int, rng: random.Random, level: str) -> Optional[str]:
     for u, v, w in _cases(n, 3, rng, _sampled(n, level, 500)):
-        tiltorder.in_tilted_interval(u, v, w, check=True)
+        inside = tiltorder.in_tilted_interval(u, v, w)
+        bfs = qbgraph.bfs_ell(u, w) + qbgraph.bfs_ell(w, v) == qbgraph.bfs_ell(u, v)
+        if bfs != inside:
+            raise InternalConsistencyError(
+                f"witness criterion disagrees with BFS membership at {u}, {v}, {w}"
+            )
     return None
 
 

@@ -20,9 +20,11 @@ from qbruhat.permcore import (
     parse_perm,
 )
 from qbruhat.qbgraph import (
+    bfs_ell,
     graph_edges,
     lattice_depth,
     min_degree,
+    shortest_path_weight,
     tilted_interval,
 )
 from qbruhat.rpolyhecke import (
@@ -99,7 +101,7 @@ def test_c02_minimal_degrees():
     pairs = 0
     for u in perms:
         for v in perms:
-            min_degree(u, v, check=True)  # hard-fails on route disagreement
+            assert min_degree(u, v) == shortest_path_weight(u, v), (u, v)
             pairs += 1
     assert pairs == 14_400
     _ok(2, "known minimal degrees + depth/BFS agreement on all 14400 S_5 pairs")
@@ -122,7 +124,8 @@ def test_c04_tilted_intervals():
     for u in perms:
         for v in perms:
             for w in perms:
-                in_tilted_interval(u, v, w, check=True)
+                bfs = bfs_ell(u, w) + bfs_ell(w, v) == bfs_ell(u, v)
+                assert in_tilted_interval(u, v, w) == bfs, (u, v, w)
                 triples += 1
     assert triples == 24 ** 3
     _ok(4, "diamond [231,123]; rank-2 diamonds; criterion = BFS on all S_4 triples")

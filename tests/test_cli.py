@@ -351,20 +351,27 @@ def test_non_integer_reads_like_type_int(capsys, argv, name):
 def test_graph_verbs_at_n7_build_no_bfs_table(capsys, monkeypatch):
     u, v = "3172654", "5241736"
     expected_ell = qbgraph.bfs_ell(parse_perm(u), parse_perm(v))
+    expected_d = list(qbgraph.shortest_path_weight(parse_perm(u), parse_perm(v)))
 
     def forbidden(*args):
-        raise AssertionError("a production route built a BFS table")
+        raise AssertionError("a production route reached a BFS oracle")
 
-    monkeypatch.setattr(qbgraph, "_bfs", forbidden)
-    monkeypatch.setattr(qbgraph, "_bfs_reverse", forbidden)
+    for name in ("_bfs", "_bfs_reverse", "bfs_ell", "shortest_path_weight", "shortest_path"):
+        monkeypatch.setattr(qbgraph, name, forbidden)
     code, out = invoke(capsys, "mindeg", u, v)
-    assert code == 0 and json.loads(out)["ell"] == expected_ell
+    assert code == 0 and json.loads(out) == {"ell": expected_ell, "d": expected_d}
     code, out = invoke(capsys, "interval", u, v, "--format", "json")
     data = json.loads(out)
-    assert code == 0 and data["ell"] == expected_ell
+    assert code == 0 and data["ell"] == expected_ell and data["d"] == expected_d
     assert data["members"][0] == u and data["members"][-1] == v
     code, out = invoke(capsys, "order", u, v, "--format", "json")
     assert code == 0 and json.loads(out)["holds"] is True
+    code, out = invoke(capsys, "interval", "4231", "1342", "--format", "dot")
+    assert code == 0 and out.startswith('digraph "interval_4231_1342"')
+    code, out = invoke(capsys, "gw", "4231", "1342")
+    assert code == 0 and sum(json.loads(out)["coeffs"].values()) >= 1
+    code, out = invoke(capsys, "descent-cycle", "4231", "1342", "3")
+    assert code == 0 and "pass" in out
 
 
 def test_mindeg_checks_the_gate_before_walking(capsys, monkeypatch):

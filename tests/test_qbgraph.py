@@ -150,7 +150,7 @@ def test_lattice_path_example():
 def test_depth_vs_bfs_weight_s4():
     for u in all_permutations(4):
         for v in all_permutations(4):
-            min_degree(u, v, check=True)  # raises on mismatch
+            assert min_degree(u, v) == shortest_path_weight(u, v), (u, v)
 
 
 def test_sampled_path_weights_dominate_min_degree():
@@ -371,25 +371,32 @@ def test_bfs_caches_are_bounded():
 
 def test_production_routes_build_no_bfs_table(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a production route built a BFS table")
+        raise AssertionError("a production route reached a BFS oracle")
 
-    monkeypatch.setattr(qbgraph, "_bfs", forbidden)
-    monkeypatch.setattr(qbgraph, "_bfs_reverse", forbidden)
+    for name in ("_bfs", "_bfs_reverse", "bfs_ell", "shortest_path_weight", "shortest_path"):
+        monkeypatch.setattr(qbgraph, name, forbidden)
     rng = random.Random(67)
     for u, v in _seeded_pairs(67, (6, 7), 4):
         d = min_degree(u, v)
+        assert min_degree(u, v, check=True) == min_degree(u, v, check=False) == d
         total = ell(u, v)
         assert total == length(v) - length(u) + 2 * sum(d)
         iv = tilted_interval(u, v)
-        assert iv.ell == total and iv.rank[v] == total
+        assert iv.ell == total and iv.rank[v] == total and iv.d == d
+        assert json.loads(interval_json(iv))["d"] == list(d)
+        assert qbgraph.interval_dot(iv).count(" -> ") == len(interval_hasse_edges(iv))
         members = sorted(iv.members)
         probes = [rng.choice(members) for _ in range(5)]
         probes += [tuple(rng.sample(u, len(u))) for _ in range(5)]
         for w in probes:
-            inside = tiltorder.in_tilted_interval(u, v, w, check=False)
+            inside = tiltorder.in_tilted_interval(u, v, w)
             assert inside == (w in iv), (u, v, w)
         for x in probes[:5]:
             assert iv.poset_leq(u, x) and iv.poset_leq(x, v)
+        assert tiltorder.a_lesssim(tiltorder.witness_a(u, v), u, v)
+        # these two only have to run without reaching an oracle
+        assert all(isinstance(tiltorder.k_tilted_leq(u, v, k), bool) for k in range(1, len(u)))
+        assert isinstance(tiltorder.interval_s_invariant(u, v, 1), bool)
 
 
 def _perturbed_depth(monkeypatch, shift):
@@ -431,6 +438,6 @@ def test_min_degree_check_modes(monkeypatch):
     assert len(steps) == ell(u, v) == 7  # one scan per step of the greedy walk
     assert steps[0] == u
     monkeypatch.setenv("QBRUHAT_MAX_N", "6")
-    assert min_degree(u, v) == d  # the walk needs no gate
+    assert min_degree(u, v) == min_degree(u, v, check=True) == d  # the walk needs no gate
     with pytest.raises(GateError):
-        min_degree(u, v, check=True)  # the BFS oracle does
+        shortest_path_weight(u, v)  # the BFS oracle does

@@ -3,7 +3,7 @@
 import random
 
 from qbruhat.permcore import all_permutations, apply_transposition
-from qbruhat.qbgraph import ell, min_degree, tilted_interval
+from qbruhat.qbgraph import bfs_ell, ell, min_degree, tilted_interval
 from qbruhat.rpolyhecke import rtilt_deodhar, rtilt_hecke, rtilt_recursive
 from qbruhat.tiltorder import covers, in_tilted_interval, witness_a
 from qbruhat.tiltwords import word_length
@@ -25,8 +25,8 @@ def test_rpoly_three_way_sampled():
 def test_interval_membership_sampled():
     for _ in range(200):
         u, v, w = (rng.choice(PERMS) for _ in range(3))
-        # check=True compares the witness criterion against BFS membership
-        in_tilted_interval(u, v, w, check=True)
+        bfs = bfs_ell(u, w) + bfs_ell(w, v) == bfs_ell(u, v)
+        assert in_tilted_interval(u, v, w) == bfs, (u, v, w)
 
 
 def test_word_length_rank_sampled():

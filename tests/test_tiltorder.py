@@ -12,7 +12,7 @@ from qbruhat.permcore import (
     length,
     parse_perm,
 )
-from qbruhat.qbgraph import ell, tilted_interval
+from qbruhat.qbgraph import bfs_ell, ell, tilted_interval
 from qbruhat.tiltorder import (
     a_ascents,
     a_descents,
@@ -105,7 +105,8 @@ def test_interval_membership_vs_bfs_s3():
     for u in all_permutations(3):
         for v in all_permutations(3):
             for w in all_permutations(3):
-                in_tilted_interval(u, v, w, check=True)  # raises on mismatch
+                bfs = bfs_ell(u, w) + bfs_ell(w, v) == bfs_ell(u, v)
+                assert in_tilted_interval(u, v, w) == bfs, (u, v, w)
 
 
 def test_all_witnesses_agree_s3():
@@ -157,6 +158,12 @@ def test_covers_match_brute_force(mode):
             assert len(diffs) == 2
             i, j = diffs[0] + 1, diffs[1] + 1
             assert covers(a, u, i, j, mode) == "cover"
+
+
+@pytest.mark.parametrize("mode", ["lessim", "LEQ", ""])
+def test_covers_rejects_an_unknown_mode(mode):
+    with pytest.raises(ValueError, match="mode must be 'leq' or 'lesssim'"):
+        covers((1, 1, 1), (1, 2, 3), 1, 3, mode)
 
 
 def test_covers_pinned_edge():

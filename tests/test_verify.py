@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qbruhat import verify
+from qbruhat import qbgraph, verify
 from qbruhat.cli import run
 from qbruhat.permcore import all_permutations
 
@@ -81,10 +81,31 @@ def test_cases_are_lazy():
 
 @pytest.mark.parametrize("level, calls", [("fast", 200), ("full", 24 * 24)])
 def test_thin_intervals_samples_at_level_fast(monkeypatch, level, calls):
-    from qbruhat import qbgraph
-
     seen = []
     real = qbgraph.tilted_interval
     monkeypatch.setattr(qbgraph, "tilted_interval", lambda u, v: seen.append(1) or real(u, v))
     report, _ = verify.run_property(("thin-intervals", 4, 0, level))
     assert report["status"] == "pass" and len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "oracle, skew, name, detail",
+    [
+        ("shortest_path_weight", lambda d: (d[0] + 1, *d[1:]), "min-degree-two-routes",
+         "InternalConsistencyError: depth formula"),
+        ("bfs_ell", lambda e: e + 1, "interval-membership-two-routes",
+         "InternalConsistencyError: witness criterion disagrees with BFS membership"),
+    ],
+)
+def test_a_wrong_bfs_oracle_fails_its_property_with_exit_2(
+    capsys, monkeypatch, oracle, skew, name, detail
+):
+    # no production route compares against BFS: these properties must catch it
+    real = getattr(qbgraph, oracle)
+    monkeypatch.setattr(qbgraph, oracle, lambda u, v: skew(real(u, v)))
+    code = run(["verify", "--n", "3", "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert code == 2
+    assert [r["name"] for r in failed] == [name]
+    assert failed[0]["detail"].startswith(detail)
