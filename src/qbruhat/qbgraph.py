@@ -17,7 +17,8 @@ and a bitmask of the entries passed; every traversal of the graph reads it.
 
 No graph query builds a table over S_n.  Minimal degrees d(u,v) come
 from the lattice-path depth formula, and ell(u,v) = l(v) - l(u) + 2|d(u,v)|
-(Postnikov).  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
+(Postnikov); ``tiltorder`` reads the tilted orders off the same paths
+(``lattice_rows``).  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
 path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
 each is decided in O(1) by where w's lattice path toward v attains its
 minimum (``_keeps``).  A tilted interval [u,v] is the forward walk from u
@@ -348,6 +349,17 @@ def min_set(n: int, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     return frozenset(r for r in range(1, n + 1) if h[r - 1] == m)
 
 
+def lattice_rows(u: Perm, v: Perm) -> list[list[int]]:
+    """Heights of the lattice path of (u[k], v[k]) for k = 1..n-1: row k's
+    depth is d(u,v)_k, and u[k] <=_r v[k] iff h_{r-1} is the row's minimum.
+
+    >>> lattice_rows((2, 3, 1), (1, 2, 3))
+    [[0, -1, 0, 0], [0, -1, -1, 0]]
+    """
+    n = len(u)
+    return [_lattice_heights(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)]
+
+
 Levels = list[tuple[list[int], int]]
 
 
@@ -359,13 +371,8 @@ def _level(row: list[int]) -> tuple[list[int], int]:
 
 
 def _levels(u: Perm, v: Perm) -> Levels:
-    """``_level`` of the lattice path of (u[k], v[k]) for k = 1..n-1; its
-    depth is d(u,v)_k."""
-    n = len(u)
-    return [
-        _level(_lattice_heights(n, prefix_set(u, k), prefix_set(v, k)))
-        for k in range(1, n)
-    ]
+    """``_level`` of each of ``lattice_rows(u, v)``; row k's depth is d(u,v)_k."""
+    return [_level(row) for row in lattice_rows(u, v)]
 
 
 def _keeps(w: Perm, i: int, j: int, levels: Levels) -> bool:

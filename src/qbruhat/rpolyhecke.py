@@ -494,7 +494,7 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
         return hit
     if u == v:
         out = ONE
-    elif not a_lesssim(a, u, v, check=False):
+    elif not a_lesssim(a, u, v):
         out = ZERO
     else:
         des = a_descents(a, v)

@@ -5,6 +5,13 @@ convention a_{n+1} := 1.  The order u <=_a v compares prefix sets under
 the shifted Gale orders <=_{a_k}; the refinement u <~_a v additionally
 fixes the cyclic class counts |u[k] n [a_k, a_{k+1})_c|.  For
 a = (1, ..., 1) both collapse to the classical Bruhat order.
+
+The orders and witness tilts are read off the lattice paths of d(u,v)
+(``qbgraph.lattice_rows``): for the heights h of the path of (u[k], v[k]),
+u[k] <=_r v[k] iff h_{r-1} = min h, and the counts in [a_k, a_{k+1})_c
+agree iff h_{a_k - 1} = h_{a_{k+1} - 1}.  The tests compare these reads
+against ``permcore``'s definitions: the sorted ``shifted_gale_leq`` and
+the counts by ``cyclic_interval_contains``.
 """
 
 from __future__ import annotations
@@ -17,8 +24,6 @@ from .permcore import (
     apply_simple,
     apply_transposition,
     cyclic_interval_contains,
-    prefix_set,
-    shifted_gale_leq,
     shifted_less,
 )
 from . import qbgraph
@@ -33,99 +38,76 @@ def check_tilt(a: Iterable[int], n: int) -> Tilt:
     return a
 
 
-def a_next(a: Tilt, k: int) -> int:
-    """a_{k+1} with the convention a_{n+1} = 1."""
-    return a[k] if k < len(a) else 1
-
-
 # ---------------------------------------------------------------------------
 # the orders
 
 
-def a_leq(a: Tilt, u: Perm, v: Perm) -> bool:
-    """u <=_a v: u[k] <=_{a_k} v[k] for all k."""
+def _rows(a: Iterable[int], u: Perm, v: Perm) -> tuple[Tilt, list[list[int]]]:
+    """The checked tilt and ``qbgraph.lattice_rows(u, v)``."""
     n = len(u)
     if len(v) != n:
         raise ValueError("size mismatch")
-    a = check_tilt(a, n)
-    return all(
-        shifted_gale_leq(n, a[k - 1], prefix_set(u, k), prefix_set(v, k))
-        for k in range(1, n)
-    )
+    return check_tilt(a, n), qbgraph.lattice_rows(u, v)
+
+
+def a_leq(a: Tilt, u: Perm, v: Perm) -> bool:
+    """u <=_a v: u[k] <=_{a_k} v[k] for all k."""
+    a, rows = _rows(a, u, v)
+    return all(h[a[k] - 1] == min(h) for k, h in enumerate(rows))
 
 
 def a_sim(a: Tilt, u: Perm, v: Perm) -> bool:
     """u ~_a v: equal counts |.[k] n [a_k, a_{k+1})_c| for all k."""
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
-    a = check_tilt(a, n)
-    for k in range(1, n):
-        lo, hi = a[k - 1], a_next(a, k)
-        in_u = sum(cyclic_interval_contains(n, lo, hi, x) for x in u[:k])
-        if in_u != sum(cyclic_interval_contains(n, lo, hi, x) for x in v[:k]):
-            return False
-    return True
+    a, rows = _rows(a, u, v)
+    return all(h[a[k] - 1] == h[a[k + 1] - 1] for k, h in enumerate(rows))
 
 
-def a_lesssim(a: Tilt, u: Perm, v: Perm, check: bool = True) -> bool:
-    """u <~_a v, i.e. u <=_a v and u ~_a v.
-
-    The alternative formulation (u[k] comparable under both a_k and
-    a_{k+1}) is recomputed when check is on; disagreement is a bug.
-    """
-    n = len(u)
-    result = a_leq(a, u, v) and a_sim(a, u, v)
-    if check:
-        a = check_tilt(a, n)
-        alt = all(
-            shifted_gale_leq(n, a[k - 1], prefix_set(u, k), prefix_set(v, k))
-            and shifted_gale_leq(n, a_next(a, k), prefix_set(u, k), prefix_set(v, k))
-            for k in range(1, n)
-        )
-        if alt != result:
-            raise InternalConsistencyError(
-                f"two <~_a formulations disagree at a={a}, u={u}, v={v}"
-            )
-    return result
+def a_lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
+    """u <~_a v, i.e. u <=_a v and u ~_a v."""
+    a, rows = _rows(a, u, v)
+    return all(h[a[k] - 1] == h[a[k + 1] - 1] == min(h) for k, h in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
 # witness construction
 
 
-def witness_a(u: Perm, v: Perm) -> Tilt:
-    """A deterministic a with u <~_a v (always exists).
-
-    a_1 is the smallest minimum of the first lattice path; each a_{k+1} is
-    the smallest common minimum of the k-th and (k+1)-st lattice paths.
-    """
+def _minima(u: Perm, v: Perm) -> list[int]:
+    """Bitmasks of the r in [n] (bit r-1) where the path of (u[k], v[k])
+    is minimal, for k = 0..n (flat at 0 and n); (m & -m).bit_length() is
+    the smallest r of a mask m."""
     n = len(u)
     if len(v) != n:
         raise ValueError("size mismatch")
-    mins = [
-        qbgraph.min_set(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n + 1)
-    ]
-    a = [min(mins[0])]
-    for k in range(1, n):
+    flat = [0] * (n + 1)
+    out = []
+    for h in [flat, *qbgraph.lattice_rows(u, v), flat]:
+        m = min(h)
+        out.append(sum(1 << x for x in range(n) if h[x] == m))
+    return out
+
+
+def witness_a(u: Perm, v: Perm) -> Tilt:
+    """A deterministic a with u <~_a v (always exists).
+
+    Each a_k is the smallest common minimum of the (k-1)-st and k-th
+    lattice paths, so a_1 is the smallest minimum of the first.
+    """
+    mins = _minima(u, v)
+    a = []
+    for k in range(1, len(mins)):
         common = mins[k - 1] & mins[k]
         if not common:
             raise InternalConsistencyError(
-                f"adjacent lattice paths share no minimum at k={k} for {u}, {v}"
+                f"adjacent lattice paths share no minimum at k={k - 1} for {u}, {v}"
             )
-        a.append(min(common))
+        a.append((common & -common).bit_length())
     return tuple(a)
 
 
 def witness_a_leq(u: Perm, v: Perm) -> Tilt:
     """The componentwise-smallest a with u <=_a v (no ~ constraint)."""
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
-    return tuple(
-        min(qbgraph.min_set(n, prefix_set(u, k), prefix_set(v, k)))
-        for k in range(1, n + 1)
-    )
+    return tuple((m & -m).bit_length() for m in _minima(u, v)[1:])
 
 
 def in_tilted_interval(u: Perm, v: Perm, w: Perm) -> bool:
@@ -135,7 +117,7 @@ def in_tilted_interval(u: Perm, v: Perm, w: Perm) -> bool:
     against BFS membership.
     """
     a = witness_a(u, v)
-    return a_lesssim(a, u, w, check=False) and a_lesssim(a, w, v, check=False)
+    return a_lesssim(a, u, w) and a_lesssim(a, w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +223,7 @@ def strong_lifting_witness(u: Perm, v: Perm, i: int) -> Optional[Tilt]:
         candidates.append(tuple(c))
     for cand in candidates:
         if (
-            a_lesssim(cand, u, v, check=False)
+            a_lesssim(cand, u, v)
             and a_step_type(cand, v, i) == "descent"
             and a_step_type(cand, u, i) == "ascent"
         ):

@@ -77,6 +77,32 @@ def test_order_witness_echo(capsys):
     assert not json.loads(out)["holds"]
 
 
+# (u, v, a given tilt) at n = 3, 5, 8; each given tilt makes exactly one of
+# leq and sim hold, and the witness makes all three hold
+ORDER_PAIRS = [
+    ("231", "123", "2,3,3"),
+    ("31524", "24153", "1,4,2,1,1"),
+    ("58317264", "41872635", "5,5,3,8,3,2,5,6"),
+]
+
+
+def test_order_output_is_pinned(capsys):
+    out = []
+    for u, v, a in ORDER_PAIRS:
+        for relation in ("leq", "sim", "lesssim"):
+            for tilt in ([], ["--a", a]):
+                for fmt in ("text", "json"):
+                    argv = ["order", u, v, *tilt, "--relation", relation, "--format", fmt]
+                    code, text = invoke(capsys, *argv)
+                    out.append(f"{code}\n{text}")
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "e785d02cd6f44868aa7e7a994fbef5cff039e95e5b3410df4289a7719fb35040"
+    code = run(["order", "231", "123", "--a", "1,4,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: tilt must lie in [3]^3, got (1, 4, 1)\n"
+
+
 def test_word_and_subwords(capsys):
     code, out = invoke(capsys, "word", "3,3,1,1,1,6", "136254")
     assert code == 0

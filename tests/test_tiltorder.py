@@ -9,10 +9,13 @@ from qbruhat.permcore import (
     apply_simple,
     apply_transposition,
     bruhat_leq,
+    cyclic_interval_contains,
     length,
     parse_perm,
+    prefix_set,
+    shifted_gale_leq,
 )
-from qbruhat.qbgraph import bfs_ell, ell, tilted_interval
+from qbruhat.qbgraph import bfs_ell, ell, min_set, tilted_interval
 from qbruhat.tiltorder import (
     a_ascents,
     a_descents,
@@ -69,6 +72,65 @@ def test_witness_examples():
             assert a_leq(al, u, v), (u, v, al)
             if bruhat_leq(u, v):
                 assert a_leq((1, 1, 1, 1), u, v)
+
+
+def _orders_by_definition(a, u, v):
+    """(<=_a, ~_a) from the sorted shifted Gale order and the cyclic counts."""
+    n = len(u)
+    leq = sim = True
+    for k in range(1, n):
+        A, B = prefix_set(u, k), prefix_set(v, k)
+        leq = leq and shifted_gale_leq(n, a[k - 1], A, B)
+        lo, hi = a[k - 1], a[k]
+        count_u = sum(cyclic_interval_contains(n, lo, hi, x) for x in A)
+        sim = sim and count_u == sum(cyclic_interval_contains(n, lo, hi, x) for x in B)
+    return leq, sim
+
+
+def _witnesses_by_min_set(u, v):
+    """(witness_a, witness_a_leq) built from the ``min_set`` of each prefix."""
+    n = len(u)
+    mins = [min_set(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n + 1)]
+    lowest = tuple(min(m) for m in mins)
+    return (lowest[0],) + tuple(min(mins[k - 1] & mins[k]) for k in range(1, n)), lowest
+
+
+def _check_against_definitions(a, u, v):
+    leq, sim = _orders_by_definition(a, u, v)
+    assert (a_leq(a, u, v), a_sim(a, u, v), a_lesssim(a, u, v)) == (
+        leq, sim, leq and sim), (a, u, v)
+
+
+def test_min_set_is_the_shifted_gale_order():
+    for n in range(1, 6):
+        for size in range(n + 1):
+            subsets = list(itertools.combinations(range(1, n + 1), size))
+            for A in subsets:
+                for B in subsets:
+                    expected = {r for r in range(1, n + 1) if shifted_gale_leq(n, r, A, B)}
+                    assert min_set(n, A, B) == expected, (n, A, B)
+
+
+def test_orders_and_witnesses_match_the_definitions():
+    perms = list(all_permutations(3))
+    for u in perms:
+        for v in perms:
+            assert (witness_a(u, v), witness_a_leq(u, v)) == _witnesses_by_min_set(u, v)
+            for a in all_tilts(3):
+                _check_against_definitions(a, u, v)
+    rng = random.Random(19)
+    for n in range(4, 9):
+        for draw in range(600):
+            u = tuple(rng.sample(range(1, n + 1), n))
+            v = tuple(rng.sample(range(1, n + 1), n))
+            witness, lowest = _witnesses_by_min_set(u, v)
+            assert (witness_a(u, v), witness_a_leq(u, v)) == (witness, lowest), (u, v)
+            if draw % 2:
+                a = tuple(rng.randint(1, n) for _ in range(n))
+            else:
+                a = witness
+            _check_against_definitions(a, u, v)
+            _check_against_definitions(lowest, u, v)
 
 
 def test_lesssim_implies_leq():
@@ -357,13 +419,13 @@ def test_all_witnesses_agree_s4():
         for v in perms:
             members = tilted_interval(u, v).members
             for a in tilts:
-                if not a_lesssim(a, u, v, check=False):
+                if not a_lesssim(a, u, v):
                     continue
                 got = {
                     w
                     for w in perms
-                    if a_lesssim(a, u, w, check=False)
-                    and a_lesssim(a, w, v, check=False)
+                    if a_lesssim(a, u, w)
+                    and a_lesssim(a, w, v)
                 }
                 assert got == members, (u, v, a)
 
