@@ -21,10 +21,12 @@ from the lattice-path depth formula, and ell(u,v) = l(v) - l(u) + 2|d(u,v)|
 (``lattice_rows``).  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
 path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
 each is decided in O(1) by where w's lattice path toward v attains its
-minimum (``_keeps``).  A tilted interval [u,v] is the forward walk from u
-over the edges that pass this test; ``min_degree`` cross-checks d by a
-greedy walk over the same test, which must reach v in exactly ell steps
-with weights summing to d.  The forward
+minimum (``_keeps``).  ``min_degree`` cross-checks d by a greedy walk over
+this test, which must reach v in exactly ell steps with weights summing to
+d.  A tilted interval [u,v] scans no edge: lattice-path heights add, so w
+lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
+``tilted_interval`` builds the members prefix set by prefix set, each
+prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
 (``bfs_ell``, ``shortest_path``, ``shortest_path_weight``) are oracles for
 tests and ``verify``, which compare them against these routes; no
@@ -44,6 +46,7 @@ from .permcore import (
     all_permutations,
     apply_transposition,
     check_gate,
+    check_permutation,
     compose,
     format_perm,
     length,
@@ -270,9 +273,15 @@ def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
     return dist
 
 
-def _check_pair(u: Perm, v: Perm) -> None:
+def _check_perms(u: Perm, v: Perm) -> None:
     if len(u) != len(v):
         raise ValueError("size mismatch")
+    check_permutation(u)
+    check_permutation(v)
+
+
+def _check_pair(u: Perm, v: Perm) -> None:
+    _check_perms(u, v)
     check_gate("QBRUHAT_MAX_N", len(u))
 
 
@@ -414,8 +423,7 @@ def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     test; it must reach v in exactly ell(u,v) steps with weights summing to
     d, or ``InternalConsistencyError``.  check=False skips the walk.
     """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    _check_perms(u, v)
     n = len(u)
     d = tuple(
         lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
@@ -479,34 +487,79 @@ class TiltedInterval:
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     """[u,v] = permutations on some shortest path from u to v.
 
-    Walks forward from u, rank by rank: t = w*t_{ij} joins at rank(w) + 1
-    when w -> t is an edge that passes ``_keeps``'s test d(t,v) = d(w,v) - wt,
-    i.e. ell(t,v) = ell(w,v) - 1.  Ranks are distances from u.  Each member
-    costs one O(n^2) ``edges_from`` scan, O(1) per tested level, and O(n)
-    per changed level when it joins.  d(w,v) is carried down the walk as
-    d(u,v) minus the weights taken; the walk must end at rank ell(u,v) on
-    v alone with d(v,v) = 0, or ``InternalConsistencyError``.
+    Built prefix set by prefix set; no edge is scanned.  Lattice-path
+    heights add, h(u[k],v[k]) = h(u[k],w[k]) + h(w[k],v[k]), so
+    d(u,v)_k <= d(u,w)_k + d(w,v)_k at every k, and by the closed form for
+    ell, ell(u,w) + ell(w,v) = ell(u,v) iff all n-1 of these are equalities.
+    Each reads only the prefix set w[k], so the prefixes w_1..w_k grow level
+    by level, k = 1..n-1, by the entries whose new prefix set passes; the
+    last entry is forced.  A memo local to the call, keyed by the set's
+    bitmask (at most 2^n entries), holds d(u,w)_k for a set that passes and
+    -1 for one that fails, read off ``lattice_rows(u, v)`` in O(n); a second
+    one lists the passing extensions of each set once, so a prefix costs
+    O(1) per child.  The inversions of w and the sum of its depths are
+    carried down, so rank(w) = ell(u,w) = l(w) - l(u) + 2|d(u,w)| comes
+    free.  All of S_8 (e -> w0) takes about 0.1 s.  d(u,v) comes from the
+    depth formula; u must be alone at rank 0 and v alone at rank ell(u,v),
+    or ``InternalConsistencyError``.
     """
     _check_pair(u, v)
     d = min_degree(u, v, check=False)
     total = _ell(u, v, d)
-    rank = {u: 0}
-    level = {u: (_levels(u, v), d)}
-    for r in range(1, total + 1):
-        nxt = {}
-        for w, (levels, delta) in level.items():
-            for i, j, wt in edges_from(w):
-                if _keeps(w, i, j, levels):
-                    t = apply_transposition(w, i, j)
-                    if t not in rank:
-                        rank[t] = r
-                        nxt[t] = (_advance(w, i, j, levels), deg_sub(delta, wt))
+    n = len(u)
+    rows = lattice_rows(u, v)
+    below = [sum(1 << x for x in u[:k]) for k in range(n)]  # u[k] as a bitmask
+    memo: dict[int, int] = {}  # a k-set's bitmask -> d(u,w)_k, or -1
+    grown: dict[int, list[tuple[int, int, int, int]]] = {}  # a set -> its steps
+
+    def depth(s: int, k: int) -> int:
+        """d(u,w)_k if the k-set s = w[k] passes level k, else -1."""
+        row, um = rows[k - 1], below[k]
+        h = lo_u = lo_v = 0  # h(u[k],s) at abscissa x; h(s,v[k]) = row - h
+        for x in range(1, n + 1):
+            h += (um >> x & 1) - (s >> x & 1)
+            if h < lo_u:
+                lo_u = h
+            if row[x] - h < lo_v:
+                lo_v = row[x] - h
+        return -lo_u if lo_u + lo_v == -d[k - 1] else -1
+
+    def steps(s: int, k: int) -> list[tuple[int, int, int, int]]:
+        """(x, t = s + {x}, inversions x adds, d(u,w)_k) for every entry x
+        that takes a prefix with the (k-1)-set s to a k-set t that passes."""
+        out = []
+        for x in range(1, n + 1):
+            if not s >> x & 1:
+                t = s | 1 << x
+                dt = memo.get(t)
+                if dt is None:
+                    dt = memo[t] = depth(t, k)
+                if dt >= 0:
+                    out.append((x, t, (s >> x).bit_count(), dt))
+        return out
+
+    # (prefix, its set as a bitmask, its inversions, its depths summed)
+    level: list[tuple[Perm, int, int, int]] = [((), 0, 0, 0)]
+    for k in range(1, n):
+        nxt = []
+        for w, s, inv, dep in level:
+            if s not in grown:
+                grown[s] = steps(s, k)
+            for x, t, more, dt in grown[s]:
+                nxt.append((w + (x,), t, inv + more, dep + dt))
         level = nxt
-    if list(level) != [v] or any(level[v][1]):
+    full, base = (2 << n) - 2, length(u)
+    rank = {}
+    for w, s, inv, dep in level:
+        x = (full ^ s).bit_length() - 1
+        rank[w + (x,)] = inv + (s >> x).bit_count() - base + 2 * dep
+    ends = {w for w, r in rank.items() if not 0 < r < total}
+    if ends != {u, v} or rank[u] != 0 or rank[v] != total:
         raise InternalConsistencyError(
-            f"the walk from {format_perm(u)} ends at rank {total} on "
-            f"{sorted(format_perm(w) for w in level)}, not on {format_perm(v)} "
-            f"with d = 0"
+            f"the prefix sets of [{format_perm(u)}, {format_perm(v)}] put "
+            f"{sorted(format_perm(w) for w in ends)} at rank 0, {total} or "
+            f"beyond, not {format_perm(u)} alone at 0 and {format_perm(v)} "
+            f"alone at {total}"
         )
     return TiltedInterval(u=u, v=v, ell=total, d=d, members=frozenset(rank), rank=rank)
 

@@ -579,3 +579,45 @@ def test_word_layer_output_is_pinned(capsys):
         out.append(text)
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == "de0c147175d56007c5e5f536b0da506a4c9f93e8aeaa26e7317761412895cd1c"
+
+
+# `interval` (text, JSON, and DOT at n <= 5) and `mindeg` on seeded draws at
+# n = 2..8, e -> w0 at n = 5, 6, w0 -> e at n = 5, 8, and three calls each
+# that exit 1.  One digest per verb, of the exit codes, stdout and stderr,
+# taken before tilted intervals were built from prefix sets; a change that
+# moves one changes that verb's output.
+def _graph_verb_calls():
+    rng = random.Random(22)
+    pairs = [
+        tuple("".join(map(str, rng.sample(range(1, n + 1), n))) for _ in range(2))
+        for n in range(2, 9)
+        for _ in range(4)
+    ]
+    pairs += [("12345", "54321"), ("54321", "12345"), ("123456", "654321")]
+    pairs += [("87654321", "12345678")]
+    calls = {"interval": [], "mindeg": []}
+    for u, v in pairs:
+        for fmt in ("text", "json", "dot")[: 3 if len(u) <= 5 else 2]:
+            calls["interval"].append(["interval", u, v, "--format", fmt])
+        calls["mindeg"].append(["mindeg", u, v])
+    for verb in calls:
+        for u, v in (("123", "1234"), ("1224", "1234"), ("123456789", "987654321")):
+            calls[verb].append([verb, u, v])
+    return calls
+
+
+GRAPH_VERB_DIGESTS = {
+    "interval": "648fe998819f103d1e9cb3d42e2a63d437d3c7c00892484d5b7fde31d2cb0a6e",
+    "mindeg": "d65f72b56e1674556da33199a8cc03afdde4b3728d056007e7f0d1c1f701dd0d",
+}
+
+
+def test_graph_verb_output_is_pinned(capsys):
+    for verb, calls in _graph_verb_calls().items():
+        out = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append(f"{code}\n{captured.out}{captured.err}")
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == GRAPH_VERB_DIGESTS[verb], verb

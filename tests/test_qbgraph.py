@@ -399,6 +399,65 @@ def test_production_routes_build_no_bfs_table(monkeypatch):
         assert isinstance(tiltorder.interval_s_invariant(u, v, 1), bool)
 
 
+def _forward_walk_ranks(u, v):
+    """Ranks of [u,v] by a forward walk from u over the edges that keep to a
+    shortest path (``_keeps``), rank by rank: a second route that scans
+    edges where ``tilted_interval`` reads prefix sets."""
+    levels, rank = {u: qbgraph._levels(u, v)}, {u: 0}
+    for r in range(1, ell(u, v) + 1):
+        nxt = {}
+        for w, rows in levels.items():
+            for i, j, _ in edges_from(w):
+                t = apply_transposition(w, i, j)
+                if t not in rank and qbgraph._keeps(w, i, j, rows):
+                    rank[t] = r
+                    nxt[t] = qbgraph._advance(w, i, j, rows)
+        levels = nxt
+    return rank
+
+
+def test_tilted_interval_matches_the_forward_walk():
+    rng = random.Random(22)
+    inside = outside = 0
+    for u, v in _seeded_pairs(22, range(5, 9), 8):
+        iv = tilted_interval(u, v)
+        assert iv.rank == _forward_walk_ranks(u, v), (u, v)
+        members = sorted(iv.members)
+        probes = [rng.choice(members) for _ in range(3)]
+        probes += [tuple(rng.sample(u, len(u))) for _ in range(3)]
+        for w in probes:
+            assert tiltorder.in_tilted_interval(u, v, w) == (w in iv), (u, v, w)
+            inside, outside = inside + (w in iv), outside + (w not in iv)
+    assert inside >= 96 and outside > 60
+
+
+def test_tilted_interval_scans_no_edge(monkeypatch):
+    pairs = list(_seeded_pairs(23, (6, 7, 8), 3))
+    expected = [_forward_walk_ranks(u, v) for u, v in pairs]
+
+    def forbidden(w):
+        raise AssertionError("tilted_interval scanned an edge")
+
+    monkeypatch.setattr(qbgraph, "edges_from", forbidden)
+    for (u, v), rank in zip(pairs, expected):
+        assert tilted_interval(u, v).rank == rank, (u, v)
+    e, w0 = identity(8), tuple(range(8, 0, -1))
+    iv = tilted_interval(e, w0)  # the classical interval: all of S_8, ranked by length
+    assert len(iv.members) == 40320 and iv.ell == 28
+    assert all(iv.rank[w] == length(w) for w in iv.members)
+
+
+@pytest.mark.parametrize(
+    "fn", [ell, min_degree, tilted_interval, lambda u, v: min_degree(u, v, check=False)]
+)
+def test_graph_queries_reject_non_permutations(fn):
+    for u, v in [((0, 1, 2), (1, 2, 3)), ((1, 2, 3), (1, 3, 3)), ((1, 2, 4), (1, 2, 3))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(u, v)
+    with pytest.raises(ValueError, match="size mismatch"):
+        fn((1, 2), (1, 2, 3))
+
+
 def _perturbed_depth(monkeypatch, shift):
     """Shift the level-2 depth of every lattice path by ``shift``."""
     real = qbgraph.lattice_depth
