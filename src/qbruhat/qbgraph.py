@@ -487,19 +487,16 @@ class TiltedInterval:
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     """[u,v] = permutations on some shortest path from u to v.
 
-    Built prefix set by prefix set; no edge is scanned.  Lattice-path
-    heights add, h(u[k],v[k]) = h(u[k],w[k]) + h(w[k],v[k]), so
-    d(u,v)_k <= d(u,w)_k + d(w,v)_k at every k, and by the closed form for
-    ell, ell(u,w) + ell(w,v) = ell(u,v) iff all n-1 of these are equalities.
-    Each reads only the prefix set w[k], so the prefixes w_1..w_k grow level
-    by level, k = 1..n-1, by the entries whose new prefix set passes; the
-    last entry is forced.  A memo local to the call, keyed by the set's
-    bitmask (at most 2^n entries), holds d(u,w)_k for a set that passes and
-    -1 for one that fails, read off ``lattice_rows(u, v)`` in O(n); a second
-    one lists the passing extensions of each set once, so a prefix costs
-    O(1) per child.  The inversions of w and the sum of its depths are
-    carried down, so rank(w) = ell(u,w) = l(w) - l(u) + 2|d(u,w)| comes
-    free.  All of S_8 (e -> w0) takes about 0.1 s.  d(u,v) comes from the
+    Built prefix set by prefix set, scanning no edge.  Lattice-path heights
+    add, h(u[k],v[k]) = h(u[k],w[k]) + h(w[k],v[k]), so d(u,v)_k <=
+    d(u,w)_k + d(w,v)_k, and by the closed form ell(u,w) + ell(w,v) =
+    ell(u,v) iff all n-1 are equalities.  Each reads only w[k], so prefixes
+    grow level by level by the entries whose new prefix set passes (the last
+    entry is forced).  Memos local to the call, keyed by bitmask (at most
+    2^n entries each), hold d(u,w)_k of each k-set (-1 if it fails), read
+    off ``lattice_rows(u, v)`` in O(n), and the passing extensions of each
+    set.  l(w) and the depth sum are carried down, so rank(w) = ell(u,w) =
+    l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) comes from the
     depth formula; u must be alone at rank 0 and v alone at rank ell(u,v),
     or ``InternalConsistencyError``.
     """
