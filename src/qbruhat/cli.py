@@ -117,8 +117,7 @@ def _cmd_interval(args) -> int:
         print(qbgraph.interval_json(iv))
     else:
         print(f"[{format_perm(u)}, {format_perm(v)}]  ell={iv.ell}")
-        for w in sorted(iv.members, key=lambda w: (iv.rank[w], w)):
-            print(f"  rank {iv.rank[w]}: {format_perm(w)}")
+        print("\n".join(f"  rank {rank}: {w}" for rank, w in qbgraph.ranked_members(iv)))
     return 0
 
 

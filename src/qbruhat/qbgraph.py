@@ -674,12 +674,25 @@ def graph_dot(n: int) -> str:
     return "\n".join(lines)
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def ranked_members(iv: TiltedInterval) -> list[tuple[int, str]]:
+    """(rank, formatted member) by rank and then lexicographically, as the
+    interval printers list them.  Up to n = 9 a bytes translate gives
+    ``format_perm``'s one digit per entry."""
+    ws = sorted(sorted(iv.members), key=iv.rank.__getitem__)
+    if len(iv.u) > 9:
+        return [(iv.rank[w], format_perm(w)) for w in ws]
+    return [(iv.rank[w], bytes(w).translate(_DIGITS).decode()) for w in ws]
+
+
 def interval_dot(iv: TiltedInterval) -> str:
     """DOT rendering of the Hasse diagram of a tilted interval."""
     name = f"{format_perm(iv.u)}_{format_perm(iv.v)}"
     lines = [f'digraph "interval_{name}" {{', "  rankdir=BT;"]
-    for w in sorted(iv.members, key=lambda w: (iv.rank[w], w)):
-        lines.append(f'  "{format_perm(w)}" [rank={iv.rank[w]}];')
+    for rank, w in ranked_members(iv):
+        lines.append(f'  "{w}" [rank={rank}];')
     for x, y in interval_hasse_edges(iv):
         lines.append(f'  "{format_perm(x)}" -> "{format_perm(y)}";')
     lines.append("}")
@@ -693,9 +706,6 @@ def interval_json(iv: TiltedInterval) -> str:
             "v": format_perm(iv.v),
             "ell": iv.ell,
             "d": list(iv.d),
-            "members": [
-                format_perm(w)
-                for w in sorted(iv.members, key=lambda w: (iv.rank[w], w))
-            ],
+            "members": [w for _, w in ranked_members(iv)],
         }
     )

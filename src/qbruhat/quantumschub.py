@@ -3,6 +3,11 @@ polynomials over the quantum Bruhat graph, minimal-degree Gromov-Witten
 invariants, the Schubert expansion of tilted Richardson classes, and the
 descent-cycling identities.
 
+Path Schubert polynomials count admissible paths segment by segment, the
+tails from each (segment, permutation, weight budget) once per call.
+``gw_min_degree`` asks only for the q^d part, d = d(u,v): it passes d as a
+bound, so the walk prunes every path as soon as its weight leaves d.
+
 Polynomials here are integer multipolynomials in x_1..x_n and q_1..q_{n-1}:
 ``MultiPoly`` is the ``poly.Poly`` keyed by (x-exponents, q-exponents), so
 its ring operations are ``Poly``'s; it adds the size n, monomials and the
@@ -12,7 +17,7 @@ parts by q-degree.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .permcore import (
     InternalConsistencyError,
@@ -26,7 +31,7 @@ from .permcore import (
     longest,
 )
 from .poly import Poly
-from .qbgraph import DegreeVec, deg_add, deg_zero, edges_from, min_degree
+from .qbgraph import DegreeVec, deg_add, deg_leq, deg_sub, deg_zero, edges_from, min_degree
 from .varietylab import solve_exact
 
 XKey = tuple[int, ...]
@@ -141,52 +146,56 @@ def classical_monk(k: int, w: Perm) -> dict[Perm, int]:
 # path Schubert polynomials
 
 
-def _admissible_paths(
-    u: Perm, v: Perm
-) -> Iterator[tuple[tuple[int, ...], DegreeVec]]:
-    """All x^beta-admissible paths u -> v, yielded as (beta, weight).
+def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> MultiPoly:
+    """Sum of x^{rho - beta} wt(P) over x^beta-admissible paths u -> v.
 
     Segment k walks edges t_{ab} with nondecreasing a <= k < b and distinct
-    b's; a path is the concatenation of segments k = 1 .. n-1.
+    b's; a path is the concatenation of segments k = 1 .. n-1.  What may
+    follow segment k depends only on k, the permutation reached and the
+    weight budget left, so the tails from each such state are counted once,
+    in a memo local to the call.  With ``degree`` only the paths of weight
+    <= degree are summed: weights grow along a path, so an edge that leaves
+    the budget ends every path through it, and the q^degree part is the
+    same as without the bound.
     """
-    n = len(u)
-
-    def walk(k: int, w: Perm, wt: DegreeVec, beta: tuple[int, ...]):
-        if k == n:
-            if w == v:
-                yield beta, wt
-            return
-
-        def seg(cur: Perm, cnt: int, last_a: int, used_b: frozenset[int], cwt: DegreeVec):
-            yield from walk(k + 1, cur, cwt, beta + (cnt,))
-            for i, j, ewt in edges_from(cur):
-                if last_a <= i <= k < j and j not in used_b:
-                    yield from seg(
-                        apply_transposition(cur, i, j),
-                        cnt + 1,
-                        i,
-                        used_b | {j},
-                        deg_add(cwt, ewt),
-                    )
-
-        yield from seg(w, 0, 1, frozenset(), wt)
-
-    yield from walk(1, u, deg_zero(n), ())
-
-
-def path_schubert(u: Perm, v: Perm) -> MultiPoly:
-    """Sum of x^{rho - beta} wt(P) over x^beta-admissible paths u -> v."""
     n = len(u)
     if len(v) != n:
         raise ValueError("size mismatch")
     check_gate("QBRUHAT_MAX_PATH_N", n)
+    zero = deg_zero(n)
+    memo: dict[tuple[int, Perm, Optional[DegreeVec]], dict] = {}
+    edges: dict[Perm, list] = {}
+
+    def tails(k: int, w: Perm, budget: Optional[DegreeVec]) -> dict:
+        """{(beta_k..beta_{n-1}, weight): count} over segments k..n-1 from w to v."""
+        if k == n:
+            return {((), zero): 1} if w == v else {}
+        if (k, w, budget) in memo:
+            return memo[k, w, budget]
+        out: dict = {}
+        # segment k so far: its end, edge count, last a, b's used, weight
+        stack = [(w, 0, 1, frozenset(), zero)]
+        while stack:
+            cur, cnt, last_a, used_b, swt = stack.pop()
+            rest = None if budget is None else deg_sub(budget, swt)
+            for (beta, wt), c in tails(k + 1, cur, rest).items():
+                term = ((cnt,) + beta, deg_add(swt, wt))
+                out[term] = out.get(term, 0) + c
+            if cur not in edges:
+                edges[cur] = edges_from(cur)
+            for i, j, ewt in edges[cur]:
+                if last_a <= i <= k < j and j not in used_b:
+                    nwt = deg_add(swt, ewt)
+                    if budget is None or deg_leq(nwt, budget):
+                        stack.append((apply_transposition(cur, i, j), cnt + 1, i, used_b | {j}, nwt))
+        memo[k, w, budget] = out
+        return out
+
     rho = tuple(range(n - 1, -1, -1))
-    out: dict[Term, int] = {}
-    for beta, wt in _admissible_paths(u, v):
-        xe = tuple(r - b for r, b in zip(rho, beta + (0,)))
-        key = (xe, wt)
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(n, out)
+    return MultiPoly(n, {
+        (tuple(r - b for r, b in zip(rho, beta + (0,))), wt): c
+        for (beta, wt), c in tails(1, u, degree).items()
+    })
 
 
 def revlex_leading(P: MultiPoly) -> tuple[DegreeVec, XKey, int]:
@@ -232,7 +241,9 @@ def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
     n = len(u)
     check_gate("QBRUHAT_MAX_GW_N", n)
     d = min_degree(u, v)
-    P = path_schubert(u, v).q_part(d)
+    # every path u -> v weighs at least d (Postnikov), so the bound keeps
+    # exactly the paths of weight d
+    P = path_schubert(u, v, d).q_part(d)
     if not P:
         raise InternalConsistencyError("minimal q-degree part vanished")
     grade = max(sum(xe) for (xe, _) in P.terms)

@@ -13,7 +13,11 @@ Rational rows are first scaled to integers by ``_clear``.  The entry
 points ``_det_fractions`` (det over Q), ``_det_mod`` (det over F_p),
 ``_rank`` and ``solve_exact`` only read the echelon form it returns; the
 first three keep their names because ``bench/tracer.py`` times det and
-rank per field by wrapping them by name.  Deodhar points are built by
+rank per field by wrapping them by name.  Plücker signs and vanishing for
+the Plücker membership route and ``is_tnn`` come instead from one table of
+every row set's leading minor, ``_minor_table``, filled by Laplace
+expansion; ``plucker`` and the rank route stay on ``_eliminate``, so the
+two membership routes share no kernel.  Deodhar points are built by
 two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
 are the dense reference that tests compare against.
 
@@ -45,7 +49,6 @@ from .permcore import (
     length,
     prefix_set,
     shifted_less,
-    sort_shifted,
 )
 from . import qbgraph
 from .tiltorder import Tilt, a_leq, check_tilt, witness_a
@@ -214,6 +217,31 @@ def _rank(rows: list[list[Scalar]], field: Optional[int]) -> int:
     return len(_eliminate(rows, field)[1])
 
 
+def _minor_table(M: ExactMatrix) -> list[int]:
+    """minor[mask]: the minor on the rows in the bitmask ``mask`` (bit i-1
+    for row i, rows in increasing order) and the first |mask| columns,
+    filled by Laplace expansion along the last column from the minors one
+    size smaller.
+
+    Over Q each row is first scaled to integers by ``_clear``.  A positive
+    row scale changes no minor's sign or vanishing, which are all the
+    callers read; over F_p the entries are exact.
+    """
+    p = M.field
+    rows = _clear(M.rows)[0] if p is None else M.rows
+    minor = [1] * (1 << M.n)
+    for mask in range(1, len(minor)):
+        col = mask.bit_count() - 1
+        total, sign, rest = 0, 1, mask
+        while rest:  # rows from the last one up; its cofactor sign is +
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            total += sign * rows[i][col] * minor[mask ^ (1 << i)]
+            sign = -sign
+        minor[mask] = total if p is None else total % p
+    return minor
+
+
 def submatrix_det(M: ExactMatrix, row_order: Sequence[int], k: int) -> Scalar:
     rows = [[M.rows[i - 1][c] for c in range(k)] for i in row_order]
     if M.field is None:
@@ -334,32 +362,26 @@ def in_tilted_richardson_plucker(
     route when check is on; disagreement is a hard failure.
 
     Only whether each factor Delta_{w[k]} vanishes is read, and that does
-    not depend on the order of the rows, so each row set's minor is
-    computed once per call.
+    not depend on the order of the rows, so it is read off ``_minor_table``
+    by prefix-set bitmask.
     """
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
     if not is_invertible(M):
         raise ValueError("matrix does not represent a flag (singular)")
-    nonzero: dict[frozenset[int], bool] = {}
+    members = qbgraph.tilted_interval(u, v).members  # checks the gate before the 2^n table
+    minor = _minor_table(M)
 
     def multi_nonzero(w: Perm) -> bool:
-        for k in range(1, n + 1):
-            rows = frozenset(w[:k])
-            hit = nonzero.get(rows)
-            if hit is None:
-                hit = nonzero[rows] = plucker(M, w[:k]) != 0
-            if not hit:
+        mask = 0
+        for i in w:
+            mask |= 1 << (i - 1)
+            if not minor[mask]:
                 return False
         return True
 
-    members = qbgraph.tilted_interval(u, v).members
-    result = True
-    for w in all_permutations(n):
-        if w not in members and multi_nonzero(w):
-            result = False
-            break
+    result = all(w in members or not multi_nonzero(w) for w in all_permutations(n))
     if result and open_flag:
         result = multi_nonzero(u) and multi_nonzero(v)
     if check:
@@ -550,16 +572,16 @@ def is_tnn(M: ExactMatrix, a: Tilt) -> bool:
         raise ValueError("total nonnegativity is a real/rational notion")
     n = M.n
     a = check_tilt(a, n)
-    for k in range(1, n + 1):
-        seen_pos = seen_neg = False
-        for combo in itertools.combinations(range(1, n + 1), k):
-            ordered = sort_shifted(n, a[k - 1], combo)
-            val = plucker(M, ordered)
-            if val > 0:
-                seen_pos = True
-            elif val < 0:
-                seen_neg = True
-            if seen_pos and seen_neg:
+    minor = _minor_table(M)
+    seen = [0] * (n + 1)  # per degree: bit 1 a positive, bit 2 a negative coordinate
+    for mask in range(1, len(minor)):
+        if minor[mask]:
+            k = mask.bit_count()
+            # the shifted order lists the m rows below a_k after the k - m
+            # others: sorting them back to increasing order is (-1)^{m(k-m)}
+            m = (mask & ((1 << (a[k - 1] - 1)) - 1)).bit_count()
+            seen[k] |= 1 if (minor[mask] > 0) == (m * (k - m) % 2 == 0) else 2
+            if seen[k] == 3:
                 return False
     return True
 

@@ -621,3 +621,96 @@ def test_graph_verb_output_is_pinned(capsys):
             out.append(f"{code}\n{captured.out}{captured.err}")
         digest = hashlib.sha256("".join(out).encode()).hexdigest()
         assert digest == GRAPH_VERB_DIGESTS[verb], verb
+
+
+# `gw`, `tnn`, `sample-deodhar`, `member` (open and closed, over Q, F_2 and
+# F_3; the Plücker route checked against the rank route), `descent-cycle`
+# and `count` on seeded draws at the sizes each verb's gate allows, and
+# calls that exit 1.  The member matrices are Deodhar points with positive
+# and with flipped parameter signs, permutation matrices and small random
+# matrices.  One digest per verb, of the exit codes, stdout and stderr, taken
+# before Plücker coordinates were read off one minor table and admissible
+# paths were counted per state.
+def _variety_verb_calls(tmp_path):
+    from qbruhat import tiltorder, tiltwords
+
+    rng = random.Random(23)
+
+    def draw(n):
+        return "".join(map(str, rng.sample(range(1, n + 1), n)))
+
+    calls = {v: [] for v in ("gw", "tnn", "sample-deodhar", "member", "descent-cycle", "count")}
+    for n in (2, 3, 4, 4, 4):
+        for _ in range(2):
+            calls["gw"].append(["gw", draw(n), draw(n)])
+    calls["gw"] += [["gw", "1234", "4321"], ["gw", "4321", "1234"], ["gw", "12345", "54321"]]
+    for n in range(2, 7):
+        for fmt in ("text", "json"):
+            u, v = draw(n), draw(n)
+            calls["tnn"].append(["tnn", u, v, "--format", fmt])
+            tilt = ",".join(str(rng.randint(1, n)) for _ in range(n))
+            calls["tnn"].append(["tnn", u, v, "--a", tilt, "--format", fmt])
+            seed = str(rng.randrange(100))
+            calls["sample-deodhar"].append(["sample-deodhar", u, v, "--seed", seed, "--format", fmt])
+    files = []
+
+    def matrix(rows):
+        path = tmp_path / f"m{len(files)}.json"
+        path.write_text(json.dumps([[str(x) for x in row] for row in rows]))
+        files.append(path)
+        return str(path)
+
+    for n in (2, 3, 3, 4, 4, 4, 5, 5):
+        u, v = draw(n), draw(n)
+        pu, pv = parse_perm(u), parse_perm(v)
+        a, word, sub = tiltwords.positive_word(pu, pv)
+        signs, _ = varietylab.tnn_signs(word, sub)
+        for flip in (1, -1):
+            p_map = {
+                j: flip ** (j % 2) * signs[j] * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for j in sorted(sub.jcirc)
+            }
+            M = varietylab.deodhar_point(word, sub, p_map)
+            path = matrix(M.rows)
+            for extra in ([], ["--open"]):
+                calls["member"].append(["member", path, u, v, *extra])
+        perm = matrix(permutation_matrix(parse_perm(draw(n))).rows)
+        noise = matrix([[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+        for path, field in ((perm, []), (noise, []), (perm, ["--p", "2"]), (noise, ["--p", "3"])):
+            for extra in ([], ["--open"]):
+                calls["member"].append(["member", path, u, v, *field, *extra, "--format", "json"])
+    calls["member"].append(["member", matrix([[1, 2], [2, 4]]), "12", "21"])
+    found = 0
+    while found < 6:
+        n = rng.choice((3, 4))
+        u, v, i = draw(n), draw(n), rng.randint(1, n - 1)
+        if tiltorder.interval_s_invariant(parse_perm(u), parse_perm(v), i):
+            found += 1
+            calls["descent-cycle"].append(["descent-cycle", u, v, str(i), "--format", "json"])
+    calls["descent-cycle"] += [["descent-cycle", "2314", "1234", "2"], ["descent-cycle", "231", "123", "3"]]
+    for n, p in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3)):
+        calls["count"].append(["count", draw(n), draw(n), "--p", str(p)])
+    calls["count"] += [["count", "1234", "4321", "--p", "4"], ["count", "12345", "54321", "--p", "2"]]
+    return calls
+
+
+VARIETY_VERB_DIGESTS = {
+    "gw": "37ccff78f2a980738bce49d4a10b221586120ca506879029696795f06f9b8f0a",
+    "tnn": "51dfd7bead516b701c48f9f91f670f128773edca8405b72b961c820ddfaba437",
+    "sample-deodhar": "6ef65ba5968084c4de46d854fbe53b728a2558ba81c7e18a15f328740bee4c38",
+    "member": "6b7fc411e75c6d9b0ec41292f464a1a74f28df78179472bf86f80ac214a09ee5",
+    "descent-cycle": "6bf8afb4891b8c3d12aaff577643a277219243093021888d112d164294356118",
+    "count": "acc86a796296cbc19ad5b43cbf866c7d4e48c29ca22b7a41ef659eb22a6b673a",
+}
+
+
+def test_variety_verb_output_is_pinned(capsys, tmp_path):
+    digests = {}
+    for verb, calls in _variety_verb_calls(tmp_path).items():
+        out = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append(f"{code}\n{captured.out}{captured.err}")
+        digests[verb] = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digests == VARIETY_VERB_DIGESTS

@@ -9,6 +9,7 @@ from qbruhat.permcore import (
     all_permutations,
     apply_transposition,
     bruhat_leq,
+    format_perm,
     identity,
     length,
     parse_perm,
@@ -500,3 +501,20 @@ def test_min_degree_check_modes(monkeypatch):
     assert min_degree(u, v) == min_degree(u, v, check=True) == d  # the walk needs no gate
     with pytest.raises(GateError):
         shortest_path_weight(u, v)  # the BFS oracle does
+
+
+def test_ranked_members_list_by_rank_then_lexicographically(monkeypatch):
+    # the printers' order and format_perm's text, across the n = 9 / 10
+    # switch from digits to commas (the graph gate is raised for n = 10)
+    monkeypatch.setenv("QBRUHAT_MAX_N", "10")
+    pairs = list(_seeded_pairs(24, range(2, 8), 2))
+    for n in (9, 10):
+        e = identity(n)
+        pairs += [(e, e), (e, apply_transposition(e, 1, n)), (apply_transposition(e, 2, n), e)]
+    for u, v in pairs:
+        iv = tilted_interval(u, v)
+        old = [(iv.rank[w], format_perm(w)) for w in sorted(iv.members, key=lambda w: (iv.rank[w], w))]
+        assert qbgraph.ranked_members(iv) == old, (u, v)
+    assert qbgraph.ranked_members(tilted_interval(identity(10), identity(10))) == [
+        (0, "1,2,3,4,5,6,7,8,9,10")
+    ]

@@ -6,12 +6,13 @@ import pytest
 from qbruhat.permcore import (
     all_permutations,
     apply_simple,
+    apply_transposition,
     bruhat_leq,
     identity,
     length,
     longest,
 )
-from qbruhat.qbgraph import deg_zero, ell, min_degree
+from qbruhat.qbgraph import deg_add, deg_leq, deg_zero, edges_from, ell, min_degree
 from qbruhat.quantumschub import (
     MultiPoly,
     check_descent_cycling,
@@ -207,3 +208,62 @@ def test_path_schubert_and_gw_outputs_pinned():
     assert _digest(repr(sorted(gw_min_degree(u, v).items())) for u, v in pairs) == (
         "2b7bad6d35c6c0dcda771f3dd4689cf2539929af0cfef11a6426b971ad5b76db"
     )
+
+
+def _admissible_paths_oracle(u, v):
+    """Every x^beta-admissible path u -> v, yielded one by one as (beta,
+    weight): the generator walk that ``path_schubert`` once used.  Segment k
+    walks edges t_{ab} with nondecreasing a <= k < b and distinct b's."""
+    n = len(u)
+
+    def walk(k, w, wt, beta):
+        if k == n:
+            if w == v:
+                yield beta, wt
+            return
+
+        def seg(cur, cnt, last_a, used_b, cwt):
+            yield from walk(k + 1, cur, cwt, beta + (cnt,))
+            for i, j, ewt in edges_from(cur):
+                if last_a <= i <= k < j and j not in used_b:
+                    yield from seg(
+                        apply_transposition(cur, i, j), cnt + 1, i, used_b | {j}, deg_add(cwt, ewt)
+                    )
+
+        yield from seg(w, 0, 1, frozenset(), wt)
+
+    yield from walk(1, u, deg_zero(n), ())
+
+
+def _path_schubert_oracle(u, v):
+    n = len(u)
+    rho = tuple(range(n - 1, -1, -1))
+    out = {}
+    for beta, wt in _admissible_paths_oracle(u, v):
+        key = (tuple(r - b for r, b in zip(rho, beta + (0,))), wt)
+        out[key] = out.get(key, 0) + 1
+    return MultiPoly(n, out)
+
+
+def test_path_schubert_matches_the_path_by_path_walk():
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    rng = random.Random(23)
+    s5 = list(all_permutations(5))
+    pairs += [(rng.choice(s5), rng.choice(s5)) for _ in range(12)]
+    pairs += [(identity(5), longest(5)), (longest(5), identity(5))]
+    for u, v in pairs:
+        assert path_schubert(u, v) == _path_schubert_oracle(u, v), (u, v)
+
+
+def test_degree_bound_keeps_the_paths_below_it():
+    # weights only grow along a path, so a bound d keeps exactly the paths
+    # of weight <= d, and the q^d part is the full walk's
+    for u in all_permutations(4):
+        for v in all_permutations(4):
+            full = path_schubert(u, v)
+            for d in full.q_weights():
+                below = {(xe, qe): c for (xe, qe), c in full.terms.items() if deg_leq(qe, d)}
+                bounded = path_schubert(u, v, d)
+                assert bounded.terms == below, (u, v, d)
+                assert bounded.q_part(d) == full.q_part(d)
+            assert min_degree(u, v) in full.q_weights()

@@ -7,6 +7,7 @@ import pytest
 
 from qbruhat import varietylab
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     cyclic_interval,
     format_perm,
@@ -14,6 +15,7 @@ from qbruhat.permcore import (
     length,
     parse_perm,
     prefix_set,
+    sort_shifted,
 )
 from qbruhat.qbgraph import ell, tilted_interval
 from qbruhat.rpolyhecke import rtilt_deodhar
@@ -748,3 +750,120 @@ def test_deodhar_point_uses_no_dense_product(monkeypatch):
     sub = positive_distinguished_subword(word, u)
     M = deodhar_point(word, sub, {5: 2, 6: 3, 7: -5, 11: -7})
     assert M.rows[2] == (14, -2, -1, 0)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_minor_table_matches_plucker():
+    # the table's Laplace expansion against plucker()'s Bareiss elimination,
+    # on every row set: in sign over Q (rows are scaled by positive
+    # integers first), exactly over F_p
+    trng = random.Random(23)
+    for field in (None, 2, 3):
+        for n in range(1, 7):
+            mats = [make_matrix(kernel_rows(trng, n, n, field), field) for _ in range(4)]
+            w = tuple(trng.sample(range(1, n + 1), n))
+            mats.append(permutation_matrix(w, field))
+            mats.append(make_matrix([[trng.randint(0, 1) for _ in range(n)] for _ in range(n)], field))
+            for M in mats:
+                minor = varietylab._minor_table(M)
+                for mask in range(1 << n):
+                    want = plucker(M, [i + 1 for i in range(n) if mask >> i & 1])
+                    got = minor[mask]
+                    if field is None:
+                        assert _sign(got) == _sign(want), (M.rows, mask)
+                    else:
+                        assert got == want, (M.rows, mask)
+
+
+def _tnn_by_coordinates(M, a):
+    """is_tnn read coordinate by coordinate: plucker() on each row set in
+    its shifted-sorted order."""
+    n = M.n
+    for k in range(1, n + 1):
+        signs = {
+            _sign(plucker(M, sort_shifted(n, a[k - 1], combo)))
+            for combo in itertools.combinations(range(1, n + 1), k)
+        }
+        if {1, -1} <= signs:
+            return False
+    return True
+
+
+def test_is_tnn_matches_the_coordinate_read():
+    trng = random.Random(29)
+    cases = 0
+    for n in (2, 3, 3, 4, 4, 4, 5, 5, 5, 6):
+        u, v = (tuple(trng.sample(range(1, n + 1), n)) for _ in range(2))
+        a, word, sub = positive_word(u, v)
+        signs, _ = tnn_signs(word, sub)
+        for flips in range(4):
+            p_map = {
+                j: signs[j] * Fraction(trng.randint(1, 9), trng.randint(1, 9))
+                for j in sorted(sub.jcirc)
+            }
+            for j in trng.sample(sorted(p_map), min(flips, len(p_map))):
+                p_map[j] = -p_map[j]
+            M = deodhar_point(word, sub, p_map)
+            tilts = [a, tuple(trng.randint(1, n) for _ in range(n))]
+            for b in tilts:
+                assert is_tnn(M, b) == _tnn_by_coordinates(M, b), (u, v, p_map, b)
+            cases += 1
+            if not flips:
+                assert is_tnn(M, a)
+        rows = kernel_rows(trng, n, n, None)
+        b = tuple(trng.randint(1, n) for _ in range(n))
+        assert is_tnn(make_matrix(rows), b) == _tnn_by_coordinates(make_matrix(rows), b)
+    assert cases == 40
+
+
+def test_hot_reads_take_one_minor_table(monkeypatch):
+    # the Plücker route and is_tnn read every minor off one table; plucker()
+    # stays the Bareiss route for everything else
+    tables = []
+    real = varietylab._minor_table
+
+    def counted(M):
+        tables.append(M)
+        return real(M)
+
+    def refuse(*args):
+        raise AssertionError("plucker() called")
+
+    monkeypatch.setattr(varietylab, "_minor_table", counted)
+    monkeypatch.setattr(varietylab, "plucker", refuse)
+    u, v = parse_perm("4231"), parse_perm("3142")
+    a, word, sub = positive_word(u, v)
+    signs, _ = tnn_signs(word, sub)
+    M = deodhar_point(word, sub, {j: signs[j] * Fraction(j, 2) for j in sub.jcirc})
+    assert in_tilted_richardson_plucker(M, u, v, open_flag=True, check=False)
+    assert is_tnn(M, a)
+    assert tables == [M, M]
+
+
+def test_plucker_route_still_checked_against_the_rank_route(monkeypatch):
+    # a table that reads every minor as nonzero puts permutations outside
+    # the interval in the support: the route then disagrees with the rank
+    # route, which is a consistency failure
+    u, v = parse_perm("4231"), parse_perm("3142")
+    a, word, sub = positive_word(u, v)
+    M = deodhar_point(word, sub, {j: 1 for j in sub.jcirc})
+    assert in_tilted_richardson_plucker(M, u, v, open_flag=True)
+    monkeypatch.setattr(varietylab, "_minor_table", lambda M: [1] * (1 << M.n))
+    assert not in_tilted_richardson_plucker(M, u, v, check=False)
+    with pytest.raises(InternalConsistencyError):
+        in_tilted_richardson_plucker(M, u, v)
+
+
+def test_plucker_route_checks_the_gate_before_the_minor_table(monkeypatch):
+    from qbruhat.permcore import GateError
+
+    def refuse(M):
+        raise AssertionError("2^n table built above the gate")
+
+    monkeypatch.setattr(varietylab, "_minor_table", refuse)
+    e = identity(9)
+    with pytest.raises(GateError):
+        in_tilted_richardson_plucker(permutation_matrix(e), e, e)
