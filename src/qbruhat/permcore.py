@@ -129,7 +129,12 @@ def apply_transposition(w: Perm, i: int, j: int) -> Perm:
 
 
 def apply_simple(w: Perm, i: int) -> Perm:
-    return apply_transposition(w, i, i + 1)
+    """w * s_i: swap the entries in positions i and i + 1."""
+    if not 1 <= i < len(w):
+        raise ValueError(f"bad positions ({i},{i + 1}) for n={len(w)}")
+    out = list(w)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
 
 
 def length(w: Perm) -> int:

@@ -5,6 +5,10 @@ Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 * the descent/flatten recursion over (u, v, a),
 * the trace formula q^{l(u,v)} eps(T_v^{-1} T_u) over tilted words.
 
+The Deodhar DP holds each prefix's weight as one int, its polynomial at
+q = 2^B with B = 2G + 2 for G generators (exact: see ``rtilt_deodhar``), and
+fixes each factor's tilt test once per position.
+
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
 
@@ -54,14 +58,14 @@ from .tiltorder import (
     a_length,
     a_lesssim,
     a_step_type,
-    adj_increases,
     witness_a,
 )
 from .tiltwords import (
     BAR,
     TiltedWord,
+    band_split,
+    bar_band,
     flatten,
-    flattenable,
     regular_tilted_reduced_word,
     tilt_sequence,
     tilted_reduced_word,
@@ -432,54 +436,67 @@ def rtilt_deodhar(
     distributivity.  It runs right to left from u: the layer after the last
     factor is {u: 1}, and each factor pulls the layer back one position, so
     only prefixes that can still end at u are held, and nothing is cached
-    between calls.  A prefix's weight is a count per (|Jo|, |J-|); the
-    polynomial is built once, from the weight of the identity at position 0.
+    between calls.  The polynomial is read once, from the weight of the
+    identity at position 0.
+
+    A prefix's weight, sum k (q-1)^jo q^jm over its subwords, is one int:
+    the polynomial at q = 2^B.  A Jo step maps c to (c << B) - c, a J-
+    step to c << B, a J+ step keeps c.  With G generators in the word there
+    are at most 2^G subwords, each with coefficients of absolute sum
+    2^jo <= 2^G, so every coefficient lies within 4^G < 2^(B-1) for
+    B = 2G + 2, and the int's signed base-2^B digits are the coefficients.
+
+    A factor's test depends on its position only: a bar's jump_min and low
+    band (``bar_band``), a generator's tilt value t = a_f, with
+    x <_a x s_f unless 0 < (t - x_f) mod n <= (x_{f+1} - x_f) mod n.
     """
     if len(u) != len(v):
         raise ValueError("size mismatch")
+    n = len(u)
     if a is None:
         a = witness_a(u, v)
     if word is None:
         word = regular_tilted_reduced_word(a, v)
     seqs = tilt_sequence(word)
-    layer: dict[Perm, dict[tuple[int, int], int]] = {u: {(0, 0): 1}}
-    for pos in range(len(word.factors) - 1, -1, -1):
-        f = word.factors[pos]
-        aj = seqs[pos + 1]
+    factors = word.factors
+    bits = 2 * len(_gens_of(word)) + 2
+    layer: dict[Perm, int] = {u: 1}
+    for pos in range(len(factors) - 1, -1, -1):
+        f = factors[pos]
         if f is BAR:
-            layer = {w: c for w, c in layer.items() if flattenable(aj, w) is not None}
+            jm, low = bar_band(seqs[pos + 1])
+            layer = {w: c for w, c in layer.items() if band_split(w, jm, low) is not None}
             continue
-        prev: dict[Perm, dict[tuple[int, int], int]] = {}
-        for x, counts in layer.items():
-            p = apply_simple(x, f)
-            # exactly one of x <_a x*s_f and p <_a p*s_f = x holds
-            if adj_increases(aj, x, f):
-                _add_shifted(prev, x, counts, 1, 0)  # x kept in Jo: q - 1
-                _add_shifted(prev, p, counts, 0, 1)  # p descends into J-: q
+        t, i = seqs[pos + 1][f - 1], f - 1
+        prev: dict[Perm, int] = {}
+        get = prev.get
+        for x, c in layer.items():
+            xi, xf = x[i], x[f]
+            sw = list(x)
+            sw[i], sw[f] = xf, xi
+            p = tuple(sw)
+            if 0 < (t - xi) % n <= (xf - xi) % n:
+                prev[p] = get(p, 0) + c  # x*s_f <_a x: p ascends into J+, 1
             else:
-                _add_shifted(prev, p, counts, 0, 0)  # p ascends into J+: 1
+                cq = c << bits
+                prev[x] = get(x, 0) + cq - c  # x kept in Jo: q - 1
+                prev[p] = get(p, 0) + cq  # p descends into J-: q
         layer = prev
+    return _unpack(layer.get(identity(n), 0), bits)
+
+
+def _unpack(packed: int, bits: int) -> LaurentPoly:
+    """The polynomial P with P(2^bits) = packed and every coefficient in
+    [-2^(bits-1), 2^(bits-1)): the signed base-2^bits digits of packed."""
     out: dict[int, int] = {}
-    for (jo, jm), k in layer.get(identity(word.n), {}).items():
-        # k (q-1)^jo q^jm, expanded binomially
-        for e in range(jo + 1):
-            c = k * math.comb(jo, e)
-            out[e + jm] = out.get(e + jm, 0) + (c if (jo - e) % 2 == 0 else -c)
+    mask, half, e = (1 << bits) - 1, 1 << (bits - 1), 0
+    while packed:
+        digit = ((packed + half) & mask) - half
+        if digit:
+            out[e] = digit
+        packed = (packed - digit) >> bits
+        e += 1
     return LaurentPoly(out)
-
-
-def _add_shifted(
-    layer: dict[Perm, dict[tuple[int, int], int]],
-    w: Perm,
-    counts: Mapping[tuple[int, int], int],
-    d_jo: int,
-    d_jm: int,
-) -> None:
-    """Add counts, shifted by (d_jo, d_jm), to the weight of w in layer."""
-    acc = layer.setdefault(w, {})
-    for (jo, jm), k in counts.items():
-        key = (jo + d_jo, jm + d_jm)
-        acc[key] = acc.get(key, 0) + k
 
 
 _REC_MEMO: dict[tuple[Perm, Perm, Tilt], LaurentPoly] = {}

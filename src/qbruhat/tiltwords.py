@@ -90,20 +90,26 @@ def back_flatten(a: Tilt) -> Tilt:
     return a[:jmax] + (a[jmax - 1],) * (n - jmax)
 
 
+def bar_band(a: Tilt) -> tuple[int, frozenset[int]]:
+    """(jump_min, low band [a_1, a_{jm+1})_c): what a bar under the active
+    tilt a tests, the same for every permutation."""
+    jm = jump_min(a)
+    return jm, cyclic_interval(len(a), a[0], a[jm] if jm < len(a) else 1)
+
+
+def band_split(w: Perm, jm: int, low: frozenset[int]) -> Optional[int]:
+    """Split index p if w's first jm entries are p entries of the low band,
+    then jm - p outside it; None otherwise."""
+    head = [x in low for x in w[:jm]]
+    p = head.count(True)
+    return None if any(head[p:]) else p
+
+
 def flattenable(a: Tilt, w: Perm) -> Optional[int]:
     """Split index p if the first jump_min entries of w split into the two
     cyclic bands of the tilt; None otherwise.  The split is unique.
     """
-    n = len(w)
-    a = check_tilt(a, n)
-    jm = jump_min(a)
-    pivot = a[jm] if jm < n else 1
-    low = cyclic_interval(n, a[0], pivot)  # [a_1, a_{jm+1})_c
-    p = sum(1 for i in range(jm) if w[i] in low)
-    for i in range(jm):
-        if (w[i] in low) != (i < p):
-            return None
-    return p
+    return band_split(w, *bar_band(check_tilt(a, len(w))))
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,9 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
 
 
 def _rank(rows: list[list[Scalar]], field: Optional[int]) -> int:
-    if field is None:
+    """Rank over Q (field None) or F_p.  Over Q, rows that hold a non-int
+    entry are first scaled to integers by ``_clear``."""
+    if field is None and any(type(x) is not int for row in rows for x in row):
         rows = _clear(rows)[0]
     return len(_eliminate(rows, field)[1])
 
@@ -346,9 +348,11 @@ def in_tilted_richardson(
     levels = _rank_conditions(u, v, a)
     if levels is None:
         return False
+    # a positive row scale changes no rank: clear the rows once, not per condition
+    entries = _clear(M.rows)[0] if M.field is None else M.rows
     for k, conds in enumerate(levels, start=1):
         for rows, bound in conds:
-            r = _rank([M.rows[i][:k] for i in rows], M.field)
+            r = _rank([entries[i][:k] for i in rows], M.field)
             if r > bound or (open_flag and r < bound):
                 return False
     return True

@@ -714,3 +714,47 @@ def test_variety_verb_output_is_pinned(capsys, tmp_path):
             out.append(f"{code}\n{captured.out}{captured.err}")
         digests[verb] = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digests == VARIETY_VERB_DIGESTS
+
+
+# `rpoly` with every --method and format on seeded draws at n = 2..7, e -> w0
+# and w0 -> e, and calls that exit 1; `graph` in its three formats at
+# n = 1..5 and past the gate.  One digest per verb, of the exit codes, stdout
+# and stderr, taken before the Deodhar DP ran on packed integer weights.
+def _rpoly_graph_verb_calls():
+    rng = random.Random(24)
+
+    def draw(n):
+        return "".join(map(str, rng.sample(range(1, n + 1), n)))
+
+    pairs = [(draw(n), draw(n)) for n in range(2, 8) for _ in range(2)]
+    pairs += [("12345", "54321"), ("654321", "123456"), ("1234567", "7654321")]
+    calls = {"rpoly": [], "graph": []}
+    for u, v in pairs:
+        for method in ("deodhar", "recursive", "hecke", "all"):
+            for fmt in ("text", "json"):
+                calls["rpoly"].append(["rpoly", u, v, "--method", method, "--format", fmt])
+    for u, v in (("123", "1234"), ("1224", "1234"), ("213", "2x1")):
+        calls["rpoly"].append(["rpoly", u, v, "--method", "all"])
+    for n in range(1, 6):
+        for fmt in ("text", "json", "dot"):
+            calls["graph"].append(["graph", str(n), "--format", fmt])
+    calls["graph"].append(["graph", "9"])
+    return calls
+
+
+RPOLY_GRAPH_VERB_DIGESTS = {
+    "rpoly": "1dc83592f8beca541437b31a1b701561369b24a947c5fe3d8df7f19a1a5a0329",
+    "graph": "fa74ba7ca806f1b843c7d6d7dd9b15a3d848327d450f136ea75dadcf8a5e36e1",
+}
+
+
+def test_rpoly_and_graph_output_is_pinned(capsys):
+    digests = {}
+    for verb, calls in _rpoly_graph_verb_calls().items():
+        out = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append(f"{code}\n{captured.out}{captured.err}")
+        digests[verb] = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digests == RPOLY_GRAPH_VERB_DIGESTS

@@ -41,8 +41,17 @@ from qbruhat.rpolyhecke import (
     trace,
     trace_product,
 )
-from qbruhat.tiltorder import witness_a
-from qbruhat.tiltwords import regular_tilted_reduced_word, tilted_reduced_word, word_moves
+from qbruhat.permcore import cyclic_interval
+from qbruhat.tiltorder import adj_increases, witness_a
+from qbruhat.tiltwords import (
+    BAR,
+    band_split,
+    bar_band,
+    flattenable,
+    regular_tilted_reduced_word,
+    tilted_reduced_word,
+    word_moves,
+)
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -425,3 +434,117 @@ def test_routes_are_looked_up_at_call_time(monkeypatch):
     assert rpolyhecke.rtilt_routes(u, v)["hecke"] == ONE
     with pytest.raises(InternalConsistencyError, match="tilted R-polynomial routes disagree: "):
         rtilt(u, v, "all")
+
+
+# ---------------------------------------------------------------------------
+# the Deodhar DP on packed weights
+
+
+def test_unpack_reads_signed_digits_up_to_the_bound():
+    # coefficients at the ends of the digit range [-2^(B-1), 2^(B-1)), with
+    # zero digits between nonzero ones and at the low end
+    rng = random.Random(31)
+    for bits in (2, 4, 5, 8, 18, 30, 66):
+        top = (1 << (bits - 1)) - 1
+        cases = [[top], [-top], [top, 0, -top], [-top, 0, 0, top], [0, 0, top, -top],
+                 [-top - 1, top], [top, -top - 1, 0, 1], [-1, 0, -1]]
+        for _ in range(30):
+            picks = (top, -top, -top - 1, 0, 0, 1, -1, rng.randint(-top, top))
+            cases.append([rng.choice(picks) for _ in range(rng.randint(1, 9))])
+        for coeffs in cases:
+            packed = sum(c << (bits * e) for e, c in enumerate(coeffs))
+            want = LaurentPoly(dict(enumerate(coeffs)))
+            assert rpolyhecke._unpack(packed, bits) == want, (bits, coeffs)
+        assert rpolyhecke._unpack(0, bits) == ZERO
+
+
+def _near_w0(n):
+    w0 = tuple(range(n, 0, -1))
+    return [w0] + [w0[:i] + (w0[i + 1], w0[i]) + w0[i + 2:] for i in range(n - 1)]
+
+
+def test_deodhar_matches_recursion_at_and_near_w0():
+    rng = random.Random(32)
+    for n, spots in ((7, 7), (8, 2)):
+        e, tops = identity(n), _near_w0(n)
+        pairs = [(e, tops[0]), (tops[0], e)]
+        pairs += [(e, v) for v in rng.sample(tops[1:], spots - 1)]
+        pairs += [(_random_perm(rng, n), rng.choice(tops)) for _ in range(spots)]
+        for u, v in pairs:
+            assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+
+
+def test_deodhar_matches_recursion_seeded_n5_to_n8():
+    rng = random.Random(33)
+    for n, count in ((5, 80), (6, 40), (7, 25), (8, 10)):
+        for _ in range(count):
+            u, v = _random_perm(rng, n), _random_perm(rng, n)
+            assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+
+
+def _flattenable_oracle(a, w):
+    # the split read entry by entry, with the band built from the definition
+    n = len(w)
+    jm = min([j for j in range(1, n) if a[j - 1] != a[j]] + ([n] if a[-1] != 1 else []))
+    low = cyclic_interval(n, a[0], a[jm] if jm < n else 1)
+    p = sum(1 for i in range(jm) if w[i] in low)
+    return p if all((w[i] in low) == (i < p) for i in range(jm)) else None
+
+
+def _band_cases():
+    # S_5: every first jump jm, every a_1 and every value past the jump,
+    # against every permutation; then seeded S_6/S_7 tilts and permutations
+    rng = random.Random(34)
+    perms = list(all_permutations(5))
+    for jm in range(1, 6):
+        for a1 in range(1, 6):
+            for past in range(1, 6) if jm < 5 else (1,):
+                if past != a1:
+                    rest = tuple(rng.randint(1, 5) for _ in range(4 - jm))
+                    yield (a1,) * jm + (past,)[: 5 - jm] + rest, perms
+    for n in (6, 7):
+        for _ in range(150):
+            a = tuple(rng.randint(1, n) for _ in range(n))
+            if a != (1,) * n:
+                yield a, [_random_perm(rng, n) for _ in range(8)]
+
+
+def test_hoisted_bar_band_matches_flattenable():
+    for a, perms in _band_cases():
+        jm, low = bar_band(a)  # once per tilt, as at a bar of the DP
+        for w in perms:
+            want = _flattenable_oracle(a, w)
+            assert band_split(w, jm, low) == flattenable(a, w) == want, (a, w)
+
+
+def test_modular_ascent_test_matches_adj_increases():
+    # the DP's x <_a x s_f: unless 0 < (t - x_f) mod n <= (x_{f+1} - x_f) mod n
+    def ascends(t, x, f, n):
+        return not 0 < (t - x[f - 1]) % n <= (x[f] - x[f - 1]) % n
+
+    rng = random.Random(35)
+    cases = [(5, x) for x in all_permutations(5)]
+    cases += [(n, _random_perm(rng, n)) for n in (6, 7) for _ in range(60)]
+    for n, x in cases:
+        for f in range(1, n):
+            for t in range(1, n + 1):
+                a = tuple(rng.randint(1, n) for _ in range(f - 1)) + (t,) * (n - f + 1)
+                assert ascends(t, x, f, n) == adj_increases(a, x, f), (a, x, f)
+
+
+def test_deodhar_reads_each_bar_band_once(monkeypatch):
+    # the band is a property of the bar's position, not of the states there
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return bar_band(a)
+
+    monkeypatch.setattr(rpolyhecke, "bar_band", counting)
+    rng = random.Random(36)
+    for _ in range(10):
+        u, v = _random_perm(rng, 6), _random_perm(rng, 6)
+        word = regular_tilted_reduced_word(witness_a(u, v), v)
+        calls.clear()
+        assert rtilt_deodhar(u, v, word=word) == rtilt_recursive(u, v)
+        assert len(calls) == word.factors.count(BAR), (u, v)
