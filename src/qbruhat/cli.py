@@ -7,6 +7,11 @@ mindeg and gw print JSON only, and accept --format json for symmetry.
 Exit codes: 0 success, 1 domain error (including argument errors),
 2 internal-consistency failure.
 
+Every call is a new process, so each verb imports the layers it calls
+when it runs (``from . import qbgraph`` inside the handler) and only
+``permcore`` loads with this module: ``mindeg`` compiles and loads
+``qbgraph`` alone, while ``verify`` loads every layer but ``quantumschub``.
+
 The verify catalogue lives in ``verify``; this module formats its reports.
 The size gates (``permcore.GATES``) are read from the environment; --max-n,
 --max-count-n and --config set it for one call, and every gate value is
@@ -19,13 +24,10 @@ import argparse
 import contextlib
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .permcore import GATES, InternalConsistencyError, format_perm, gate, parse_perm
-from . import qbgraph, quantumschub, rpolyhecke, tiltorder, tiltwords, varietylab, verify
 
 
 class _UsageError(ValueError):
@@ -62,6 +64,8 @@ def _workers(text: str) -> int:
 
 
 def _parse_tilt(text: str, n: int) -> tuple[int, ...]:
+    from . import tiltorder
+
     vals = tuple(int(p) for p in text.split(","))
     return tiltorder.check_tilt(vals, n)
 
@@ -79,6 +83,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_graph(args) -> int:
+    from . import qbgraph
+
     n = args.n
     if args.format == "dot":
         print(qbgraph.graph_dot(n))
@@ -101,6 +107,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_mindeg(args) -> int:
+    from . import qbgraph
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     ell = qbgraph.ell(u, v)  # checks the gate before the cross-checked walk
     d = qbgraph.min_degree(u, v)
@@ -109,6 +117,8 @@ def _cmd_mindeg(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    from . import qbgraph
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     iv = qbgraph.tilted_interval(u, v)
     if args.format == "dot":
@@ -122,6 +132,8 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import tiltorder
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     n = len(u)
     if args.a:
@@ -149,6 +161,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_word(args) -> int:
+    from . import tiltwords
+
     w = parse_perm(args.w)
     a = _parse_tilt(args.a, len(w))
     build = (
@@ -167,6 +181,8 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_subwords(args) -> int:
+    from . import tiltorder, tiltwords
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     n = len(u)
     a = _parse_tilt(args.a, n) if args.a else tiltorder.witness_a(u, v)
@@ -204,6 +220,8 @@ def _cmd_subwords(args) -> int:
 
 
 def _cmd_rpoly(args) -> int:
+    from . import rpolyhecke
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     if args.method == "all":
         routes = rpolyhecke.rtilt_routes(u, v)
@@ -221,6 +239,8 @@ def _cmd_rpoly(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from . import varietylab
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     if args.matrix == "-":
         text = sys.stdin.read()
@@ -237,6 +257,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import varietylab
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     c = varietylab.count_points_fq(u, v, args.p)
     _emit(args, {"p": args.p, "count": c}, [str(c)])
@@ -244,6 +266,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample_deodhar(args) -> int:
+    import random
+    from fractions import Fraction
+
+    from . import tiltwords, varietylab
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     rng = random.Random(args.seed)
     a, word, sub = tiltwords.positive_word(u, v)
@@ -271,6 +298,8 @@ def _cmd_sample_deodhar(args) -> int:
 
 
 def _cmd_tnn(args) -> int:
+    from . import tiltwords, varietylab
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     a = _parse_tilt(args.a, len(u)) if args.a else None
     a, word, sub = tiltwords.positive_word(u, v, a)
@@ -292,6 +321,8 @@ def _cmd_tnn(args) -> int:
 
 
 def _cmd_gw(args) -> int:
+    from . import qbgraph, quantumschub
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     d = qbgraph.min_degree(u, v)
     coeffs = quantumschub.gw_min_degree(u, v)
@@ -304,6 +335,8 @@ def _cmd_gw(args) -> int:
 
 
 def _cmd_descent_cycle(args) -> int:
+    from . import quantumschub
+
     u, v = parse_perm(args.u), parse_perm(args.v)
     rep = quantumschub.check_descent_cycling(u, v, args.i)
     payload = {
@@ -326,6 +359,8 @@ def _cmd_descent_cycle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     n = args.n
     reports, inconsistent = verify.run_catalogue(n, args.seed, args.level, args.workers)
     failed = [r for r in reports if r["status"] == "fail"]

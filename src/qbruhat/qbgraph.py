@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .permcore import (
     InternalConsistencyError,
@@ -465,8 +464,7 @@ def ell(u: Perm, v: Perm) -> int:
 # tilted Bruhat intervals
 
 
-@dataclass(frozen=True)
-class TiltedInterval:
+class TiltedInterval(NamedTuple):
     u: Perm
     v: Perm
     ell: int

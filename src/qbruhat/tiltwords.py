@@ -7,7 +7,8 @@ crossing a bar flattens the tilt once.  Validity requires that the prefix
 product at each bar splits into the two cyclic bands of the tilt
 (flattenability), and that no generator touches a jump position of its
 active tilt.  ``bar_splits`` checks both in one walk and returns each
-bar's (jump_min, split), which ``is_regular`` and the TNN signs read.
+bar's (jump_min, split); ``_regular_splits`` adds the regularity test on
+top of that one walk, for ``is_regular`` and the TNN signs.
 Both constructions join waypoints id -> ... -> w, one group per jump.
 
 Factors are ints (generator indices) or BAR (None).  Subwords drop
@@ -17,8 +18,7 @@ generator factors only; bars are never droppable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .permcore import (
     InternalConsistencyError,
@@ -116,8 +116,14 @@ def flattenable(a: Tilt, w: Perm) -> Optional[int]:
 # tilted words
 
 
-@dataclass(frozen=True)
-class TiltedWord:
+class TiltedWord(NamedTuple):
+    """A word under the tilt a, with the permutation it multiplies to.
+
+    ``len`` counts factors, not fields, so the named-tuple helpers that
+    check the field count by ``len`` (``_make``, ``_replace``) refuse it;
+    build a new record instead.
+    """
+
     a: Tilt
     factors: tuple[Factor, ...]
     target: Perm
@@ -244,20 +250,26 @@ def bigrassmannian(n: int, a: int, b: int) -> Perm:
     return tuple(list(range(a + 1, a + b + 1)) + list(range(1, a + 1)) + list(range(a + b + 1, n + 1)))
 
 
-def is_regular(word: TiltedWord) -> bool:
-    """Every bar is immediately preceded by a reduced word for the
-    bi-Grassmannian s_{q-p,p} attached to that bar."""
+def _regular_splits(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
+    """``bar_splits(word)`` if the word is regular, else None: one walk of
+    the bars for callers that need both the test and the splits."""
     splits = bar_splits(word)
     if splits is None:
-        return False
+        return None
     n = word.n
     for j, (q, p) in splits.items():
         x = bigrassmannian(n, q - p, p)
         need = length(x)
         block = word.factors[j - 1 - need : j - 1]
         if len(block) != need or BAR in block or perm_from_word(n, block) != x:
-            return False
-    return True
+            return None
+    return splits
+
+
+def is_regular(word: TiltedWord) -> bool:
+    """Every bar is immediately preceded by a reduced word for the
+    bi-Grassmannian s_{q-p,p} attached to that bar."""
+    return _regular_splits(word) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +300,10 @@ def parse_word(a: Sequence[int], text: str) -> TiltedWord:
 # subwords
 
 
-@dataclass(frozen=True)
-class Subword:
+class Subword(NamedTuple):
+    """A subword of ``word`` and its positions by kind; ``len`` is the
+    word's length, so ``_make`` and ``_replace`` refuse it too."""
+
     word: TiltedWord
     keep: tuple[bool, ...]  # aligned with factors; bars always True
     target: Perm

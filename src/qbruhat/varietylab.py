@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .permcore import (
     InternalConsistencyError,
@@ -56,8 +55,7 @@ from .tiltwords import (
     BAR,
     Subword,
     TiltedWord,
-    bar_splits,
-    is_regular,
+    _regular_splits,
 )
 
 Scalar = Union[int, Fraction]
@@ -77,8 +75,7 @@ def is_prime(p: int) -> bool:
 # matrices
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     """n x n matrix over Q (field None) or F_p (field p)."""
 
     n: int
@@ -549,9 +546,9 @@ def tnn_signs(
     if positive_sub.jminus:
         raise ValueError("sign data is defined for the positive subword only")
     n = word_v.n
-    if not is_regular(word_v):
+    splits = _regular_splits(word_v)
+    if splits is None:
         raise ValueError("sign data requires a regular word")
-    splits = bar_splits(word_v)
     sign = [1] * n
     trace: list[tuple[int, ...]] = [tuple(sign)]
     out: dict[int, int] = {}

@@ -3,8 +3,11 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -758,3 +761,58 @@ def test_rpoly_and_graph_output_is_pinned(capsys):
             out.append(f"{code}\n{captured.out}{captured.err}")
         digests[verb] = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digests == RPOLY_GRAPH_VERB_DIGESTS
+
+
+# Each verb imports only the layers it calls, so a new `qbruhat` process
+# compiles and loads no other module of the package, and none loads
+# `dataclasses` (which pulls in inspect, ast, dis and tokenize).
+_LAYERS_LOADED = {
+    ("mindeg", "321", "213"): {"permcore", "qbgraph"},
+    ("interval", "321", "213"): {"permcore", "qbgraph"},
+    ("order", "231", "123"): {"permcore", "qbgraph", "tiltorder"},
+    ("subwords", "231", "321"): {"permcore", "qbgraph", "tiltorder", "tiltwords"},
+    ("rpoly", "123", "321"): {
+        "permcore", "poly", "qbgraph", "rpolyhecke", "tiltorder", "tiltwords",
+    },
+    ("count", "123", "321", "--p", "2"): {
+        "permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab",
+    },
+    ("tnn", "123", "321"): {"permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab"},
+    ("gw", "231", "123"): {
+        "permcore", "poly", "qbgraph", "quantumschub", "tiltorder", "tiltwords", "varietylab",
+    },
+    # every layer but quantumschub, which no property of the catalogue calls
+    ("verify", "--n", "3"): {
+        "permcore", "poly", "qbgraph", "rpolyhecke", "tiltorder", "tiltwords", "varietylab",
+        "verify",
+    },
+}
+
+_LOADED_BY_RUN = """
+import json, sys
+bare = set(sys.modules)
+from qbruhat import cli
+code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+"""
+
+
+def test_each_verb_loads_only_its_layers():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    children = {
+        argv: subprocess.Popen(
+            [sys.executable, "-c", _LOADED_BY_RUN, *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in _LAYERS_LOADED
+    }
+    for argv, child in children.items():
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, (argv, err)
+        code, loaded = json.loads(out.splitlines()[-1])
+        assert code == 0, argv
+        layers = {m.removeprefix("qbruhat.") for m in loaded if m.startswith("qbruhat.")}
+        assert layers == _LAYERS_LOADED[argv] | {"cli"}, argv
+        assert "dataclasses" not in loaded, argv

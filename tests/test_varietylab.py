@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbruhat import varietylab
+from qbruhat import tiltwords, varietylab
 from qbruhat.permcore import (
     InternalConsistencyError,
     all_permutations,
@@ -22,6 +22,7 @@ from qbruhat.rpolyhecke import rtilt_deodhar
 from qbruhat.tiltorder import a_leq, a_length, a_lesssim, witness_a
 from qbruhat.tiltwords import (
     BAR,
+    Subword,
     distinguished_subwords,
     positive_distinguished_subword,
     positive_word,
@@ -353,6 +354,59 @@ def test_tnn_signs_pinned_s3_s4():
                 line = f"{format_perm(u)} {format_perm(v)} {sorted(signs.items())} {trace}\n"
                 h.update(line.encode())
     assert h.hexdigest() == "fe1ecff0901ecd673a38162424fca1e40f4e536b01e3d72b8267adc9322b61ac"
+
+
+def _tnn_signs_two_walks(word, sub):
+    """tnn_signs as it read its splits before: ``is_regular`` walks the bars,
+    then ``bar_splits`` walks them again."""
+    if sub.jminus or not tiltwords.is_regular(word):
+        raise ValueError("not a positive subword of a regular word")
+    splits = tiltwords.bar_splits(word)
+    sign = [1] * word.n
+    trace, out = [tuple(sign)], {}
+    for j, f in enumerate(word.factors, start=1):
+        if f is BAR:
+            q, p = splits[j]
+            if p % 2:
+                sign[p:q] = [-s for s in sign[p:q]]
+        elif j in sub.jplus:
+            sign[f - 1], sign[f] = sign[f], sign[f - 1]
+        else:
+            out[j] = sign[f - 1] * sign[f]
+        trace.append(tuple(sign))
+    return out, trace
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
+
+
+def test_tnn_signs_walks_the_bars_once(monkeypatch):
+    calls = []
+    real = tiltwords.bar_splits
+    monkeypatch.setattr(tiltwords, "bar_splits", lambda word: calls.append(word) or real(word))
+    trng = random.Random(41)
+    signed = refused = 0
+    for n in (4, 4, 5, 5, 6, 6) * 10:
+        u, v = (tuple(trng.sample(range(1, n + 1), n)) for _ in range(2))
+        a = witness_a(u, v)
+        for build in (regular_tilted_reduced_word, tilted_reduced_word):
+            word = build(a, v)
+            sub = positive_distinguished_subword(word, u)
+            calls.clear()
+            got = _outcome(tnn_signs, word, sub)
+            assert len(calls) == 1, (u, v, build.__name__)
+            assert got == _outcome(_tnn_signs_two_walks, word, sub), (u, v, build.__name__)
+            signed += got != "ValueError"
+            refused += got == "ValueError"
+    assert signed >= 60 and refused > 0  # every regular word, and some plain ones that are not
+    calls.clear()
+    with pytest.raises(ValueError):  # J- nonempty: refused before any walk
+        tnn_signs(word, Subword(**{**sub._asdict(), "jminus": frozenset({1})}))
+    assert calls == []
 
 
 def test_tnn_membership_and_flips():
