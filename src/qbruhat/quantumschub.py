@@ -4,9 +4,9 @@ invariants, the Schubert expansion of tilted Richardson classes, and the
 descent-cycling identities.
 
 Path Schubert polynomials count admissible paths segment by segment, the
-tails from each (segment, permutation, weight budget) once per call.
-``gw_min_degree`` asks only for the q^d part, d = d(u,v): it passes d as a
-bound, so the walk prunes every path as soon as its weight leaves d.
+tails from each (segment, permutation, packed weight budget) once per call.
+``gw_min_degree`` passes d = d(u,v) as a bound, so the walk prunes a path as
+soon as its weight leaves d, and expands the q^d part triangularly.
 
 Polynomials here are integer multipolynomials in x_1..x_n and q_1..q_{n-1}:
 ``MultiPoly`` is the ``poly.Poly`` keyed by (x-exponents, q-exponents), so
@@ -31,8 +31,7 @@ from .permcore import (
     longest,
 )
 from .poly import Poly
-from .qbgraph import DegreeVec, deg_add, deg_leq, deg_sub, deg_zero, edges_from, min_degree
-from .varietylab import solve_exact
+from .qbgraph import DegreeVec, deg_zero, edges_from, ell, min_degree
 
 XKey = tuple[int, ...]
 Term = tuple[XKey, DegreeVec]
@@ -156,45 +155,54 @@ def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> Multi
     in a memo local to the call.  With ``degree`` only the paths of weight
     <= degree are summed: weights grow along a path, so an edge that leaves
     the budget ends every path through it, and the q^degree part is the
-    same as without the bound.
+    same as without the bound.  A weight is one int, q_k's exponent in field
+    k-1 under its top bit, a guard no exponent reaches (a path has at most
+    n(n-1)/2 edges); a budget sets every guard, and w <= budget componentwise
+    exactly when budget - w keeps every guard set.
     """
     n = len(u)
     if len(v) != n:
         raise ValueError("size mismatch")
     check_gate("QBRUHAT_MAX_PATH_N", n)
-    zero = deg_zero(n)
-    memo: dict[tuple[int, Perm, Optional[DegreeVec]], dict] = {}
+    top = n * (n - 1) // 2
+    width = top.bit_length() + 1
+    q = [1 << width * k for k in range(n - 1)]
+    guard = sum(q) << width - 1
+    step = {(i, j): sum(q[i - 1:j - 1]) for i in range(1, n) for j in range(i + 1, n + 1)}
+    memo: dict[tuple[int, Perm, Optional[int]], dict] = {}
     edges: dict[Perm, list] = {}
 
-    def tails(k: int, w: Perm, budget: Optional[DegreeVec]) -> dict:
+    def tails(k: int, w: Perm, budget: Optional[int]) -> dict:
         """{(beta_k..beta_{n-1}, weight): count} over segments k..n-1 from w to v."""
         if k == n:
-            return {((), zero): 1} if w == v else {}
+            return {((), 0): 1} if w == v else {}
         if (k, w, budget) in memo:
             return memo[k, w, budget]
         out: dict = {}
-        # segment k so far: its end, edge count, last a, b's used, weight
-        stack = [(w, 0, 1, frozenset(), zero)]
+        # segment k so far: its end, last a, bitmask of the b's used, weight
+        stack = [(w, 1, 0, 0)]
         while stack:
-            cur, cnt, last_a, used_b, swt = stack.pop()
-            rest = None if budget is None else deg_sub(budget, swt)
+            cur, last_a, used, swt = stack.pop()
+            rest = None if budget is None else budget - swt
             for (beta, wt), c in tails(k + 1, cur, rest).items():
-                term = ((cnt,) + beta, deg_add(swt, wt))
+                term = ((used.bit_count(),) + beta, swt + wt)
                 out[term] = out.get(term, 0) + c
             if cur not in edges:
-                edges[cur] = edges_from(cur)
+                edges[cur] = [(i, j, step[i, j] if any(e) else 0) for i, j, e in edges_from(cur)]
             for i, j, ewt in edges[cur]:
-                if last_a <= i <= k < j and j not in used_b:
-                    nwt = deg_add(swt, ewt)
-                    if budget is None or deg_leq(nwt, budget):
-                        stack.append((apply_transposition(cur, i, j), cnt + 1, i, used_b | {j}, nwt))
+                if last_a <= i <= k < j and not used >> j & 1 and (
+                    rest is None or (rest - ewt) & guard == guard
+                ):
+                    stack.append((apply_transposition(cur, i, j), i, used | 1 << j, swt + ewt))
         memo[k, w, budget] = out
         return out
 
     rho = tuple(range(n - 1, -1, -1))
+    budget = None if degree is None else guard + sum(min(e, top) * b for e, b in zip(degree, q))
     return MultiPoly(n, {
-        (tuple(r - b for r, b in zip(rho, beta + (0,))), wt): c
-        for (beta, wt), c in tails(1, u, degree).items()
+        (tuple(r - b for r, b in zip(rho, beta + (0,))),
+         tuple(wt >> width * k & (1 << width) - 1 for k in range(n - 1))): c
+        for (beta, wt), c in tails(1, u, budget).items()
     })
 
 
@@ -213,26 +221,19 @@ def revlex_leading(P: MultiPoly) -> tuple[DegreeVec, XKey, int]:
 
 def schubert_expand(P: MultiPoly, grade: int) -> dict[Perm, int]:
     """Write the x-only polynomial P as sum c_z S_z over z in S_n of length
-    grade, by an exact linear solve over the monomial span."""
+    grade.  S_z's lex-smallest monomial is x^{code(z)}, coefficient 1
+    (Macdonald, Notes on Schubert Polynomials): peel c S_z off P for its
+    lex-smallest term c x^e, code(z) = e, until P is zero."""
     n = P.n
-    basis = [z for z in all_permutations(n) if length(z) == grade]
-    basis_polys = [schubert_poly(z) for z in basis]
-    monomials = sorted(
-        {xe for bp in basis_polys for (xe, _) in bp.terms}
-        | {xe for (xe, _) in P.terms}
-    )
-    zero = deg_zero(n)
-    A = [[bp.terms.get((m, zero), 0) for bp in basis_polys] for m in monomials]
-    b = [P.terms.get((m, zero), 0) for m in monomials]
-    sol = solve_exact(A, b)
-    if sol is None:
-        raise InternalConsistencyError("polynomial is outside the Schubert span")
     out = {}
-    for z, c in zip(basis, sol):
-        if c:
-            if c.denominator != 1:
-                raise InternalConsistencyError(f"non-integral Schubert coefficient {c}")
-            out[z] = int(c)
+    while P:
+        qe, e, c = revlex_leading(P)
+        free = list(range(1, n + 1))  # z: the permutation whose Lehmer code is e
+        z = tuple(free.pop(ei) for ei in e) if all(ei < n - i for i, ei in enumerate(e)) else None
+        if any(qe) or z is None or length(z) != grade:
+            raise InternalConsistencyError("polynomial is outside the Schubert span")
+        out[z] = c
+        P = P - c * schubert_poly(z)
     return out
 
 
@@ -242,13 +243,13 @@ def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
     check_gate("QBRUHAT_MAX_GW_N", n)
     d = min_degree(u, v)
     # every path u -> v weighs at least d (Postnikov), so the bound keeps
-    # exactly the paths of weight d
-    P = path_schubert(u, v, d).q_part(d)
-    if not P:
-        raise InternalConsistencyError("minimal q-degree part vanished")
+    # exactly the paths of weight d, and nothing else may appear
+    P = path_schubert(u, v, d)
+    if P.q_weights() != {d}:
+        raise InternalConsistencyError(f"paths under the bound {d} weigh {sorted(P.q_weights())}")
     grade = max(sum(xe) for (xe, _) in P.terms)
     w0 = longest(n)
-    coeffs = schubert_expand(P, grade)
+    coeffs = schubert_expand(P.q_part(d), grade)
     out: dict[Perm, int] = {}
     for z, c in coeffs.items():
         if c < 0:
@@ -282,7 +283,6 @@ def check_descent_cycling(u: Perm, v: Perm, i: int) -> dict:
     base = gw_min_degree(u, v)
     left = gw_min_degree(us, v)
     right = gw_min_degree(u, vs)
-    from .qbgraph import ell
 
     grade = ell(u, v)
     violations = []

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from qbruhat import quantumschub
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     apply_simple,
     apply_transposition,
@@ -27,6 +29,7 @@ from qbruhat.quantumschub import (
     schubert_poly,
 )
 from qbruhat.tiltorder import interval_s_invariant
+from qbruhat.varietylab import solve_exact
 
 
 def mono(n, xe):
@@ -101,6 +104,61 @@ def test_schubert_expand_roundtrip():
         assert schubert_expand(schubert_poly(z), length(z)) == {z: 1}
 
 
+def _code(w):
+    return tuple(sum(w[j] < w[i] for j in range(i + 1, len(w))) for i in range(len(w)))
+
+
+def test_code_monomial_is_the_lex_smallest():
+    # what makes the expansion triangular
+    for n in (3, 4, 5):
+        for w in all_permutations(n):
+            assert revlex_leading(schubert_poly(w)) == (deg_zero(n), _code(w), 1), w
+
+
+def _schubert_expand_oracle(P, grade):
+    """The expansion by an exact linear solve over the monomial span of the
+    Schubert polynomials of length grade: ``schubert_expand``'s old route."""
+    n = P.n
+    basis = [z for z in all_permutations(n) if length(z) == grade]
+    polys = [schubert_poly(z) for z in basis]
+    monomials = sorted({xe for bp in polys for (xe, _) in bp.terms} | {xe for (xe, _) in P.terms})
+    zero = deg_zero(n)
+    A = [[bp.terms.get((m, zero), 0) for bp in polys] for m in monomials]
+    sol = solve_exact(A, [P.terms.get((m, zero), 0) for m in monomials])
+    assert sol is not None and all(c.denominator == 1 for c in sol)
+    return {z: int(c) for z, c in zip(basis, sol) if c}
+
+
+def test_triangular_expansion_matches_the_linear_solve():
+    for u in all_permutations(4):
+        for v in all_permutations(4):
+            d = min_degree(u, v)
+            P = path_schubert(u, v, d).q_part(d)
+            grade = max(sum(xe) for (xe, _) in P.terms)
+            assert schubert_expand(P, grade) == _schubert_expand_oracle(P, grade), (u, v)
+    rng = random.Random(26)
+    by_grade = {}
+    for z in all_permutations(5):
+        by_grade.setdefault(length(z), []).append(z)
+    for _ in range(40):
+        grade = rng.randint(0, 10)
+        zs = rng.sample(by_grade[grade], min(3, len(by_grade[grade])))
+        coeffs = {z: rng.choice([-3, -2, -1, 1, 2, 3]) for z in zs}
+        P = MultiPoly(5)
+        for z, c in coeffs.items():
+            P = P + c * schubert_poly(z)
+        assert schubert_expand(P, grade) == _schubert_expand_oracle(P, grade) == coeffs
+
+
+def test_schubert_expand_rejects_what_is_outside_the_span():
+    x4 = mono(4, (0, 0, 0, 1))  # (0,0,0,1) is no Lehmer code of S_4
+    mixed = schubert_poly((2, 1, 3)) + schubert_poly((3, 2, 1))
+    quantum = MultiPoly.monomial(3, (1, 0, 0), (1, 0))  # q_1 x_1
+    for P, grade in ((x4, 1), (mixed, 1), (mixed, 3), (quantum, 1)):
+        with pytest.raises(InternalConsistencyError, match="outside the Schubert span"):
+            schubert_expand(P, grade)
+
+
 def _embed(w, N):
     return tuple(w) + tuple(range(len(w) + 1, N + 1))
 
@@ -171,6 +229,18 @@ def test_descent_cycling_sampled_s4():
         rep = check_descent_cycling(u, v, i)
         assert rep["ok"], (u, v, i, rep["violations"])
         found += 1
+
+
+def test_gw_raises_on_a_weight_other_than_d(monkeypatch):
+    # a bound above d lets lighter paths through, and its q-part can still
+    # expand into a wrong answer (132 -> 123 with d + e_1), so gw must raise
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            for k in (0, 1):
+                above = tuple(x + (i == k) for i, x in enumerate(min_degree(u, v)))
+                monkeypatch.setattr(quantumschub, "min_degree", lambda a, b: above)
+                with pytest.raises(InternalConsistencyError, match="under the bound"):
+                    gw_min_degree(u, v)
 
 
 def test_gates():
@@ -257,13 +327,19 @@ def test_path_schubert_matches_the_path_by_path_walk():
 
 def test_degree_bound_keeps_the_paths_below_it():
     # weights only grow along a path, so a bound d keeps exactly the paths
-    # of weight <= d, and the q^d part is the full walk's
-    for u in all_permutations(4):
-        for v in all_permutations(4):
-            full = path_schubert(u, v)
-            for d in full.q_weights():
-                below = {(xe, qe): c for (xe, qe), c in full.terms.items() if deg_leq(qe, d)}
-                bounded = path_schubert(u, v, d)
-                assert bounded.terms == below, (u, v, d)
-                assert bounded.q_part(d) == full.q_part(d)
-            assert min_degree(u, v) in full.q_weights()
+    # of weight <= d, and the q^d part is the full walk's; the bounds d(u,v)
+    # + e_k sit one above a path's weight, where a wrong field width or
+    # guard mask in the packed weights would show
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    for u, v in pairs:
+        full = path_schubert(u, v)
+        m = min_degree(u, v)
+        above = {tuple(x + (i == k) for i, x in enumerate(m)) for k in range(len(m))}
+        for d in full.q_weights() | above:
+            below = {(xe, qe): c for (xe, qe), c in full.terms.items() if deg_leq(qe, d)}
+            bounded = path_schubert(u, v, d)
+            assert bounded.terms == below, (u, v, d)
+            assert bounded.q_part(d) == full.q_part(d)
+        assert m in full.q_weights()
+        # a bound past every field's width bounds nothing
+        assert path_schubert(u, v, (99,) * len(m)) == full
