@@ -7,7 +7,11 @@ Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 
 The Deodhar DP holds each prefix's weight as one int, its polynomial at
 q = 2^B with B = 2G + 2 for G generators (exact: see ``rtilt_deodhar``), and
-fixes each factor's tilt test once per position.
+fixes each factor's tilt test once per position.  It carries each prefix's
+length and drops the prefix as soon as that length exceeds the number of
+generators left of it: such a prefix can no longer reach the identity.
+This bound is the DP's own; it shares nothing with the recursion or with
+the trace route's reach sets.
 
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
@@ -439,6 +443,15 @@ def rtilt_deodhar(
     between calls.  The polynomial is read once, from the weight of the
     identity at position 0.
 
+    A state is a prefix product x with its length appended, x + (l(x),):
+    pulling back across generator f keeps x or moves it to x s_f, whose
+    length is l(x) + 1 if x_f < x_{f+1} and l(x) - 1 otherwise.  Each of the
+    g generators left of position pos changes the length by at most 1, so x
+    can reach the identity at position 0 only if l(x) <= g.  A state that
+    breaks that bound is dropped as soon as it is formed; it would add
+    nothing to the identity's weight, so the sum is unchanged.  A bar reads
+    only the first jump_min <= n entries of a state, never its length.
+
     A prefix's weight, sum k (q-1)^jo q^jm over its subwords, is one int:
     the polynomial at q = 2^B.  A Jo step maps c to (c << B) - c, a J-
     step to c << B, a J+ step keeps c.  With G generators in the word there
@@ -459,30 +472,36 @@ def rtilt_deodhar(
         word = regular_tilted_reduced_word(a, v)
     seqs = tilt_sequence(word)
     factors = word.factors
-    bits = 2 * len(_gens_of(word)) + 2
-    layer: dict[Perm, int] = {u: 1}
+    left = len(_gens_of(word))  # generators left of the current position
+    bits = 2 * left + 2
+    start = u + (length(u),)
+    layer: dict[Perm, int] = {start: 1} if start[n] <= left else {}
     for pos in range(len(factors) - 1, -1, -1):
         f = factors[pos]
         if f is BAR:
             jm, low = bar_band(seqs[pos + 1])
             layer = {w: c for w, c in layer.items() if band_split(w, jm, low) is not None}
             continue
+        left -= 1
         t, i = seqs[pos + 1][f - 1], f - 1
         prev: dict[Perm, int] = {}
         get = prev.get
         for x, c in layer.items():
-            xi, xf = x[i], x[f]
-            sw = list(x)
-            sw[i], sw[f] = xf, xi
-            p = tuple(sw)
+            xi, xf, lx = x[i], x[f], x[n]
+            lp = lx + 1 if xi < xf else lx - 1
             if 0 < (t - xi) % n <= (xf - xi) % n:
-                prev[p] = get(p, 0) + c  # x*s_f <_a x: p ascends into J+, 1
+                cp = c  # x*s_f <_a x: p ascends into J+, 1
             else:
-                cq = c << bits
-                prev[x] = get(x, 0) + cq - c  # x kept in Jo: q - 1
-                prev[p] = get(p, 0) + cq  # p descends into J-: q
+                cp = c << bits  # p descends into J-: q
+                if lx <= left:
+                    prev[x] = get(x, 0) + cp - c  # x kept in Jo: q - 1
+            if lp <= left:
+                sw = list(x)
+                sw[i], sw[f], sw[n] = xf, xi, lp
+                p = tuple(sw)
+                prev[p] = get(p, 0) + cp
         layer = prev
-    return _unpack(layer.get(identity(n), 0), bits)
+    return _unpack(layer.get(identity(n) + (0,), 0), bits)
 
 
 def _unpack(packed: int, bits: int) -> LaurentPoly:

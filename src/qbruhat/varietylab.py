@@ -300,8 +300,9 @@ def _rank_conditions(
     u: Perm, v: Perm, a: Optional[Tilt] = None
 ) -> Optional[list[list[tuple[list[int], int]]]]:
     """The cyclic rank conditions that cut T_{u,v} out of Fl_n, for the tilt
-    a (the witness tilt when None); None when u is not <=_a v, where the
-    variety is empty.
+    a (the witness tilt when None); None when an explicit a does not give
+    u <=_a v, where the variety is empty.  The witness tilt always gives
+    u <~_a v, so its failing u <=_a v raises ``InternalConsistencyError``.
 
     Entry k - 1 lists level k's conditions as (0-indexed rows, bound): the
     first k columns of a flag in T_{u,v} have rank at most the bound on
@@ -312,8 +313,11 @@ def _rank_conditions(
     out: 2(n-1)^2 conditions in all.
     """
     n = len(u)
-    a = witness_a(u, v) if a is None else check_tilt(a, n)
+    witness = a is None
+    a = witness_a(u, v) if witness else check_tilt(a, n)
     if not a_leq(a, u, v):
+        if witness:
+            raise InternalConsistencyError(f"witness tilt {a} does not give {u} <=_a {v}")
         return None
     levels = []
     for k in range(1, n):
@@ -639,8 +643,6 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     levels = _rank_conditions(u, v)
-    if levels is None:
-        return 0
     levels.append([])  # level n: no condition
 
     rows = [[0] * n for _ in range(n)]

@@ -472,6 +472,9 @@ def test_deodhar_matches_recursion_at_and_near_w0():
         pairs += [(_random_perm(rng, n), rng.choice(tops)) for _ in range(spots)]
         for u, v in pairs:
             assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+    # the longest word at n = 9, above the rpoly gate: about 1 s for both routes
+    e, w0 = identity(9), tuple(range(9, 0, -1))
+    assert rtilt_deodhar(e, w0) == rtilt_recursive(e, w0)
 
 
 def test_deodhar_matches_recursion_seeded_n5_to_n8():
@@ -480,6 +483,78 @@ def test_deodhar_matches_recursion_seeded_n5_to_n8():
         for _ in range(count):
             u, v = _random_perm(rng, n), _random_perm(rng, n)
             assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
+
+
+# ---------------------------------------------------------------------------
+# the length bound of the Deodhar DP
+
+
+def _deodhar_unpruned(u, v, a, word):
+    # the DP without the length bound: every prefix that can still end at u
+    # is held, whether or not it can reach the identity
+    n = len(u)
+    seqs = rpolyhecke.tilt_sequence(word)
+    factors = word.factors
+    bits = 2 * len(rpolyhecke._gens_of(word)) + 2
+    layer = {u: 1}
+    for pos in range(len(factors) - 1, -1, -1):
+        f = factors[pos]
+        if f is BAR:
+            jm, low = bar_band(seqs[pos + 1])
+            layer = {w: c for w, c in layer.items() if band_split(w, jm, low) is not None}
+            continue
+        t, i = seqs[pos + 1][f - 1], f - 1
+        prev = {}
+        for x, c in layer.items():
+            sw = list(x)
+            sw[i], sw[f] = x[f], x[i]
+            p = tuple(sw)
+            if 0 < (t - x[i]) % n <= (x[f] - x[i]) % n:
+                prev[p] = prev.get(p, 0) + c
+            else:
+                prev[x] = prev.get(x, 0) + (c << bits) - c
+                prev[p] = prev.get(p, 0) + (c << bits)
+        layer = prev
+    return rpolyhecke._unpack(layer.get(identity(n), 0), bits)
+
+
+def _length_bound_cases():
+    # every S_4 pair under its witness tilt; the tilts and braid/bar-moved
+    # words of test_deodhar_word_independence; seeded pairs at n = 5..8;
+    # e <-> w0 at n = 8
+    perms = list(all_permutations(4))
+    for u in perms:
+        for v in perms:
+            a = witness_a(u, v)
+            yield u, v, a, regular_tilted_reduced_word(a, v)
+    rng = random.Random(5)
+    for _ in range(15):
+        u, v = rng.choice(perms), rng.choice(perms)
+        a = witness_a(u, v)
+        word = regular_tilted_reduced_word(a, v)
+        yield u, v, a, word
+        for _ in range(6):
+            nbrs = list(word_moves(word))
+            if not nbrs:
+                break
+            word = rng.choice(nbrs)
+            yield u, v, a, word
+    rng = random.Random(37)
+    for n, count in ((5, 60), (6, 30), (7, 15), (8, 6)):
+        for _ in range(count):
+            u, v = _random_perm(rng, n), _random_perm(rng, n)
+            a = witness_a(u, v)
+            yield u, v, a, regular_tilted_reduced_word(a, v)
+    e, w0 = identity(8), tuple(range(8, 0, -1))
+    for u, v in ((e, w0), (w0, e)):
+        a = witness_a(u, v)
+        yield u, v, a, regular_tilted_reduced_word(a, v)
+
+
+def test_length_bound_drops_only_what_cannot_reach_the_identity():
+    for u, v, a, word in _length_bound_cases():
+        want = _deodhar_unpruned(u, v, a, word)
+        assert rtilt_deodhar(u, v, a=a, word=word) == want, (u, v, word.factors)
 
 
 def _flattenable_oracle(a, w):

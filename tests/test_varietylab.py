@@ -510,6 +510,25 @@ def test_count_gate():
         count_points_fq(identity(5), identity(5), 2)
 
 
+def test_witness_tilt_failing_a_leq_is_a_fault(monkeypatch, capsys):
+    # the witness tilt gives u <~_a v, so a count of 0 from u not <=_a v under
+    # it would hide a fault in witness_a or a_leq
+    from qbruhat.cli import run
+
+    u, v = (2, 3, 1), (1, 2, 3)
+    monkeypatch.setattr(varietylab, "a_leq", lambda a, u, v: False)
+    with pytest.raises(InternalConsistencyError, match="witness tilt"):
+        count_points_fq(u, v, 2)
+    assert run(["count", "231", "123", "--p", "2"]) == 2
+    assert "internal consistency failure: witness tilt" in capsys.readouterr().err
+    monkeypatch.undo()
+    # an explicit tilt without u <=_a v still cuts out the empty variety
+    u, v, a = (2, 1, 3), (1, 3, 2), (1, 1, 1)
+    assert not a_leq(a, u, v)
+    for M in enumerate_flags_fq(3, 2):
+        assert not in_tilted_richardson(M, u, v, a=a), M.rows
+
+
 def test_stratification_theorem():
     # every flag of Fl_3(F_p) in T_{u,v} lies in exactly one open stratum
     for p in (2, 3):
