@@ -241,9 +241,11 @@ def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
     """Minimal-degree Gromov-Witten numbers {w: c_{u,w}^{v, d(u,v)}}."""
     n = len(u)
     check_gate("QBRUHAT_MAX_GW_N", n)
-    d = min_degree(u, v)
     # every path u -> v weighs at least d (Postnikov), so the bound keeps
-    # exactly the paths of weight d, and nothing else may appear
+    # exactly the paths of weight d, and nothing else may appear; a d that
+    # is not the least path weight fails that guard, which is why the
+    # depth formula's own check walk is skipped
+    d = min_degree(u, v, check=False)
     P = path_schubert(u, v, d)
     if P.q_weights() != {d}:
         raise InternalConsistencyError(f"paths under the bound {d} weigh {sorted(P.q_weights())}")

@@ -7,27 +7,32 @@ samplers, totally nonnegative sign data, and F_q point counting.
 A matrix lives over Q (field None; entries Fraction) or over F_p (field
 p; entries ints in [0, p)).  No floating point anywhere.
 
-All elimination goes through one routine, ``_eliminate(rows, p)``:
-fraction-free Bareiss over Z when p is None, modular over F_p otherwise.
-Rational rows are first scaled to integers by ``_clear``.  The entry
-points ``_det_fractions`` (det over Q), ``_det_mod`` (det over F_p),
-``_rank`` and ``solve_exact`` only read the echelon form it returns; the
-first three keep their names because ``bench/tracer.py`` times det and
-rank per field by wrapping them by name.  Plücker signs and vanishing for
-the Plücker membership route and ``is_tnn`` come instead from one table of
-every row set's leading minor, ``_minor_table``, filled by Laplace
-expansion; ``plucker`` and the rank route stay on ``_eliminate``, so the
-two membership routes share no kernel.  Deodhar points are built by
+Determinants, ranks and solves go through one routine,
+``_eliminate(rows, p)``: fraction-free Bareiss over Z when p is None,
+modular over F_p otherwise.  Rational rows are first scaled to integers by
+``_clear``.  The entry points ``_det_fractions`` (det over Q), ``_det_mod``
+(det over F_p), ``_rank`` and ``solve_exact`` only read the echelon form it
+returns; the first three keep their names because ``bench/tracer.py``
+times det and rank per field by wrapping them by name.  The rank route and
+the count use ``_echelon_chain`` instead: it inserts rows one at a time and
+gives the rank after each insertion on every column prefix at once, where
+one Bareiss pass gives one row set's rank, so ``_rank`` stays the separate
+elimination that tests compare the chains against.  Plücker signs and
+vanishing for the Plücker route and ``is_tnn`` come from one table of every
+row set's leading minor, ``_minor_table``, filled by Laplace expansion, so
+the two membership routes share no kernel.  Deodhar points are built by
 two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
 are the dense reference that tests compare against.
 
 ``_rank_conditions`` is the one place that forms the cyclic rank
-conditions defining T_{u,v}.  ``in_tilted_richardson`` tests them on one
-flag; ``count_points_fq`` walks the Schubert-cell matrices of Fl_n(F_p)
-column by column and tests each level on the first column prefix that
-decides it, so a failing prefix prunes every flag that extends it.
-``enumerate_flags_fq`` with ``in_tilted_richardson`` on each flag is the
-brute-force oracle that tests compare it against.
+conditions defining T_{u,v}; a level's regions are the first rows of two
+chains grown from its tilt value.  ``in_tilted_richardson`` runs the chains
+of each distinct tilt value once on one flag; ``count_points_fq`` walks the
+Schubert-cell matrices of Fl_n(F_p) column by column and runs each level's
+chains on the first column prefix that decides it, so a failing prefix
+prunes every flag that extends it.  ``enumerate_flags_fq`` with
+``in_tilted_richardson`` on each flag is the brute-force oracle that tests
+compare it against.
 """
 
 from __future__ import annotations
@@ -36,14 +41,13 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .permcore import (
     InternalConsistencyError,
     Perm,
     all_permutations,
     check_gate,
-    cyclic_interval,
     inverse,
     length,
     prefix_set,
@@ -216,6 +220,61 @@ def _rank(rows: list[list[Scalar]], field: Optional[int]) -> int:
     return len(_eliminate(rows, field)[1])
 
 
+def _echelon_chain(rows: Iterable[Sequence[int]], p: Optional[int]) -> Iterator[int]:
+    """Insert the rows one at a time into an echelon basis whose pivots are
+    leftmost nonzero entries; yield after each insertion the pivot column
+    it added, or the row length when the row adds none.  Basis rows with a
+    pivot left of column k stay independent on the first k columns and the
+    others vanish there, so the rank of the first t rows on the first k
+    columns is the number of their yields below k.
+
+    Reductions are fraction-free and build new rows; over Z (p None) each
+    stored row is divided by its content, and over F_p the entries must lie
+    in [0, p).
+    """
+    basis: dict[int, Sequence[int]] = {}
+    for row in rows:
+        nc, c = len(row), 0
+        while c < nc:  # clear each leftmost nonzero entry that has a pivot
+            f = row[c]
+            if f:
+                b = basis.get(c)
+                if b is None:
+                    if p is None:
+                        g = math.gcd(*row)
+                        row = [x // g for x in row]
+                    basis[c] = row
+                    break
+                g = b[c]
+                if p is None:
+                    h = math.gcd(f, g)
+                    f, g = f // h, g // h
+                    row = [x * g - f * y for x, y in zip(row, b)]
+                else:
+                    row = [(x * g - f * y) % p for x, y in zip(row, b)]
+            c += 1
+        yield c
+
+
+def _chain_rows(n: int, a: int) -> tuple[list[int], list[int]]:
+    """The 0-indexed rows of the two chains at tilt value a, n - 1 each:
+    forward a, a+1, ... and backward a-1, a-2, ..., cyclically.  Their
+    first t rows are the regions [a, a+t)_c and [a-t, a)_c."""
+    return [(a - 1 + t) % n for t in range(n - 1)], [(a - 2 - t) % n for t in range(n - 1)]
+
+
+def _chain_meets(pivots: Iterable[int], bounds: Sequence[int], k: int, exact: bool) -> bool:
+    """Whether the rank on the first k columns after each insertion of a
+    chain (its pivot columns below k, counted) is at most its bound, or
+    equal to it when exact; stops at the first failure."""
+    r = 0
+    for c, bound in zip(pivots, bounds):
+        r += c < k
+        if r > bound or (exact and r < bound):
+            return False
+    return True
+
+
 def _minor_table(M: ExactMatrix) -> list[int]:
     """minor[mask]: the minor on the rows in the bitmask ``mask`` (bit i-1
     for row i, rows in increasing order) and the first |mask| columns,
@@ -298,19 +357,20 @@ def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
 
 def _rank_conditions(
     u: Perm, v: Perm, a: Optional[Tilt] = None
-) -> Optional[list[list[tuple[list[int], int]]]]:
+) -> Optional[list[tuple[int, list[int], list[int]]]]:
     """The cyclic rank conditions that cut T_{u,v} out of Fl_n, for the tilt
     a (the witness tilt when None); None when an explicit a does not give
     u <=_a v, where the variety is empty.  The witness tilt always gives
     u <~_a v, so its failing u <=_a v raises ``InternalConsistencyError``.
 
-    Entry k - 1 lists level k's conditions as (0-indexed rows, bound): the
-    first k columns of a flag in T_{u,v} have rank at most the bound on
-    those rows, and exactly the bound on T°_{u,v}.  The rows are the
-    regions [a_k, i)_c with bound |u[k] n region| and [i, a_k)_c with bound
-    |v[k] n region|.  On an invertible matrix the conditions on an empty
-    region (i = a_k) or at level n hold for every u, v, so they are left
-    out: 2(n-1)^2 conditions in all.
+    Entry k - 1 is level k's (a_k, forward bounds, backward bounds).  The
+    regions [a_k, i)_c and [i, a_k)_c, for i != a_k, are the first t rows of
+    ``_chain_rows(n, a_k)``'s forward and backward chain, and their t-th
+    bounds are |u[k] n region| and |v[k] n region|: the first k columns of
+    a flag in T_{u,v} have rank at most the bound on those rows, and
+    exactly the bound on T°_{u,v}.  On an invertible matrix the conditions
+    on an empty region (i = a_k) or at level n hold for every u, v, so they
+    are left out: 2(n-1)^2 conditions in all, on 2(n-1) chains.
     """
     n = len(u)
     witness = a is None
@@ -321,14 +381,14 @@ def _rank_conditions(
         return None
     levels = []
     for k in range(1, n):
-        uk, vk, ak = prefix_set(u, k), prefix_set(v, k), a[k - 1]
-        conds = []
-        for i in range(1, n + 1):
-            if i != ak:
-                for region, prefix in ((cyclic_interval(n, ak, i), uk),
-                                       (cyclic_interval(n, i, ak), vk)):
-                    conds.append(([r - 1 for r in sorted(region)], len(region & prefix)))
-        levels.append(conds)
+        ak, bounds = a[k - 1], []
+        for rows, prefix in zip(_chain_rows(n, ak), (prefix_set(u, k), prefix_set(v, k))):
+            seen, bound = 0, []
+            for r in rows:
+                seen += r + 1 in prefix
+                bound.append(seen)
+            bounds.append(bound)
+        levels.append((ak, *bounds))
     return levels
 
 
@@ -340,22 +400,28 @@ def in_tilted_richardson(
     a: Optional[Tilt] = None,
 ) -> bool:
     """Rank-condition route: the conditions of ``_rank_conditions``, as
-    rank <= bound (rank == bound for the open variety)."""
+    rank <= bound (rank == bound for the open variety).  The two chains of
+    each distinct tilt value run once on all columns; level k reads their
+    pivots below column k."""
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
-    if not is_invertible(M):
+    # a positive row scale changes no rank: clear the rows once, not per chain
+    entries = _clear(M.rows)[0] if M.field is None else M.rows
+    if n in _echelon_chain(entries, M.field):  # some row lies in the span of those above
         raise ValueError("matrix does not represent a flag (singular)")
     levels = _rank_conditions(u, v, a)
     if levels is None:
         return False
-    # a positive row scale changes no rank: clear the rows once, not per condition
-    entries = _clear(M.rows)[0] if M.field is None else M.rows
-    for k, conds in enumerate(levels, start=1):
-        for rows, bound in conds:
-            r = _rank([entries[i][:k] for i in rows], M.field)
-            if r > bound or (open_flag and r < bound):
-                return False
+    pivots: dict[int, list[list[int]]] = {}  # a_k -> its two chains' pivot columns
+    for k, (ak, fwd, bwd) in enumerate(levels, start=1):
+        chains = pivots.get(ak)
+        if chains is None:
+            chains = pivots[ak] = [list(_echelon_chain([entries[r] for r in rows], M.field))
+                                   for rows in _chain_rows(n, ak)]
+        if not (_chain_meets(chains[0], fwd, k, open_flag)
+                and _chain_meets(chains[1], bwd, k, open_flag)):
+            return False
     return True
 
 
@@ -630,7 +696,8 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     Column k holds a 1 in row w_k and free entries in the rows i < w_k
     not used by w_1..w_{k-1}, so the first k columns depend only on
     w_1..w_k.  The level-k conditions of ``_rank_conditions`` (open,
-    witness tilt) read only those columns, so a prefix that fails one is
+    witness tilt) read only those columns: the level's two chains run on
+    them and stop at the first rank off its bound, and the prefix is then
     dropped with every flag that extends it; a flag is counted when it
     passes every level.  The walked matrices have a permutation pivot
     pattern, so they are invertible and the conditions that
@@ -642,8 +709,9 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
         raise ValueError("size mismatch")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    levels = _rank_conditions(u, v)
-    levels.append([])  # level n: no condition
+    # level k's two (chain rows, bounds) pairs; level n has no condition
+    levels = [list(zip(_chain_rows(n, ak), bounds)) for ak, *bounds in _rank_conditions(u, v)]
+    levels.append([])
 
     rows = [[0] * n for _ in range(n)]
     used = [False] * n  # rows holding the pivot of an earlier column
@@ -652,7 +720,7 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
         """Flags that extend the placed columns 1..k-1 and pass levels k..n."""
         if k > n:
             return 1
-        c, conds, total = k - 1, levels[k - 1], 0
+        c, chains, total = k - 1, levels[k - 1], 0
         for pivot in range(n):
             if used[pivot]:
                 continue
@@ -664,8 +732,9 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
             for vals in itertools.product(range(p), repeat=len(free)):
                 for r, x in zip(free, vals):
                     rows[r][c] = x
-                if all(_rank([rows[r][:k] for r in region], p) == bound
-                       for region, bound in conds):
+                if all(_chain_meets(_echelon_chain((rows[r][:k] for r in chain), p),
+                                    bounds, k, True)
+                       for chain, bounds in chains):
                     total += walk(k + 1)
             used[pivot] = False
         return total

@@ -232,15 +232,24 @@ def test_descent_cycling_sampled_s4():
 
 
 def test_gw_raises_on_a_weight_other_than_d(monkeypatch):
-    # a bound above d lets lighter paths through, and its q-part can still
-    # expand into a wrong answer (132 -> 123 with d + e_1), so gw must raise
+    # gw skips min_degree's check walk, so its own guard must catch a wrong
+    # d: a bound above d lets lighter paths through, and its q-part can
+    # still expand into a wrong answer (132 -> 123 with d + e_1); a bound
+    # below d keeps no path at all
     for u in all_permutations(3):
         for v in all_permutations(3):
+            d = min_degree(u, v)
             for k in (0, 1):
-                above = tuple(x + (i == k) for i, x in enumerate(min_degree(u, v)))
-                monkeypatch.setattr(quantumschub, "min_degree", lambda a, b: above)
-                with pytest.raises(InternalConsistencyError, match="under the bound"):
-                    gw_min_degree(u, v)
+                for step in (1, -1) if d[k] else (1,):
+                    bound = tuple(x + step * (i == k) for i, x in enumerate(d))
+
+                    def stub(a, b, check=True, bound=bound):
+                        assert check is False
+                        return bound
+
+                    monkeypatch.setattr(quantumschub, "min_degree", stub)
+                    with pytest.raises(InternalConsistencyError, match="under the bound"):
+                        gw_min_degree(u, v)
 
 
 def test_gates():

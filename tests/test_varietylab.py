@@ -231,26 +231,70 @@ def test_rank_route_matches_all_region_conditions():
             agree(rand_invertible(n, -2, 2), u, v, [None])
 
 
-def test_rank_route_skips_conditions_every_flag_meets(monkeypatch):
-    # an open n = 4 member passes every condition, so each one is ranked:
-    # 2(n-1)^2 = 18 of the 2n^2 = 32, none on an empty or a full region
+def test_rank_route_runs_two_chains_per_tilt_value(monkeypatch):
+    # one chain over all n rows for the singular test, then the forward and
+    # backward chain of each distinct a_k at most once, n - 1 rows each,
+    # and no _rank; a member of T° passes every level, so each chain runs
+    pick = random.Random(4)
+    cases = []
+    for n in (3, 4, 5):
+        perms = list(all_permutations(n))
+        for _ in range(15):
+            u, v = pick.choice(perms), pick.choice(perms)
+            word = regular_tilted_reduced_word(witness_a(u, v), v)
+            sub = positive_distinguished_subword(word, u)
+            member = deodhar_point(word, sub, {j: pick.choice((-2, 1, 3)) for j in sub.jcirc})
+            other = make_matrix([[pick.randint(-2, 2) for _ in range(n)] for _ in range(n)], 3)
+            if is_invertible(other):
+                cases.append((other, u, v, all_region_conditions(other, u, v, True)))
+            cases.append((member, u, v, True))
     calls = []
-    real = varietylab._rank
+    real = varietylab._echelon_chain
 
-    def counting(rows, field):
+    def counting(rows, p):
+        rows = list(rows)
         calls.append(len(rows))
-        return real(rows, field)
+        return real(rows, p)
 
-    monkeypatch.setattr(varietylab, "_rank", counting)
-    w = (2, 4, 1, 3)
-    assert in_tilted_richardson(permutation_matrix(w), w, w, open_flag=True)
-    assert len(calls) == 18 and 0 < min(calls) and max(calls) < 4
+    def forbidden(*args):
+        raise AssertionError("the rank route called _rank")
+
+    monkeypatch.setattr(varietylab, "_echelon_chain", counting)
+    monkeypatch.setattr(varietylab, "_rank", forbidden)
+    for M, u, v, want in cases:
+        n, distinct = M.n, len(set(witness_a(u, v)[:-1]))
+        calls.clear()
+        assert in_tilted_richardson(M, u, v, open_flag=True) == want, (M.rows, u, v)
+        assert calls[0] == n and set(calls[1:]) <= {n - 1}, calls
+        assert len(calls) - 1 <= 2 * distinct, (u, v, calls)
+        if want:
+            assert len(calls) - 1 == 2 * distinct, (u, v, calls)
+    assert sum(want for *_, want in cases) > len(cases) / 2
 
 
 def test_singular_matrix_rejected():
     S = make_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         in_tilted_richardson(S, identity(3), identity(3))
+
+
+def test_rank_route_error_order():
+    # size, then singular, then the tilt: a singular matrix with a bad
+    # explicit tilt is reported as singular, over Q and over F_p
+    e, w0 = identity(3), (3, 2, 1)
+    for S in (make_matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]),
+              make_matrix([[1, 1, 0], [0, 1, 1], [1, 2, 1]], 3),
+              make_matrix([[0, 0, 0], [0, 1, 0], [1, 0, 0]], 2)):
+        for a in ((0, 1, 1), (1, 2), (4, 4, 4)):
+            with pytest.raises(ValueError, match="size mismatch"):
+                in_tilted_richardson(S, identity(4), w0, a=a)
+            with pytest.raises(ValueError, match="singular"):
+                in_tilted_richardson(S, e, w0, a=a)
+            with pytest.raises(ValueError, match="singular"):
+                in_tilted_richardson_plucker(S, e, w0)
+            with pytest.raises(ValueError) as bad_tilt:
+                in_tilted_richardson(permutation_matrix(w0, S.field), e, w0, a=a)
+            assert "singular" not in str(bad_tilt.value)
 
 
 def test_tilted_rothe_example():
@@ -510,6 +554,19 @@ def test_count_gate():
         count_points_fq(identity(5), identity(5), 2)
 
 
+def test_count_matches_rpoly_s5(monkeypatch):
+    # the column walk at n = 5, with the gate raised: seeded pairs and
+    # e -> w0, the largest count, at p = 2 and 3
+    monkeypatch.setenv("QBRUHAT_MAX_COUNT_N", "5")
+    pick = random.Random(5)
+    s5 = list(all_permutations(5))
+    e, w0 = identity(5), (5, 4, 3, 2, 1)
+    for u, v in [(pick.choice(s5), pick.choice(s5)) for _ in range(6)] + [(e, w0)]:
+        r = rtilt_deodhar(u, v)
+        for p in (2, 3):
+            assert count_points_fq(u, v, p) == r(p), (u, v, p)
+
+
 def test_witness_tilt_failing_a_leq_is_a_fault(monkeypatch, capsys):
     # the witness tilt gives u <~_a v, so a count of 0 from u not <=_a v under
     # it would hide a fault in witness_a or a_leq
@@ -716,6 +773,37 @@ def test_rank_matches_largest_nonzero_minor():
                     )
         assert varietylab._rank([], field) == 0
         assert varietylab._rank([[], []], field) == 0
+
+
+def test_echelon_chain_matches_rank_on_every_prefix():
+    # after t insertions, the pivots below column k count the rank of the
+    # first t rows on the first k columns; rows planted as zero, repeated,
+    # a multiple of an earlier row, or an earlier row shifted one column
+    # right (same entries, a later leading column) make ties and drops common
+    krng = random.Random(13)
+    for field in FIELDS:
+        for n in range(1, 7):
+            for _ in range(12):
+                rows = kernel_rows(krng, n, n, field)
+                for i in range(1, n):
+                    k, plant = krng.randrange(i), krng.random()
+                    if plant < 0.15:
+                        rows[i] = [0] * n
+                    elif plant < 0.3:
+                        rows[i] = [krng.choice((-2, 1, 3)) * x for x in rows[k]]
+                    elif plant < 0.45:
+                        rows[i] = [0] + rows[k][:-1]
+                ints = varietylab._clear(rows)[0] if field is None else [
+                    [x % field for x in row] for row in rows]
+                before = [list(row) for row in ints]
+                pivots = list(varietylab._echelon_chain(ints, field))
+                assert ints == before  # no row is modified in place
+                assert len(pivots) == n and all(0 <= c <= n for c in pivots)
+                for t in range(1, n + 1):
+                    for k in range(n + 1):
+                        want = varietylab._rank([row[:k] for row in rows[:t]], field)
+                        got = sum(c < k for c in pivots[:t])
+                        assert got == want, (field, rows, t, k, pivots)
 
 
 def test_solve_exact_against_rank_oracle():
