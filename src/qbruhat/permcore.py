@@ -78,6 +78,14 @@ def check_permutation(w: Sequence[int]) -> Perm:
     return w
 
 
+def check_perms(u: Perm, v: Perm) -> None:
+    """Raise ``ValueError`` unless u and v are permutations of one size."""
+    if len(u) != len(v):
+        raise ValueError("size mismatch")
+    check_permutation(u)
+    check_permutation(v)
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -85,11 +93,6 @@ def identity(n: int) -> Perm:
 def longest(n: int) -> Perm:
     """The longest element w_0 = n ... 2 1."""
     return tuple(range(n, 0, -1))
-
-
-def long_cycle(n: int) -> Perm:
-    """The long cycle tau = 2 3 ... n 1 (tau(i) = i+1 mod n)."""
-    return tuple(list(range(2, n + 1)) + [1])
 
 
 def inverse(w: Perm) -> Perm:
@@ -156,10 +159,6 @@ def descents(w: Perm) -> set[int]:
     return {i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]}
 
 
-def ascents(w: Perm) -> set[int]:
-    return {i + 1 for i in range(len(w) - 1) if w[i] < w[i + 1]}
-
-
 def prefix_set(w: Perm, k: int) -> frozenset[int]:
     """w[k] = {w_1, ..., w_k}."""
     return frozenset(w[:k])
@@ -179,7 +178,7 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     (2, 1, 4, 3)
     """
     word = []
-    cur = list(w)
+    cur = list(check_permutation(w))
     n = len(cur)
     pos = [0] * (n + 1)
     while True:
@@ -297,11 +296,6 @@ def shifted_gale_leq(n: int, r: int, A: Iterable[int], B: Iterable[int]) -> bool
     return all(shifted_key(n, r, x) <= shifted_key(n, r, y) for x, y in zip(sa, sb))
 
 
-def gale_leq(n: int, A: Iterable[int], B: Iterable[int]) -> bool:
-    """Plain Gale order: the r = 1 shifted Gale order."""
-    return shifted_gale_leq(n, 1, A, B)
-
-
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Ehresmann criterion: u[k] <= v[k] in the Gale order for all k.
 
@@ -352,14 +346,3 @@ def parse_perm(text: str) -> Perm:
             raise ValueError(f"cannot parse permutation {text!r}")
         vals = tuple(int(c) for c in text)
     return check_permutation(vals)
-
-
-def format_subset(A: Iterable[int]) -> str:
-    return "{" + ",".join(str(v) for v in sorted(A)) + "}"
-
-
-def parse_subset(text: str) -> frozenset[int]:
-    text = text.strip().lstrip("{").rstrip("}")
-    if not text:
-        return frozenset()
-    return frozenset(int(p) for p in text.split(","))

@@ -33,11 +33,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Key, int]] = None):
-        out: dict[Key, int] = {}
-        for k, c in (terms or {}).items():
-            if c:
-                out[k] = out.get(k, 0) + c
-        self.terms = {k: c for k, c in out.items() if c}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     def _new(self, terms: Mapping[Key, int]) -> "Poly":
         return type(self)(terms)

@@ -45,11 +45,9 @@ from .permcore import (
     all_permutations,
     apply_transposition,
     check_gate,
-    check_permutation,
-    compose,
+    check_perms,
     format_perm,
     length,
-    long_cycle,
     perm_from_word,
     prefix_set,
 )
@@ -214,11 +212,6 @@ def graph_edges(n: int) -> Iterator[tuple[Perm, Perm, DegreeVec]]:
             yield w, apply_transposition(w, i, j), wt
 
 
-def rotate(w: Perm) -> Perm:
-    """Left-multiply by the long cycle tau; a graph automorphism."""
-    return compose(long_cycle(len(w)), w)
-
-
 # ---------------------------------------------------------------------------
 # BFS oracles: distances and shortest-path weights over all of S_n
 
@@ -272,15 +265,8 @@ def _bfs_reverse(dst: Perm) -> dict[Perm, int]:
     return dist
 
 
-def _check_perms(u: Perm, v: Perm) -> None:
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
-    check_permutation(u)
-    check_permutation(v)
-
-
 def _check_pair(u: Perm, v: Perm) -> None:
-    _check_perms(u, v)
+    check_perms(u, v)
     check_gate("QBRUHAT_MAX_N", len(u))
 
 
@@ -422,7 +408,7 @@ def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     test; it must reach v in exactly ell(u,v) steps with weights summing to
     d, or ``InternalConsistencyError``.  check=False skips the walk.
     """
-    _check_perms(u, v)
+    check_perms(u, v)
     n = len(u)
     d = tuple(
         lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)

@@ -26,6 +26,7 @@ from .permcore import (
     apply_simple,
     apply_transposition,
     check_gate,
+    check_perms,
     compose,
     length,
     longest,
@@ -54,9 +55,9 @@ class MultiPoly(Poly):
         return MultiPoly.one(self.n)
 
     @classmethod
-    def monomial(cls, n: int, xe: XKey, qe: Optional[DegreeVec] = None, c: int = 1) -> "MultiPoly":
+    def monomial(cls, n: int, xe: XKey, qe: Optional[DegreeVec] = None) -> "MultiPoly":
         qe = qe if qe is not None else (0,) * (n - 1)
-        return cls(n, {(tuple(xe), tuple(qe)): c})
+        return cls(n, {(tuple(xe), tuple(qe)): 1})
 
     @classmethod
     def one(cls, n: int) -> "MultiPoly":
@@ -160,9 +161,8 @@ def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> Multi
     n(n-1)/2 edges); a budget sets every guard, and w <= budget componentwise
     exactly when budget - w keeps every guard set.
     """
+    check_perms(u, v)
     n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
     check_gate("QBRUHAT_MAX_PATH_N", n)
     top = n * (n - 1) // 2
     width = top.bit_length() + 1

@@ -49,6 +49,7 @@ from .permcore import (
     Perm,
     apply_simple,
     bruhat_leq,
+    check_perms,
     descents,
     identity,
     inverse,
@@ -89,8 +90,8 @@ class LaurentPoly(Poly):
         return cls({0: c})
 
     @classmethod
-    def q_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
+    def q_power(cls, e: int) -> "LaurentPoly":
+        return cls({e: 1})
 
     @property
     def degree(self) -> int:
@@ -318,10 +319,6 @@ def _plus_qdiff(
     return out
 
 
-def hecke_mul(x: HeckeElt, y: HeckeElt) -> HeckeElt:
-    return x * y
-
-
 def hecke_gen(n: int, i: int) -> HeckeElt:
     return HeckeElt.basis(apply_simple(identity(n), i))
 
@@ -463,8 +460,7 @@ def rtilt_deodhar(
     band (``bar_band``), a generator's tilt value t = a_f, with
     x <_a x s_f unless 0 < (t - x_f) mod n <= (x_{f+1} - x_f) mod n.
     """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    check_perms(u, v)
     n = len(u)
     if a is None:
         a = witness_a(u, v)
@@ -553,15 +549,15 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
 
 def rtilt_recursive(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
     """The descent/flatten recursion for the tilted R-polynomial."""
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    check_perms(u, v)
     if a is None:
         a = witness_a(u, v)
     return _rtilt_rec(u, v, a, word_length(a, v) + 1)
 
 
-def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
-    """(-q)^{l(u,v)} times the trace of T_v^{-1} T_u over tilted words.
+def rtilt_hecke(u: Perm, v: Perm) -> LaurentPoly:
+    """(-q)^{l(u,v)} times the trace of T_v^{-1} T_u over tilted words for
+    the witness tilt.
 
     T_v^{-1} and T_u are built from the unit over the generators of the
     tilted reduced words of v and u, and the trace of their product is the
@@ -572,11 +568,9 @@ def rtilt_hecke(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
     (-1)^{l(u,v)}, absorbed here so that the result is the point count.
     A result with negative exponents is reported as a hard failure.
     """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    check_perms(u, v)
     n = len(u)
-    if a is None:
-        a = witness_a(u, v)
+    a = witness_a(u, v)
     wu = tilted_reduced_word(a, u)
     wv = tilted_reduced_word(a, v)
     tu = hecke_t(_gens_of(wu), n)

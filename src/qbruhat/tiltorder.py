@@ -159,7 +159,7 @@ def covers(
 
 
 # ---------------------------------------------------------------------------
-# tilted length, descents, ascents
+# tilted length and descents
 
 
 def a_length(a: Tilt, w: Perm) -> int:
@@ -192,10 +192,6 @@ def a_descents(a: Tilt, w: Perm) -> set[int]:
     }
 
 
-def a_ascents(a: Tilt, w: Perm) -> set[int]:
-    return {i for i in range(1, len(w)) if a_step_type(a, w, i) == "ascent"}
-
-
 # ---------------------------------------------------------------------------
 # interval invariance and the k-tilted order
 
@@ -212,6 +208,8 @@ def strong_lifting_witness(u: Perm, v: Perm, i: int) -> Optional[Tilt]:
     Searches the witness tilt adjusted at position i per the equivalence
     of the set-invariance and lifting criteria; falls back to None.
     """
+    if not 1 <= i <= len(u) - 1:
+        raise ValueError(f"position {i} out of range")
     a = witness_a(u, v)
     candidates = [a]
     if a[i - 1] != a[i]:

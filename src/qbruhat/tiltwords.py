@@ -76,20 +76,6 @@ def flatten(a: Tilt) -> Tilt:
     return (fill,) * jm + a[jm:]
 
 
-def back_flatten(a: Tilt) -> Tilt:
-    """Overwrite the constant tail block with the value just before it."""
-    n = len(a)
-    a = check_tilt(a, n)
-    jmax = 0
-    for j in range(n - 1, 0, -1):
-        if a[j - 1] != a[j]:
-            jmax = j
-            break
-    if jmax == 0:
-        raise ValueError("constant tilt cannot be back-flattened")
-    return a[:jmax] + (a[jmax - 1],) * (n - jmax)
-
-
 def bar_band(a: Tilt) -> tuple[int, frozenset[int]]:
     """(jump_min, low band [a_1, a_{jm+1})_c): what a bar under the active
     tilt a tests, the same for every permutation."""
@@ -132,9 +118,6 @@ class TiltedWord(NamedTuple):
     def n(self) -> int:
         return len(self.a)
 
-    def generator_positions(self) -> list[int]:
-        return [j for j, f in enumerate(self.factors, start=1) if f is not BAR]
-
     def bar_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.factors, start=1) if f is BAR]
 
@@ -142,8 +125,8 @@ class TiltedWord(NamedTuple):
         return len(self.factors)
 
 
-def make_word(a: Sequence[int], factors: Sequence[Factor], n: Optional[int] = None) -> TiltedWord:
-    n = n if n is not None else len(a)
+def make_word(a: Sequence[int], factors: Sequence[Factor]) -> TiltedWord:
+    n = len(a)
     a = check_tilt(a, n)
     target = perm_from_word(n, (f for f in factors if f is not BAR))
     return TiltedWord(a=a, factors=tuple(factors), target=target)
@@ -186,10 +169,6 @@ def bar_splits(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
 
 def is_valid(word: TiltedWord) -> bool:
     return bar_splits(word) is not None
-
-
-def is_reduced(word: TiltedWord) -> bool:
-    return is_valid(word) and len(word) == word_length(word.a, word.target)
 
 
 # ---------------------------------------------------------------------------

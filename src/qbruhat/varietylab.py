@@ -48,6 +48,7 @@ from .permcore import (
     Perm,
     all_permutations,
     check_gate,
+    check_perms,
     inverse,
     length,
     prefix_set,
@@ -328,18 +329,6 @@ def plucker(M: ExactMatrix, I: Sequence[int]) -> Scalar:
     return submatrix_det(M, I, len(I))
 
 
-def plucker_drop(M: ExactMatrix, I: Sequence[int], j: int) -> Scalar:
-    """Delta_{I - i_j}: remove the j-th listed index, with sign (-1)^{k-j}."""
-    k = len(I)
-    val = plucker(M, tuple(I[:j - 1]) + tuple(I[j:]))
-    return -val if (k - j) % 2 else val
-
-
-def plucker_add(M: ExactMatrix, J: Sequence[int], i: int) -> Scalar:
-    """Delta_{J + i}: append the index i."""
-    return plucker(M, tuple(J) + (i,))
-
-
 def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
     """Delta_w = prod_k Delta_{w[k]}."""
     total: Scalar = Fraction(1) if M.field is None else 1
@@ -406,6 +395,7 @@ def in_tilted_richardson(
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
+    check_perms(u, v)
     # a positive row scale changes no rank: clear the rows once, not per chain
     entries = _clear(M.rows)[0] if M.field is None else M.rows
     if n in _echelon_chain(entries, M.field):  # some row lies in the span of those above
@@ -513,7 +503,6 @@ def canonical_cell_matrix(
     w: Perm,
     kind: str = "cell",
     params: Optional[Mapping[tuple[int, int], Scalar]] = None,
-    field: Optional[int] = None,
 ) -> ExactMatrix:
     """Canonical representative: 1 at (w_k, k), free entries exactly on the
     tilted Rothe diagram (or its opposite), 0 elsewhere."""
@@ -529,7 +518,7 @@ def canonical_cell_matrix(
         rows[wk - 1][k - 1] = 1
     for (i, k), val in params.items():
         rows[i - 1][k - 1] = val
-    return make_matrix(rows, field)
+    return make_matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +694,7 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     """
     n = len(u)
     check_gate("QBRUHAT_MAX_COUNT_N", n)
-    if len(v) != n:
-        raise ValueError("size mismatch")
+    check_perms(u, v)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     # level k's two (chain rows, bounds) pairs; level n has no condition

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbruhat import qbgraph, quantumschub, varietylab
+from qbruhat import qbgraph, quantumschub, rpolyhecke, tiltorder, tiltwords, varietylab
 from qbruhat.permcore import (
     GATES,
     GateError,
@@ -16,15 +16,11 @@ from qbruhat.permcore import (
     cyclic_interval_contains,
     descents,
     format_perm,
-    format_subset,
-    gale_leq,
     identity,
     inverse,
     length,
-    long_cycle,
     longest,
     parse_perm,
-    parse_subset,
     perm_from_word,
     reduced_word,
     shifted_gale_leq,
@@ -45,18 +41,12 @@ def test_parse_format_roundtrip():
         parse_perm("1135")
 
 
-def test_subset_text():
-    assert format_subset({6, 3, 4}) == "{3,4,6}"
-    assert parse_subset("{3,4,6,7}") == frozenset({3, 4, 6, 7})
-
-
 def test_basics():
     assert length(identity(5)) == 0
     assert length(longest(5)) == 10
     assert length((2, 3, 1, 4)) == 2
     assert descents((2, 3, 1, 4)) == {2}
     assert apply_transposition((2, 3, 1), 1, 3) == (1, 3, 2)
-    assert long_cycle(4) == (2, 3, 4, 1)
 
 
 @settings(max_examples=60)
@@ -138,7 +128,7 @@ def test_shifted_order_total():
 
 
 def test_shifted_gale():
-    assert gale_leq(4, {1, 3}, {2, 4})
+    assert shifted_gale_leq(4, 1, {1, 3}, {2, 4})
     assert shifted_gale_leq(7, 3, {3, 4, 6, 7}, {1, 2, 3, 5})
     assert shifted_gale_leq(7, 4, {3, 4, 6, 7}, {1, 2, 3, 5})
     assert not shifted_gale_leq(7, 1, {3, 4, 6, 7}, {1, 2, 3, 5})
@@ -204,3 +194,34 @@ def test_each_gate_names_its_variable(monkeypatch, var, call, n, name):
     )
     monkeypatch.setenv(var, str(n))
     call(identity(n))  # at the gate itself the call runs
+
+
+BAD = (1, 1, 2)
+E3 = (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: reduced_word(BAD), "not a permutation"),
+        (lambda: tiltwords.tilted_reduced_word((1, 1, 1), BAD), "not a permutation"),
+        (lambda: tiltwords.regular_tilted_reduced_word((1, 1, 1), BAD), "not a permutation"),
+        (lambda: tiltwords.word_length((1, 1, 1), BAD), "not a permutation"),
+        (lambda: rpolyhecke.rtilt_deodhar(E3, BAD), "not a permutation"),
+        (lambda: rpolyhecke.rtilt_deodhar(BAD, E3), "not a permutation"),
+        (lambda: rpolyhecke.rtilt_recursive(E3, BAD), "not a permutation"),
+        (lambda: rpolyhecke.rtilt_hecke(E3, BAD), "not a permutation"),
+        (lambda: varietylab.count_points_fq(BAD, E3, 2), "not a permutation"),
+        (lambda: varietylab.in_tilted_richardson(
+            varietylab.permutation_matrix(E3), BAD, E3), "not a permutation"),
+        (lambda: quantumschub.path_schubert(BAD, (3, 2, 1)), "not a permutation"),
+        (lambda: tiltorder.strong_lifting_witness(E3, (3, 2, 1), 3), "out of range"),
+        (lambda: tiltorder.strong_lifting_witness(E3, (3, 2, 1), 0), "out of range"),
+    ],
+)
+def test_library_entry_points_reject_bad_input(call, message):
+    # unchecked, a non-permutation never leaves the reduced-word walk, and
+    # the counts and memberships answer for it; only the CLI's parse_perm
+    # would have caught it
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -9,6 +9,7 @@ from qbruhat.permcore import (
     all_permutations,
     apply_transposition,
     bruhat_leq,
+    compose,
     format_perm,
     identity,
     length,
@@ -35,7 +36,6 @@ from qbruhat.qbgraph import (
     min_degree,
     min_set,
     reflection_order_from_word,
-    rotate,
     shortest_path,
     shortest_path_weight,
     tilted_interval,
@@ -246,6 +246,10 @@ def test_tilted_interval_matches_bfs_oracle_s6_sample():
 
 
 def test_rotate():
+    # left multiplication by the long cycle tau = 2 3 ... n 1
+    def rotate(w):
+        return compose(tuple(range(2, len(w) + 1)) + (1,), w)
+
     assert rotate(identity(4)) == (2, 3, 4, 1)
     w = (3, 1, 4, 2)
     r = w

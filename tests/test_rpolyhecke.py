@@ -29,7 +29,6 @@ from qbruhat.rpolyhecke import (
     classical_r,
     hecke_gen,
     hecke_gen_inverse,
-    hecke_mul,
     hecke_t,
     hecke_t_inverse,
     hecke_t_inverse_at,
@@ -115,9 +114,9 @@ def test_hecke_relations():
         unit = HeckeElt.unit(n)
         for i in range(1, n):
             Ti = hecke_gen(n, i)
-            assert hecke_mul(Ti, hecke_gen_inverse(n, i)) == unit
-            assert hecke_mul(hecke_gen_inverse(n, i), Ti) == unit
-            assert hecke_mul(Ti, Ti) == Ti.scale(Q_MINUS_1) + unit.scale(Q)
+            assert Ti * hecke_gen_inverse(n, i) == unit
+            assert hecke_gen_inverse(n, i) * Ti == unit
+            assert Ti * Ti == Ti.scale(Q_MINUS_1) + unit.scale(Q)
         for i in range(1, n - 1):
             a, b = hecke_gen(n, i), hecke_gen(n, i + 1)
             assert a * b * a == b * a * b

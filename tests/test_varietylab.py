@@ -49,8 +49,6 @@ from qbruhat.varietylab import (
     multi_plucker,
     permutation_matrix,
     plucker,
-    plucker_add,
-    plucker_drop,
     sdot_inverse_matrix,
     sdot_matrix,
     solve_exact,
@@ -95,6 +93,15 @@ def test_plucker_basics():
 
 def test_incidence_plucker_relations():
     # the three special cases of the incidence relations on random matrices
+    def plucker_drop(M, I, j):
+        """Delta_{I - i_j}: drop the j-th listed index, with sign (-1)^{k-j}."""
+        val = plucker(M, I[:j - 1] + I[j:])
+        return -val if (len(I) - j) % 2 else val
+
+    def plucker_add(M, J, i):
+        """Delta_{J + i}: append the index i."""
+        return plucker(M, J + (i,))
+
     for n in (4, 5):
         M = rand_invertible(n)
         subsets = lambda k: itertools.combinations(range(1, n + 1), k)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -45,13 +46,31 @@ PINNED = {
 }
 
 
+# sha256 of the whole stdout, so that a change of layout shows up too
+DIGESTS = {
+    (4, 1): "7c649e712a180fc89c294785cf33d69f7e799cc3c726d1afdc4090ca488e6b7b",
+    (3, 0): "cffb1e9058ad401b55765a1509cef1b116a6ef4de8b84490b2727ff2c7f1ac63",
+}
+
+
 @pytest.mark.parametrize("n, seed", sorted(PINNED))
 def test_full_catalogue_reports_are_pinned(capsys, n, seed):
     code = run(["verify", "--level", "full", "--n", str(n), "--seed", str(seed),
                 "--format", "json"])
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert code == 0
     assert [(r["name"], r["status"], r["detail"]) for r in data["reports"]] == PINNED[n, seed]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[n, seed]
+
+
+def test_fast_text_report_is_pinned(capsys):
+    code = run(["verify", "--level", "fast", "--n", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77e2eab52a18c1bb3ab9be45f47c63302b128d90fd80b01a53e681feaa086795"
+    )
 
 
 def test_cases_enumerate_or_draw_in_seeded_order():
