@@ -28,9 +28,9 @@ lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
 ``tilted_interval`` builds the members prefix set by prefix set, each
 prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
-(``bfs_ell``, ``shortest_path``, ``shortest_path_weight``) are oracles for
-tests and ``verify``, which compare them against these routes; no
-production route calls them.
+(``bfs_ell``, ``shortest_path_weight``) are oracles for tests and
+``verify``, which compare them against these routes; no production route
+calls them.
 """
 
 from __future__ import annotations
@@ -288,18 +288,6 @@ def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
             return d
         w, wt = back
         d = deg_add(d, wt)
-
-
-def shortest_path(u: Perm, v: Perm) -> list[Perm]:
-    """One BFS shortest path, as the vertex sequence u ... v."""
-    _check_pair(u, v)
-    table = _bfs(u)
-    path = [v]
-    w = v
-    while table[w][1] is not None:
-        w = table[w][1][0]
-        path.append(w)
-    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +598,7 @@ def increasing_path(
     Returns the edge list [(source, (i,j) label root, weight)]; it is a
     shortest path, of length ell(u,v) and weight q^{d(u,v)}.
     """
+    check_perms(u, v)
     n = len(u)
     if order is None:
         order = default_reflection_order(n)

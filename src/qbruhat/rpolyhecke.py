@@ -34,7 +34,7 @@ Hecke coefficients are plain integer maps exponent -> coefficient;
 
 ``LaurentPoly`` is the ``poly.Poly`` with int exponents; it adds the
 constructors, degree, evaluation at q and the printed form that the CLI
-writes and ``parse_poly`` reads.
+writes.
 """
 
 from __future__ import annotations
@@ -141,29 +141,6 @@ def as_qpoly(p: LaurentPoly) -> LaurentPoly:
     if any(e < 0 for e in p.terms):
         raise InternalConsistencyError(f"expected a polynomial in q, got {p}")
     return p
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Inverse of str(); accepts the descending-exponent format."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    out: dict[int, int] = {}
-    for chunk in text.replace("- ", "+ -").split("+"):
-        chunk = chunk.strip().replace(" ", "")
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:]
-        if "q" not in chunk:
-            coeff, exp = int(chunk), 0
-        else:
-            head, _, tail = chunk.partition("q")
-            coeff = int(head) if head else 1
-            exp = int(tail[1:]) if tail.startswith("^") else 1
-        out[exp] = out.get(exp, 0) + sign * coeff
-    return LaurentPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +383,7 @@ def hecke_t_inverse_at(
 @functools.lru_cache(maxsize=1 << 18)
 def classical_r(u: Perm, v: Perm) -> LaurentPoly:
     """Kazhdan-Lusztig R-polynomial by the descent recursion."""
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    check_perms(u, v)
     if u == v:
         return ONE
     if not bruhat_leq(u, v):

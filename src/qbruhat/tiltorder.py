@@ -11,7 +11,9 @@ The orders and witness tilts are read off the lattice paths of d(u,v)
 u[k] <=_r v[k] iff h_{r-1} = min h, and the counts in [a_k, a_{k+1})_c
 agree iff h_{a_k - 1} = h_{a_{k+1} - 1}.  The tests compare these reads
 against ``permcore``'s definitions: the sorted ``shifted_gale_leq`` and
-the counts by ``cyclic_interval_contains``.
+the counts over ``cyclic_interval``.  A band test "t in (x, y]_c" reads
+y <_t x (``shifted_less``), and the cover test's gap is the graph's edge
+criterion (``qbgraph.edge_weight``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .permcore import (
     Perm,
     apply_simple,
     apply_transposition,
-    cyclic_interval_contains,
+    check_permutation,
+    check_perms,
     shifted_less,
 )
 from . import qbgraph
@@ -44,10 +47,8 @@ def check_tilt(a: Iterable[int], n: int) -> Tilt:
 
 def _rows(a: Iterable[int], u: Perm, v: Perm) -> tuple[Tilt, list[list[int]]]:
     """The checked tilt and ``qbgraph.lattice_rows(u, v)``."""
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
-    return check_tilt(a, n), qbgraph.lattice_rows(u, v)
+    check_perms(u, v)
+    return check_tilt(a, len(u)), qbgraph.lattice_rows(u, v)
 
 
 def a_leq(a: Tilt, u: Perm, v: Perm) -> bool:
@@ -75,16 +76,11 @@ def a_lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
 def _minima(u: Perm, v: Perm) -> list[int]:
     """Bitmasks of the r in [n] (bit r-1) where the path of (u[k], v[k])
     is minimal, for k = 0..n (flat at 0 and n); (m & -m).bit_length() is
-    the smallest r of a mask m."""
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
-    flat = [0] * (n + 1)
-    out = []
-    for h in [flat, *qbgraph.lattice_rows(u, v), flat]:
-        m = min(h)
-        out.append(sum(1 << x for x in range(n) if h[x] == m))
-    return out
+    the smallest r of a mask m.  These are ``qbgraph._level``'s masks
+    without bit n, as h_n = h_0."""
+    check_perms(u, v)
+    flat = (1 << len(u)) - 1
+    return [flat, *(m & flat for _, m in qbgraph._levels(u, v)), flat]
 
 
 def witness_a(u: Perm, v: Perm) -> Tilt:
@@ -127,8 +123,10 @@ def in_tilted_interval(u: Perm, v: Perm, w: Perm) -> bool:
 def adj_increases(a: Tilt, w: Perm, i: int) -> bool:
     """True iff w <_a w*s_i (adjacent pairs are always <=_a comparable)."""
     n = len(w)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"position {i} out of range")
     # a_i outside the band (w_i, w_{i+1}]_c
-    return not cyclic_interval_contains(n, w[i - 1], w[i], a[i - 1], False, True)
+    return shifted_less(n, a[i - 1], w[i - 1], w[i])
 
 
 def covers(
@@ -144,16 +142,15 @@ def covers(
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
     if mode not in ("leq", "lesssim"):
         raise ValueError(f"mode must be 'leq' or 'lesssim', got {mode!r}")
+    check_permutation(w)
     a = check_tilt(a, n)
     wi, wj = w[i - 1], w[j - 1]
     hi = j if mode == "lesssim" else j - 1
     # some a_k in the band (w_i, w_j]_c
-    if any(cyclic_interval_contains(n, wi, wj, a[k - 1], False, True)
-           for k in range(i, hi + 1)):
+    if any(shifted_less(n, a[k - 1], wj, wi) for k in range(i, hi + 1)):
         return "incomparable"
     # no w_k in the gap (w_i, w_j)_c
-    if not any(cyclic_interval_contains(n, wi, wj, w[k - 1], False, False)
-               for k in range(i + 1, j)):
+    if qbgraph.edge_weight(w, i, j) is not None:
         return "cover"
     return "comparable"
 

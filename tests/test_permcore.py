@@ -13,7 +13,6 @@ from qbruhat.permcore import (
     bruhat_leq,
     compose,
     cyclic_interval,
-    cyclic_interval_contains,
     descents,
     format_perm,
     identity,
@@ -73,30 +72,13 @@ def test_length_changes_by_one_under_simple():
 
 
 def test_cyclic_interval_cases():
-    assert cyclic_interval_contains(4, 2, 4, 3)
     assert cyclic_interval(4, 3, 2) == frozenset({3, 4, 1})
-    assert cyclic_interval_contains(4, 3, 2, 1)
     # degenerate conventions
     assert cyclic_interval(7, 5, 5) == frozenset()
     assert cyclic_interval(7, 5, 5, False, False) == frozenset(range(1, 8)) - {5}
     assert cyclic_interval(7, 5, 5, True, True) == frozenset({5})
-    assert not cyclic_interval_contains(7, 5, 5, 5, False, False)
     with pytest.raises(ValueError):
         cyclic_interval(4, 0, 2)
-
-
-def test_cyclic_interval_contains_matches_the_set():
-    closures = [(True, False), (False, False), (True, True), (False, True)]
-    for n in range(1, 7):
-        for a, b, x in itertools.product(range(1, n + 1), repeat=3):
-            for left, right in closures:
-                assert cyclic_interval_contains(n, a, b, x, left, right) == (
-                    x in cyclic_interval(n, a, b, left, right)
-                ), (n, a, b, x, left, right)
-    with pytest.raises(ValueError):
-        cyclic_interval_contains(4, 0, 2, 1)
-    with pytest.raises(ValueError):
-        cyclic_interval_contains(4, 1, 2, 5)
 
 
 def test_cyclic_interval_sizes():
@@ -217,6 +199,17 @@ E3 = (1, 2, 3)
         (lambda: quantumschub.path_schubert(BAD, (3, 2, 1)), "not a permutation"),
         (lambda: tiltorder.strong_lifting_witness(E3, (3, 2, 1), 3), "out of range"),
         (lambda: tiltorder.strong_lifting_witness(E3, (3, 2, 1), 0), "out of range"),
+        (lambda: tiltorder.witness_a(BAD, E3), "not a permutation"),
+        (lambda: tiltorder.witness_a_leq(E3, BAD), "not a permutation"),
+        (lambda: tiltorder.a_lesssim((1, 1, 1), BAD, E3), "not a permutation"),
+        (lambda: tiltorder.a_leq((1, 1, 1), E3, BAD), "not a permutation"),
+        (lambda: tiltorder.in_tilted_interval(E3, (3, 2, 1), BAD), "not a permutation"),
+        (lambda: tiltorder.covers((1, 1, 1), (1, 2, 1), 1, 3), "not a permutation"),
+        (lambda: tiltorder.covers((1, 1, 1), (1, 1, 1), 1, 2), "not a permutation"),
+        (lambda: tiltorder.adj_increases((1, 1, 1), E3, 0), "out of range"),
+        (lambda: tiltorder.adj_increases((1, 1, 1), E3, 3), "out of range"),
+        (lambda: rpolyhecke.classical_r(BAD, (3, 2, 1)), "not a permutation"),
+        (lambda: qbgraph.increasing_path(BAD, E3), "not a permutation"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

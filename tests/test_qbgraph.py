@@ -36,7 +36,6 @@ from qbruhat.qbgraph import (
     min_degree,
     min_set,
     reflection_order_from_word,
-    shortest_path,
     shortest_path_weight,
     tilted_interval,
 )
@@ -115,7 +114,7 @@ def test_bfs_reads_only_the_edge_kernel(monkeypatch):
     assert qbgraph._bfs.cache_info() == before
 
 
-@pytest.mark.parametrize("fn", [shortest_path_weight, shortest_path])
+@pytest.mark.parametrize("fn", [shortest_path_weight])
 def test_shortest_path_size_mismatch(fn):
     with pytest.raises(ValueError, match="size mismatch"):
         fn((1, 2), (1, 2, 3))
@@ -299,8 +298,7 @@ def test_increasing_path_is_shortest_everywhere():
 
 
 def test_shortest_path_reconstruction():
-    path = shortest_path((3, 2, 1), (2, 1, 3))
-    assert path[0] == (3, 2, 1) and path[-1] == (2, 1, 3) and len(path) == 3
+    assert qbgraph.bfs_ell((3, 2, 1), (2, 1, 3)) == 2
     assert shortest_path_weight((3, 2, 1), (2, 1, 3)) == (1, 1)
 
 
@@ -378,7 +376,7 @@ def test_production_routes_build_no_bfs_table(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a production route reached a BFS oracle")
 
-    for name in ("_bfs", "_bfs_reverse", "bfs_ell", "shortest_path_weight", "shortest_path"):
+    for name in ("_bfs", "_bfs_reverse", "bfs_ell", "shortest_path_weight"):
         monkeypatch.setattr(qbgraph, name, forbidden)
     rng = random.Random(67)
     for u, v in _seeded_pairs(67, (6, 7), 4):

@@ -32,7 +32,6 @@ from qbruhat.rpolyhecke import (
     hecke_t,
     hecke_t_inverse,
     hecke_t_inverse_at,
-    parse_poly,
     rtilt,
     rtilt_deodhar,
     rtilt_hecke,
@@ -84,11 +83,10 @@ def test_ring_axioms(case):
 def test_poly_printing_and_parsing():
     p = Q_MINUS_1 ** 2
     assert str(p) == "q^2 - 2q + 1"
-    assert parse_poly("q^2 - 2q + 1") == p
-    assert str(ZERO) == "0" and parse_poly("0") == ZERO
+    assert str(ZERO) == "0"
     assert str(Q) == "q"
     assert str(LaurentPoly({-1: 1, 2: -3})) == "-3q^2 + q^-1"
-    assert parse_poly(str(LaurentPoly({0: -7, 3: 2}))) == LaurentPoly({0: -7, 3: 2})
+    assert str(LaurentPoly({0: -7, 3: 2})) == "2q^3 - 7"
 
 
 def test_poly_invariants():

@@ -9,7 +9,7 @@ from qbruhat.permcore import (
     apply_simple,
     apply_transposition,
     bruhat_leq,
-    cyclic_interval_contains,
+    cyclic_interval,
     length,
     parse_perm,
     prefix_set,
@@ -81,8 +81,8 @@ def _orders_by_definition(a, u, v):
         A, B = prefix_set(u, k), prefix_set(v, k)
         leq = leq and shifted_gale_leq(n, a[k - 1], A, B)
         lo, hi = a[k - 1], a[k]
-        count_u = sum(cyclic_interval_contains(n, lo, hi, x) for x in A)
-        sim = sim and count_u == sum(cyclic_interval_contains(n, lo, hi, x) for x in B)
+        C = cyclic_interval(n, lo, hi)
+        sim = sim and len(A & C) == len(B & C)
     return leq, sim
 
 
