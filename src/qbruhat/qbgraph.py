@@ -16,9 +16,10 @@ and a bitmask of the entries passed; every traversal of the graph reads it.
 ``edge_weight`` is the same test for one pair (i, j), in O(j-i).
 
 No graph query builds a table over S_n.  Minimal degrees d(u,v) come
-from the lattice-path depth formula, and ell(u,v) = l(v) - l(u) + 2|d(u,v)|
-(Postnikov); ``tiltorder`` reads the tilted orders off the same paths
-(``lattice_rows``).  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
+from the lattice-path depth formula, read off ``lattice_rows`` (all n-1
+paths of a pair in one incremental O(n^2) pass), and ell(u,v) = l(v) -
+l(u) + 2|d(u,v)| (Postnikov); ``tiltorder`` reads the tilted orders off
+the same rows.  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
 path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
 each is decided in O(1) by where w's lattice path toward v attains its
 minimum (``_keeps``).  ``min_degree`` cross-checks d by a greedy walk over
@@ -45,11 +46,11 @@ from .permcore import (
     all_permutations,
     apply_transposition,
     check_gate,
+    check_permutation,
     check_perms,
     format_perm,
     length,
     perm_from_word,
-    prefix_set,
 )
 
 DegreeVec = tuple[int, ...]
@@ -121,6 +122,7 @@ def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     n = len(w)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
+    check_permutation(w)
     # x in (w_i, w_j)_c iff 0 < (x - w_i) mod n < (w_j - w_i) mod n
     wi, wj = w[i - 1], w[j - 1]
     span = (wj - wi) % n
@@ -168,13 +170,14 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
     values over the entries strictly between positions i and j: ``m``, the
     least cyclic offset (x - w_i) mod n, and ``seen``, the bitmask of those
     entries.  The cyclic criterion is the O(1) test (w_j - w_i) mod n <= m.
-    Offsets are taken in 1..n, so that, as in ``edge_weight``, an entry
-    equal to w_i (possible only when w is no permutation) blocks nothing;
-    for a permutation the test is strict.  The length condition counts, by
-    popcount, the entries strictly between w_i and w_j in the linear order:
-    none for a strong edge (w_i < w_j), all j-i-1 of them for a quantum
-    one.  The two are computed separately and must agree; a mismatch raises
-    ``InternalConsistencyError`` with ``edge_weight``'s message.
+    Offsets are taken in 1..n, so that an entry equal to w_i (possible
+    only when w is no permutation, which this scan does not check) blocks
+    nothing; for a permutation the test is strict.  The length condition
+    counts, by popcount, the entries strictly between w_i and w_j in the
+    linear order: none for a strong edge (w_i < w_j), all j-i-1 of them for
+    a quantum one.  The two are computed separately and must agree; a
+    mismatch raises ``InternalConsistencyError`` with ``edge_weight``'s
+    message.
 
     >>> edges_from((3, 2, 1))
     [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
@@ -335,11 +338,26 @@ def lattice_rows(u: Perm, v: Perm) -> list[list[int]]:
     """Heights of the lattice path of (u[k], v[k]) for k = 1..n-1: row k's
     depth is d(u,v)_k, and u[k] <=_r v[k] iff h_{r-1} is the row's minimum.
 
+    As h_x = |u[k] n [1,x]| - |v[k] n [1,x]|, row k is row k-1 with one
+    slice changed: +1 on [u_k, v_k) when u_k < v_k, -1 on [v_k, u_k) when
+    u_k > v_k.  One pass builds all n-1 rows in O(n^2), with no sets.
+
     >>> lattice_rows((2, 3, 1), (1, 2, 3))
     [[0, -1, 0, 0], [0, -1, -1, 0]]
     """
     n = len(u)
-    return [_lattice_heights(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)]
+    row = [0] * (n + 1)
+    rows = []
+    for k in range(n - 1):
+        a, b = u[k], v[k]
+        if a < b:
+            for x in range(a, b):
+                row[x] += 1
+        elif a > b:
+            for x in range(b, a):
+                row[x] -= 1
+        rows.append(row[:])
+    return rows
 
 
 Levels = list[tuple[list[int], int]]
@@ -349,7 +367,11 @@ def _level(row: list[int]) -> tuple[list[int], int]:
     """A lattice path's heights with the bitmask of the abscissae x where it
     attains its minimum (bit x stands for h_x)."""
     m = min(row)
-    return row, sum(1 << x for x, y in enumerate(row) if y == m)
+    mask = 0
+    for x, y in enumerate(row):
+        if y == m:
+            mask |= 1 << x
+    return row, mask
 
 
 def _levels(u: Perm, v: Perm) -> Levels:
@@ -391,19 +413,19 @@ def _advance(w: Perm, i: int, j: int, levels: Levels) -> Levels:
 def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     """Minimal degree d(u,v): d_k = depth of the lattice path of (u[k], v[k]).
 
+    d is read off this call's one ``lattice_rows(u, v)``, d_k = -min(row k).
     With check (the default) the result is cross-checked by a greedy walk
     from u that takes, at each vertex, the first edge passing ``_keeps``'s
-    test; it must reach v in exactly ell(u,v) steps with weights summing to
-    d, or ``InternalConsistencyError``.  check=False skips the walk.
+    test; it starts from the ``_level`` of those same rows, and must reach v
+    in exactly ell(u,v) steps with weights summing to d, or
+    ``InternalConsistencyError``.  check=False skips the walk.
     """
     check_perms(u, v)
-    n = len(u)
-    d = tuple(
-        lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
-    )
+    rows = lattice_rows(u, v)
+    d = tuple(-min(row) for row in rows)
     if not check:
         return d
-    w, levels, delta = u, _levels(u, v), d
+    w, levels, delta = u, [_level(row) for row in rows], d
     for _ in range(_ell(u, v, d)):
         for i, j, wt in edges_from(w):
             if _keeps(w, i, j, levels):
@@ -468,15 +490,15 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     2^n entries each), hold d(u,w)_k of each k-set (-1 if it fails), read
     off ``lattice_rows(u, v)`` in O(n), and the passing extensions of each
     set.  l(w) and the depth sum are carried down, so rank(w) = ell(u,w) =
-    l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) comes from the
-    depth formula; u must be alone at rank 0 and v alone at rank ell(u,v),
-    or ``InternalConsistencyError``.
+    l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) is read off the
+    same rows, d_k = -min(row k); u must be alone at rank 0 and v alone at
+    rank ell(u,v), or ``InternalConsistencyError``.
     """
     _check_pair(u, v)
-    d = min_degree(u, v, check=False)
+    rows = lattice_rows(u, v)
+    d = tuple(-min(row) for row in rows)
     total = _ell(u, v, d)
     n = len(u)
-    rows = lattice_rows(u, v)
     below = [sum(1 << x for x in u[:k]) for k in range(n)]  # u[k] as a bitmask
     memo: dict[int, int] = {}  # a k-set's bitmask -> d(u,w)_k, or -1
     grown: dict[int, list[tuple[int, int, int, int]]] = {}  # a set -> its steps

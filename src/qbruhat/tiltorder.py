@@ -161,7 +161,7 @@ def covers(
 
 def a_length(a: Tilt, w: Perm) -> int:
     """Number of a-inversions: pairs i < j with w_i >_{a_i} w_j."""
-    n = len(w)
+    n = len(check_permutation(w))
     a = check_tilt(a, n)
     return sum(
         1

@@ -26,6 +26,7 @@ PAPER_API = {
     "increasing_path",
     "interpolate",
     "k_tilted_leq",
+    "lattice_depth",
     "min_set",
     "parse_word",
     "permutation_matrix",

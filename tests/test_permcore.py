@@ -64,6 +64,14 @@ def test_reduced_word_roundtrip(w):
     assert perm_from_word(len(w), word) == w
 
 
+def test_length_is_the_pairwise_inversion_count():
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert length(w) == sum(
+                1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
+            ), w
+
+
 def test_length_changes_by_one_under_simple():
     for w in all_permutations(4):
         for i in range(1, 4):
@@ -210,6 +218,8 @@ E3 = (1, 2, 3)
         (lambda: tiltorder.adj_increases((1, 1, 1), E3, 3), "out of range"),
         (lambda: rpolyhecke.classical_r(BAD, (3, 2, 1)), "not a permutation"),
         (lambda: qbgraph.increasing_path(BAD, E3), "not a permutation"),
+        (lambda: tiltorder.a_length((1, 1, 1), BAD), "not a permutation"),
+        (lambda: qbgraph.edge_weight(BAD, 1, 3), "not a permutation"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

@@ -14,6 +14,7 @@ from qbruhat.permcore import (
     identity,
     length,
     parse_perm,
+    prefix_set,
 )
 from qbruhat import qbgraph, tiltorder, tiltwords
 from qbruhat.qbgraph import (
@@ -94,13 +95,20 @@ def test_edges_from_matches_edge_weight_exhaustive(n):
         assert edges_from(w) == expected, w
 
 
-def test_edge_cross_check_is_live_in_the_kernel():
+def test_edge_cross_check_is_live_in_the_kernel(monkeypatch):
     # (1,1,1) is no permutation: at t_13 the cyclic criterion holds but
     # neither length condition does
     with pytest.raises(InternalConsistencyError):
         edges_from((1, 1, 1))
-    with pytest.raises(InternalConsistencyError):
+    # the per-pair test rejects it at entry, so its cross-check is made to
+    # disagree on a permutation: a length change off by 2 either way
+    with pytest.raises(ValueError, match="not a permutation"):
         edge_weight((1, 1, 1), 1, 3)
+    real = qbgraph.length_change
+    for shift, pair in [(2, (1, 2)), (-2, (1, 3))]:  # an edge, a non-edge
+        monkeypatch.setattr(qbgraph, "length_change", lambda *a: real(*a) + shift)
+        with pytest.raises(InternalConsistencyError):
+            edge_weight((1, 2, 3), *pair)
 
 
 def test_bfs_reads_only_the_edge_kernel(monkeypatch):
@@ -145,6 +153,33 @@ def test_lattice_path_example():
     A = {2, 5}
     assert lattice_depth(6, A, A) == 0
     assert min_set(6, A, A) == frozenset(range(1, 7))
+
+
+def _kernel_pairs():
+    """Every pair of S_1..S_5, then seeded pairs at n = 6..8."""
+    for n in range(1, 6):
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                yield u, v
+    yield from _seeded_pairs(31, range(6, 9), 200)
+
+
+def test_lattice_rows_match_the_prefix_set_heights():
+    # the incremental kernel against the definition, one path at a time
+    for u, v in _kernel_pairs():
+        n = len(u)
+        assert qbgraph.lattice_rows(u, v) == [
+            qbgraph._lattice_heights(n, prefix_set(u, k), prefix_set(v, k))
+            for k in range(1, n)
+        ], (u, v)
+
+
+def test_min_degree_is_the_lattice_depth_at_every_level():
+    for u, v in _kernel_pairs():
+        n = len(u)
+        assert min_degree(u, v, check=False) == tuple(
+            lattice_depth(n, prefix_set(u, k), prefix_set(v, k)) for k in range(1, n)
+        ), (u, v)
 
 
 def test_depth_vs_bfs_weight_s4():
@@ -462,14 +497,16 @@ def test_graph_queries_reject_non_permutations(fn):
 
 
 def _perturbed_depth(monkeypatch, shift):
-    """Shift the level-2 depth of every lattice path by ``shift``."""
-    real = qbgraph.lattice_depth
+    """Shift the level-2 depth of every pair by ``shift``: the whole level-2
+    row of ``lattice_rows`` is lowered by ``shift``, so its minima stay put."""
+    real = qbgraph.lattice_rows
 
-    def depth(n, A, B):
-        A = set(A)
-        return real(n, A, B) + (shift if len(A) == 2 else 0)
+    def rows(u, v):
+        out = real(u, v)
+        out[1] = [h - shift for h in out[1]]
+        return out
 
-    monkeypatch.setattr(qbgraph, "lattice_depth", depth)
+    monkeypatch.setattr(qbgraph, "lattice_rows", rows)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
