@@ -1,13 +1,14 @@
 """Command-line front end: argument parsing, dispatch and output formatting.
 
-Verbs: graph, mindeg, interval, order, word, subwords, rpoly, member,
-count, sample-deodhar, tnn, gw, descent-cycle, verify.  Text output by
-default, JSON via --format json, DOT for graphs and interval posets;
-mindeg and gw print JSON only, and accept --format json for symmetry.
-Exit codes: 0 success, 1 domain error (including argument errors),
-2 internal-consistency failure.
+``_VERBS`` is the verb table: each entry gives a verb's handler, its
+--format choices (the first is the default) and its arguments, and
+``build_parser`` adds one subparser per entry.  Text output by default,
+JSON via --format json, DOT for graphs and interval posets; mindeg and gw
+print JSON only, and accept --format json for symmetry.  Exit codes: 0
+success, 1 domain error (including argument errors), 2 internal-consistency
+failure.
 
-Every call is a new process, so each verb imports the layers it calls
+Every call is a new process, so each handler imports the layers it calls
 when it runs (``from . import qbgraph`` inside the handler) and only
 ``permcore`` loads with this module: ``mindeg`` compiles and loads
 ``qbgraph`` alone, while ``verify`` loads every layer but ``quantumschub``.
@@ -39,39 +40,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _int(text: str) -> int:
-    """int(text), failing in the words argparse uses for ``type=int``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _at_least_one(name: str):
+    """argparse type for ``name``: an integer >= 1, failing in the words
+    argparse uses for ``type=int`` when the text is not an integer."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {value}")
+        return value
 
-def _size(text: str) -> int:
-    """argparse type for n: an integer >= 1."""
-    n = _int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
-    return n
-
-
-def _workers(text: str) -> int:
-    """argparse type for --workers: an integer >= 1."""
-    workers = _int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {workers}")
-    return workers
+    return parse
 
 
 def _parse_tilt(text: str, n: int) -> tuple[int, ...]:
     from . import tiltorder
 
-    vals = tuple(int(p) for p in text.split(","))
+    try:
+        vals = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"tilt must be comma-separated integers, got {text!r}") from None
     return tiltorder.check_tilt(vals, n)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -136,7 +132,7 @@ def _cmd_order(args) -> int:
 
     u, v = parse_perm(args.u), parse_perm(args.v)
     n = len(u)
-    if args.a:
+    if args.a is not None:
         a = _parse_tilt(args.a, n)
         witness = False
     else:
@@ -185,7 +181,7 @@ def _cmd_subwords(args) -> int:
 
     u, v = parse_perm(args.u), parse_perm(args.v)
     n = len(u)
-    a = _parse_tilt(args.a, n) if args.a else tiltorder.witness_a(u, v)
+    a = _parse_tilt(args.a, n) if args.a is not None else tiltorder.witness_a(u, v)
     build = (
         tiltwords.tilted_reduced_word if args.plain_word else tiltwords.regular_tilted_reduced_word
     )
@@ -301,7 +297,7 @@ def _cmd_tnn(args) -> int:
     from . import tiltwords, varietylab
 
     u, v = parse_perm(args.u), parse_perm(args.v)
-    a = _parse_tilt(args.a, len(u)) if args.a else None
+    a = _parse_tilt(args.a, len(u)) if args.a is not None else None
     a, word, sub = tiltwords.positive_word(u, v, a)
     signs, trace = varietylab.tnn_signs(word, sub)
     payload = {
@@ -388,115 +384,74 @@ def _cmd_verify(args) -> int:
 # parser and dispatch
 
 
+def _arg(*names: str, **kwargs) -> tuple:
+    """One argument of a verb: add_argument's names and keywords."""
+    return names, kwargs
+
+
+_UV = (_arg("u"), _arg("v"))
+_TEXT_JSON = ("text", "json")
+_ALL_FORMATS = ("text", "json", "dot")
+
+# verb: (handler, --format choices, arguments); the arguments are added in
+# order, then --format
+_VERBS = {
+    "graph": (_cmd_graph, _ALL_FORMATS, [_arg("n", type=_at_least_one("n"))]),
+    "mindeg": (_cmd_mindeg, ("json",), _UV),
+    "interval": (_cmd_interval, _ALL_FORMATS, _UV),
+    "order": (_cmd_order, _TEXT_JSON, [
+        *_UV,
+        _arg("--a", help="comma-separated tilt; defaults to the witness"),
+        _arg("--relation", choices=["leq", "sim", "lesssim"], default="lesssim"),
+    ]),
+    "word": (_cmd_word, _TEXT_JSON, [
+        _arg("a", help="comma-separated tilt"),
+        _arg("w"),
+        _arg("--regular", action="store_true"),
+    ]),
+    "subwords": (_cmd_subwords, _TEXT_JSON, [
+        *_UV,
+        _arg("--a"),
+        _arg("--plain-word", action="store_true", help="use the non-regular construction"),
+    ]),
+    "rpoly": (_cmd_rpoly, _TEXT_JSON, [
+        *_UV,
+        _arg("--method", choices=["deodhar", "recursive", "hecke", "all"], default="deodhar"),
+    ]),
+    "member": (_cmd_member, _TEXT_JSON, [
+        _arg("matrix", help="path to matrix JSON, or - for stdin"),
+        *_UV,
+        _arg("--open", action="store_true"),
+        _arg("--p", type=int, help="prime field; rationals if omitted"),
+    ]),
+    "count": (_cmd_count, _TEXT_JSON, [*_UV, _arg("--p", type=int, required=True)]),
+    "sample-deodhar": (
+        _cmd_sample_deodhar, _TEXT_JSON, [*_UV, _arg("--seed", type=int, default=0)]
+    ),
+    "tnn": (_cmd_tnn, _TEXT_JSON, [*_UV, _arg("--a")]),
+    "gw": (_cmd_gw, ("json",), _UV),
+    "descent-cycle": (_cmd_descent_cycle, _TEXT_JSON, [*_UV, _arg("i", type=int)]),
+    "verify": (_cmd_verify, _TEXT_JSON, [
+        _arg("--level", choices=["fast", "full"], default="fast"),
+        _arg("--n", type=_at_least_one("n"), default=3),
+        _arg("--seed", type=int, default=0),
+        _arg("--workers", type=_at_least_one("workers"), default=1),
+    ]),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qbruhat")
     parser.add_argument("--config", help="JSON file of gate overrides (flags win)")
     parser.add_argument("--max-n", type=int, help="override the graph gate")
     parser.add_argument("--max-count-n", type=int, help="override the counting gate")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("graph")
-    p.add_argument("n", type=_size)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(fn=_cmd_graph)
-
-    p = sub.add_parser("mindeg")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(fn=_cmd_mindeg)
-
-    p = sub.add_parser("interval")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(fn=_cmd_interval)
-
-    p = sub.add_parser("order")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--a", help="comma-separated tilt; defaults to the witness")
-    p.add_argument(
-        "--relation", choices=["leq", "sim", "lesssim"], default="lesssim"
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_order)
-
-    p = sub.add_parser("word")
-    p.add_argument("a", help="comma-separated tilt")
-    p.add_argument("w")
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_word)
-
-    p = sub.add_parser("subwords")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--a")
-    p.add_argument("--plain-word", action="store_true", help="use the non-regular construction")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_subwords)
-
-    p = sub.add_parser("rpoly")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument(
-        "--method", choices=["deodhar", "recursive", "hecke", "all"], default="deodhar"
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_rpoly)
-
-    p = sub.add_parser("member")
-    p.add_argument("matrix", help="path to matrix JSON, or - for stdin")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--open", action="store_true")
-    p.add_argument("--p", type=int, help="prime field; rationals if omitted")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_member)
-
-    p = sub.add_parser("count")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("sample-deodhar")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_sample_deodhar)
-
-    p = sub.add_parser("tnn")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--a")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_tnn)
-
-    p = sub.add_parser("gw")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(fn=_cmd_gw)
-
-    p = sub.add_parser("descent-cycle")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("i", type=int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_descent_cycle)
-
-    p = sub.add_parser("verify")
-    p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--n", type=_size, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=_cmd_verify)
-
+    for verb, (fn, formats, arguments) in _VERBS.items():
+        p = sub.add_parser(verb)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(fn=fn)
     return parser
 
 

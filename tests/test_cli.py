@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qbruhat import qbgraph, rpolyhecke, varietylab, verify
-from qbruhat.cli import run
+from qbruhat.cli import _VERBS, run
 from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
 from qbruhat.rpolyhecke import rtilt_deodhar
@@ -105,6 +105,29 @@ def test_order_output_is_pinned(capsys):
     assert code == 1 and captured.out == ""
     assert captured.err == "error: tilt must lie in [3]^3, got (1, 4, 1)\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["order", "21", "12"], ["subwords", "512346", "246513"], ["tnn", "4231", "3142"]],
+)
+def test_an_empty_tilt_is_an_error_not_the_witness(capsys, argv):
+    code = run([*argv, "--a", ""])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: tilt must be comma-separated integers, got ''\n"
+
+
+@pytest.mark.parametrize(
+    "argv, tilt",
+    [(["order", "21", "12", "--a", "1,x"], "1,x"), (["order", "21", "12", "--a", "1,,2"], "1,,2"),
+     (["word", "1,x", "12"], "1,x")],
+)
+def test_a_non_integer_tilt_is_named(capsys, argv, tilt):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: tilt must be comma-separated integers, got {tilt!r}\n"
 
 def test_word_and_subwords(capsys):
     code, out = invoke(capsys, "word", "3,3,1,1,1,6", "136254")
@@ -767,14 +790,23 @@ def test_rpoly_and_graph_output_is_pinned(capsys):
 # compiles and loads no other module of the package, and none loads
 # `dataclasses` (which pulls in inspect, ast, dis and tokenize).
 _LAYERS_LOADED = {
+    ("graph", "3"): {"permcore", "qbgraph"},
     ("mindeg", "321", "213"): {"permcore", "qbgraph"},
     ("interval", "321", "213"): {"permcore", "qbgraph"},
     ("order", "231", "123"): {"permcore", "qbgraph", "tiltorder"},
+    ("word", "1,1,1", "321"): {"permcore", "qbgraph", "tiltorder", "tiltwords"},
     ("subwords", "231", "321"): {"permcore", "qbgraph", "tiltorder", "tiltwords"},
     ("rpoly", "123", "321"): {
         "permcore", "poly", "qbgraph", "rpolyhecke", "tiltorder", "tiltwords",
     },
+    # the matrix comes from stdin
+    ("member", "-", "123", "321"): {
+        "permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab",
+    },
     ("count", "123", "321", "--p", "2"): {
+        "permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab",
+    },
+    ("sample-deodhar", "123", "321"): {
         "permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab",
     },
     ("tnn", "123", "321"): {"permcore", "qbgraph", "tiltorder", "tiltwords", "varietylab"},
@@ -799,18 +831,22 @@ print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 
 
 def test_each_verb_loads_only_its_layers():
+    assert sorted(argv[0] for argv in _LAYERS_LOADED) == sorted(_VERBS)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     children = {
         argv: subprocess.Popen(
-            [sys.executable, "-c", _LOADED_BY_RUN, *argv],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            [sys.executable, "-c", _LOADED_BY_RUN, *argv], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for argv in _LAYERS_LOADED
     }
     # reap every child before the first assert, so a failure leaves none running
-    results = {argv: child.communicate(timeout=60) for argv, child in children.items()}
+    matrix = matrix_to_json(permutation_matrix(parse_perm("213")))
+    results = {
+        argv: child.communicate(matrix, timeout=60) for argv, child in children.items()
+    }
     for argv, (out, err) in results.items():
         assert children[argv].returncode == 0, (argv, err)
         code, loaded = json.loads(out.splitlines()[-1])
@@ -818,3 +854,35 @@ def test_each_verb_loads_only_its_layers():
         layers = {m.removeprefix("qbruhat.") for m in loaded if m.startswith("qbruhat.")}
         assert layers == _LAYERS_LOADED[argv] | {"cli"}, argv
         assert "dataclasses" not in loaded, argv
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 0 and captured.err == "", argv
+    return captured.out
+
+
+def test_help_names_every_verb_and_each_verbs_arguments(capsys):
+    # content, not a digest: argparse lays help out differently across versions
+    out = _help(capsys, ["--help"])
+    assert out.startswith("usage: qbruhat ")
+    assert "{" + ",".join(_VERBS) + "}" in out
+    for verb, (_, formats, arguments) in _VERBS.items():
+        out = _help(capsys, [verb, "--help"])
+        assert out.startswith(f"usage: qbruhat {verb} "), verb
+        assert "--format {" + ",".join(formats) + "}" in out, verb
+        for names, kwargs in arguments:
+            for name in names:
+                assert name in out, (verb, name)
+            if "help" in kwargs:
+                assert kwargs["help"] in out, (verb, names)
+
+
+def test_readme_shows_one_example_per_verb():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    verbs = [line.split()[1] for line in block.splitlines() if line.startswith("qbruhat ")]
+    assert sorted(verbs) == sorted(_VERBS)
