@@ -8,6 +8,16 @@ print JSON only, and accept --format json for symmetry.  Exit codes: 0
 success, 1 domain error (including argument errors), 2 internal-consistency
 failure.
 
+Every handler keeps one contract: it takes the parsed arguments, with
+``u``, ``v`` and ``w`` already permutations, and returns its report
+``(payload, lines, code)``; it prints nothing and never exits.  ``run``
+does the rest once for every verb: after the gate check it parses the
+permutations, calls the handler, prints ``lines`` for text and dot, or
+``payload`` for JSON (a dict sorted by key, a str as it stands), and
+returns ``code``.  A code that is an ``InternalConsistencyError`` is
+raised after the report is printed, so that report exits 2 with its
+stderr line.
+
 Every call is a new process, so each handler imports the layers it calls
 when it runs (``from . import qbgraph`` inside the handler) and only
 ``permcore`` loads with this module: ``mindeg`` compiles and loads
@@ -66,74 +76,51 @@ def _parse_tilt(text: str, n: int) -> tuple[int, ...]:
     return tiltorder.check_tilt(vals, n)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     from . import qbgraph
 
-    n = args.n
     if args.format == "dot":
-        print(qbgraph.graph_dot(n))
-        return 0
+        return None, [qbgraph.graph_dot(args.n)], 0
     edges = [
-        {
-            "source": format_perm(w),
-            "target": format_perm(t),
-            "weight": list(wt),
-        }
-        for w, t, wt in qbgraph.graph_edges(n)
+        {"source": format_perm(w), "target": format_perm(t), "weight": list(wt)}
+        for w, t, wt in qbgraph.graph_edges(args.n)
     ]
     if args.format == "json":
-        print(json.dumps({"n": n, "edges": edges}))
-    else:
-        for e in edges:
-            label = qbgraph.format_degree(tuple(e["weight"]))
-            print(f"{e['source']} -> {e['target']}  [{label}]")
-    return 0
+        return json.dumps({"n": args.n, "edges": edges}), None, 0
+    label = qbgraph.format_degree
+    return None, [f"{e['source']} -> {e['target']}  [{label(e['weight'])}]" for e in edges], 0
 
 
-def _cmd_mindeg(args) -> int:
+def _cmd_mindeg(args):
     from . import qbgraph
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    ell = qbgraph.ell(u, v)  # checks the gate before the cross-checked walk
-    d = qbgraph.min_degree(u, v)
-    print(json.dumps({"ell": ell, "d": list(d)}, separators=(",", ":")))
-    return 0
+    ell = qbgraph.ell(args.u, args.v)  # checks the gate before the cross-checked walk
+    d = qbgraph.min_degree(args.u, args.v)
+    return json.dumps({"ell": ell, "d": list(d)}, separators=(",", ":")), None, 0
 
 
-def _cmd_interval(args) -> int:
+def _cmd_interval(args):
     from . import qbgraph
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    iv = qbgraph.tilted_interval(u, v)
+    iv = qbgraph.tilted_interval(args.u, args.v)
+    if args.format == "json":
+        return qbgraph.interval_json(iv), None, 0
     if args.format == "dot":
-        print(qbgraph.interval_dot(iv))
-    elif args.format == "json":
-        print(qbgraph.interval_json(iv))
-    else:
-        print(f"[{format_perm(u)}, {format_perm(v)}]  ell={iv.ell}")
-        print("\n".join(f"  rank {rank}: {w}" for rank, w in qbgraph.ranked_members(iv)))
-    return 0
+        return None, [qbgraph.interval_dot(iv)], 0
+    head = f"[{format_perm(args.u)}, {format_perm(args.v)}]  ell={iv.ell}"
+    return None, [head, *(f"  rank {r}: {w}" for r, w in qbgraph.ranked_members(iv))], 0
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     from . import tiltorder
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    n = len(u)
+    u, v = args.u, args.v
     if args.a is not None:
-        a = _parse_tilt(args.a, n)
+        a = _parse_tilt(args.a, len(u))
         witness = False
     else:
         a = tiltorder.witness_a(u, v)
@@ -152,36 +139,32 @@ def _cmd_order(args) -> int:
         "a_is_witness": witness,
         "holds": holds,
     }
-    _emit(args, payload, [f"a={','.join(map(str, a))}  {args.relation}: {holds}"])
-    return 0
+    return payload, [f"a={','.join(map(str, a))}  {args.relation}: {holds}"], 0
 
 
-def _cmd_word(args) -> int:
+def _cmd_word(args):
     from . import tiltwords
 
-    w = parse_perm(args.w)
-    a = _parse_tilt(args.a, len(w))
+    a = _parse_tilt(args.a, len(args.w))
     build = (
         tiltwords.regular_tilted_reduced_word if args.regular else tiltwords.tilted_reduced_word
     )
-    word = build(a, w)
+    word = build(a, args.w)
     payload = {
         "a": list(a),
-        "w": format_perm(w),
+        "w": format_perm(args.w),
         "word": tiltwords.format_word(word),
         "length": len(word),
         "regular": tiltwords.is_regular(word),
     }
-    _emit(args, payload, [tiltwords.format_word(word), f"length {len(word)}"])
-    return 0
+    return payload, [tiltwords.format_word(word), f"length {len(word)}"], 0
 
 
-def _cmd_subwords(args) -> int:
+def _cmd_subwords(args):
     from . import tiltorder, tiltwords
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    n = len(u)
-    a = _parse_tilt(args.a, n) if args.a is not None else tiltorder.witness_a(u, v)
+    u, v = args.u, args.v
+    a = _parse_tilt(args.a, len(u)) if args.a is not None else tiltorder.witness_a(u, v)
     build = (
         tiltwords.tilted_reduced_word if args.plain_word else tiltwords.regular_tilted_reduced_word
     )
@@ -211,33 +194,29 @@ def _cmd_subwords(args) -> int:
         lines.append(
             f"  {tiltwords.format_subword(s)}   |Jo|={len(s.jcirc)} |J-|={len(s.jminus)}"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_rpoly(args) -> int:
+def _cmd_rpoly(args):
     from . import rpolyhecke
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    if args.method == "all":
-        routes = rpolyhecke.rtilt_routes(u, v)
-        d, r, h = routes.values()
-        agree = d == r == h
-        payload = {**{name: str(poly) for name, poly in routes.items()}, "agree": agree}
-        lines = [f"{name + ':':11}{poly}" for name, poly in routes.items()]
-        _emit(args, payload, [*lines, f"agreement: {'yes' if agree else 'NO'}"])
-        if not agree:
-            raise InternalConsistencyError("tilted R-polynomial routes disagree")
-        return 0
-    poly = rpolyhecke.rtilt(u, v, args.method)
-    _emit(args, {"method": args.method, "poly": str(poly)}, [str(poly)])
-    return 0
+    if args.method != "all":
+        poly = str(rpolyhecke.rtilt(args.u, args.v, args.method))
+        return {"method": args.method, "poly": poly}, [poly], 0
+    routes = rpolyhecke.rtilt_routes(args.u, args.v)
+    d, r, h = routes.values()
+    agree = d == r == h
+    payload = {**{name: str(poly) for name, poly in routes.items()}, "agree": agree}
+    lines = [f"{name + ':':11}{poly}" for name, poly in routes.items()]
+    lines.append(f"agreement: {'yes' if agree else 'NO'}")
+    if not agree:
+        return payload, lines, InternalConsistencyError("tilted R-polynomial routes disagree")
+    return payload, lines, 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     from . import varietylab
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
     if args.matrix == "-":
         text = sys.stdin.read()
     else:
@@ -246,30 +225,26 @@ def _cmd_member(args) -> int:
     M = varietylab.matrix_from_json(text, field=args.p)
     # the Plücker route checks itself against the rank route, raising on
     # disagreement, so the routes agree whenever it returns
-    member = varietylab.in_tilted_richardson_plucker(M, u, v, open_flag=args.open)
+    member = varietylab.in_tilted_richardson_plucker(M, args.u, args.v, open_flag=args.open)
     payload = {"member": member, "open": args.open, "routes_agree": True}
-    _emit(args, payload, [f"member: {member} (rank and Plücker routes agree)"])
-    return 0
+    return payload, [f"member: {member} (rank and Plücker routes agree)"], 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     from . import varietylab
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    c = varietylab.count_points_fq(u, v, args.p)
-    _emit(args, {"p": args.p, "count": c}, [str(c)])
-    return 0
+    c = varietylab.count_points_fq(args.u, args.v, args.p)
+    return {"p": args.p, "count": c}, [str(c)], 0
 
 
-def _cmd_sample_deodhar(args) -> int:
+def _cmd_sample_deodhar(args):
     import random
     from fractions import Fraction
 
     from . import tiltwords, varietylab
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
     rng = random.Random(args.seed)
-    a, word, sub = tiltwords.positive_word(u, v)
+    a, word, sub = tiltwords.positive_word(args.u, args.v)
     signs, _ = varietylab.tnn_signs(word, sub)
 
     def draw() -> Fraction:
@@ -279,7 +254,7 @@ def _cmd_sample_deodhar(args) -> int:
 
     p_map = {j: signs[j] * draw() for j in sorted(sub.jcirc)}
     M = varietylab.deodhar_point(word, sub, p_map)
-    ok = varietylab.in_tilted_richardson(M, u, v, open_flag=True)
+    ok = varietylab.in_tilted_richardson(M, args.u, args.v, open_flag=True)
     payload = {
         "seed": args.seed,
         "a": list(a),
@@ -289,16 +264,14 @@ def _cmd_sample_deodhar(args) -> int:
         "in_open_variety": ok,
     }
     lines = [f"seed {args.seed}", varietylab.matrix_to_json(M), f"in T°: {ok}"]
-    _emit(args, payload, lines)
-    return 0 if ok else 2
+    return payload, lines, 0 if ok else 2
 
 
-def _cmd_tnn(args) -> int:
+def _cmd_tnn(args):
     from . import tiltwords, varietylab
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    a = _parse_tilt(args.a, len(u)) if args.a is not None else None
-    a, word, sub = tiltwords.positive_word(u, v, a)
+    a = _parse_tilt(args.a, len(args.u)) if args.a is not None else None
+    a, word, sub = tiltwords.positive_word(args.u, args.v, a)
     signs, trace = varietylab.tnn_signs(word, sub)
     payload = {
         "a": list(a),
@@ -312,29 +285,25 @@ def _cmd_tnn(args) -> int:
     )
     for step, t in enumerate(trace):
         lines.append(f"  sign^({step}) = ({','.join('+' if s > 0 else '-' for s in t)})")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_gw(args) -> int:
+def _cmd_gw(args):
     from . import qbgraph, quantumschub
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    d = qbgraph.min_degree(u, v)
-    coeffs = quantumschub.gw_min_degree(u, v)
+    d = qbgraph.min_degree(args.u, args.v)
+    coeffs = quantumschub.gw_min_degree(args.u, args.v)
     payload = {
         "d": list(d),
         "coeffs": {format_perm(w): c for w, c in sorted(coeffs.items())},
     }
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    return payload, None, 0
 
 
-def _cmd_descent_cycle(args) -> int:
+def _cmd_descent_cycle(args):
     from . import quantumschub
 
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    rep = quantumschub.check_descent_cycling(u, v, args.i)
+    rep = quantumschub.check_descent_cycling(args.u, args.v, args.i)
     payload = {
         "ok": rep["ok"],
         "vacuous": rep["vacuous"],
@@ -343,41 +312,24 @@ def _cmd_descent_cycle(args) -> int:
             for k, w, data in rep["violations"]
         ],
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"descent-cycling at i={args.i}: {'pass' if rep['ok'] else 'FAIL'}"
-            + (" (vacuous)" if rep["vacuous"] else "")
-        ],
-    )
-    return 0 if rep["ok"] else 2
+    line = f"descent-cycling at i={args.i}: {'pass' if rep['ok'] else 'FAIL'}"
+    return payload, [line + (" (vacuous)" if rep["vacuous"] else "")], 0 if rep["ok"] else 2
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from . import verify
 
-    n = args.n
-    reports, inconsistent = verify.run_catalogue(n, args.seed, args.level, args.workers)
+    reports, inconsistent = verify.run_catalogue(args.n, args.seed, args.level, args.workers)
+    payload = {"n": args.n, "seed": args.seed, "level": args.level, "reports": reports}
+    lines = [f"verify level={args.level} n={args.n} seed={args.seed}"]
+    for r in reports:
+        tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[r["status"]]
+        line = f"[{tag}] {r['name']}"
+        if r["detail"]:
+            line += f"  {r['detail']}"
+        lines.append(line)
     failed = [r for r in reports if r["status"] == "fail"]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": n, "seed": args.seed, "level": args.level, "reports": reports},
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"verify level={args.level} n={n} seed={args.seed}")
-        for r in reports:
-            tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[r["status"]]
-            line = f"[{tag}] {r['name']}"
-            if r["detail"]:
-                line += f"  {r['detail']}"
-            print(line)
-    if inconsistent:
-        return 2
-    return 1 if failed else 0
+    return payload, lines, 2 if inconsistent else 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +453,20 @@ def run(argv: Optional[list[str]] = None) -> int:
         with _gate_overrides(args):
             for var in GATES:
                 gate(var)  # a value that is not an integer fails here, for any verb
-            return args.fn(args)
+            for name in ("u", "v", "w"):
+                if hasattr(args, name):
+                    setattr(args, name, parse_perm(getattr(args, name)))
+            payload, lines, code = args.fn(args)
+        if args.format == "json":
+            print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        if isinstance(code, InternalConsistencyError):
+            raise code
+        return code
+    except SystemExit as exc:  # argparse's --help action: help printed, status 0
+        return exc.code
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

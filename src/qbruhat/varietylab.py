@@ -346,18 +346,19 @@ def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
 
 def _rank_conditions(
     u: Perm, v: Perm, a: Optional[Tilt] = None
-) -> Optional[list[tuple[int, list[int], list[int]]]]:
+) -> Optional[list[tuple[int, list[tuple[list[int], list[int]]]]]]:
     """The cyclic rank conditions that cut T_{u,v} out of Fl_n, for the tilt
     a (the witness tilt when None); None when an explicit a does not give
     u <=_a v, where the variety is empty.  The witness tilt always gives
     u <~_a v, so its failing u <=_a v raises ``InternalConsistencyError``.
 
-    Entry k - 1 is level k's (a_k, forward bounds, backward bounds).  The
-    regions [a_k, i)_c and [i, a_k)_c, for i != a_k, are the first t rows of
-    ``_chain_rows(n, a_k)``'s forward and backward chain, and their t-th
-    bounds are |u[k] n region| and |v[k] n region|: the first k columns of
-    a flag in T_{u,v} have rank at most the bound on those rows, and
-    exactly the bound on T°_{u,v}.  On an invertible matrix the conditions
+    Entry k - 1 is level k's (a_k, [(forward rows, bounds), (backward rows,
+    bounds)]), the rows of ``_chain_rows(n, a_k)``'s two chains.  The
+    regions [a_k, i)_c and [i, a_k)_c, for i != a_k, are the first t rows
+    of the forward and backward chain, and their t-th bounds are
+    |u[k] n region| and |v[k] n region|: the first k columns of a flag in
+    T_{u,v} have rank at most the bound on those rows, and exactly the
+    bound on T°_{u,v}.  On an invertible matrix the conditions
     on an empty region (i = a_k) or at level n hold for every u, v, so they
     are left out: 2(n-1)^2 conditions in all, on 2(n-1) chains.
     """
@@ -370,14 +371,14 @@ def _rank_conditions(
         return None
     levels = []
     for k in range(1, n):
-        ak, bounds = a[k - 1], []
+        ak, chains = a[k - 1], []
         for rows, prefix in zip(_chain_rows(n, ak), (prefix_set(u, k), prefix_set(v, k))):
-            seen, bound = 0, []
+            seen, bounds = 0, []
             for r in rows:
                 seen += r + 1 in prefix
-                bound.append(seen)
-            bounds.append(bound)
-        levels.append((ak, *bounds))
+                bounds.append(seen)
+            chains.append((rows, bounds))
+        levels.append((ak, chains))
     return levels
 
 
@@ -404,13 +405,12 @@ def in_tilted_richardson(
     if levels is None:
         return False
     pivots: dict[int, list[list[int]]] = {}  # a_k -> its two chains' pivot columns
-    for k, (ak, fwd, bwd) in enumerate(levels, start=1):
-        chains = pivots.get(ak)
-        if chains is None:
-            chains = pivots[ak] = [list(_echelon_chain([entries[r] for r in rows], M.field))
-                                   for rows in _chain_rows(n, ak)]
-        if not (_chain_meets(chains[0], fwd, k, open_flag)
-                and _chain_meets(chains[1], bwd, k, open_flag)):
+    for k, (ak, chains) in enumerate(levels, start=1):
+        if ak not in pivots:
+            pivots[ak] = [list(_echelon_chain([entries[r] for r in rows], M.field))
+                          for rows, _ in chains]
+        if not all(_chain_meets(cols, bounds, k, open_flag)
+                   for cols, (_, bounds) in zip(pivots[ak], chains)):
             return False
     return True
 
@@ -698,7 +698,7 @@ def count_points_fq(u: Perm, v: Perm, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     # level k's two (chain rows, bounds) pairs; level n has no condition
-    levels = [list(zip(_chain_rows(n, ak), bounds)) for ak, *bounds in _rank_conditions(u, v)]
+    levels = [chains for _, chains in _rank_conditions(u, v)]
     levels.append([])
 
     rows = [[0] * n for _ in range(n)]

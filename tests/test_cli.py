@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qbruhat import qbgraph, rpolyhecke, varietylab, verify
+from qbruhat import cli, qbgraph, rpolyhecke, varietylab, verify
 from qbruhat.cli import _VERBS, run
 from qbruhat.permcore import InternalConsistencyError
 from qbruhat.permcore import parse_perm
@@ -61,12 +62,16 @@ def test_rpoly_all(capsys):
 
 def test_rpoly_all_disagreement_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(rpolyhecke, "rtilt_hecke", lambda u, v: rtilt_deodhar(v, v))
+    stderr = "internal consistency failure: tilted R-polynomial routes disagree\n"
     code = run(["rpoly", "231", "123", "--method", "all"])
     captured = capsys.readouterr()
     assert code == 2 and "hecke:     1\nagreement: NO" in captured.out
+    assert captured.err == stderr
     code = run(["rpoly", "231", "123", "--method", "all", "--format", "json"])
-    data = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
     assert code == 2 and data["hecke"] == "1" and data["agree"] is False
+    assert captured.err == stderr
 
 
 def test_order_witness_echo(capsys):
@@ -849,10 +854,9 @@ def test_each_verb_loads_only_its_layers():
 
 
 def _help(capsys, argv):
-    with pytest.raises(SystemExit) as exit_:
-        run(argv)
+    assert run(argv) == 0, argv
     captured = capsys.readouterr()
-    assert exit_.value.code == 0 and captured.err == "", argv
+    assert captured.err == "", argv
     return captured.out
 
 
@@ -880,3 +884,19 @@ def test_readme_shows_one_example_per_verb():
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     verbs = [line.split()[1] for line in block.splitlines() if line.startswith("qbruhat ")]
     assert sorted(verbs) == sorted(_VERBS)
+
+
+def test_only_run_parses_prints_and_exits():
+    # the handler contract of cli.py: a handler returns its report, and run
+    # alone parses the permutations, prints the report and picks the exit
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handlers = [fn.__name__ for fn, _, _ in _VERBS.values()]
+    assert len(set(handlers)) == len(_VERBS) and set(handlers) <= set(defs)
+    for name in handlers:
+        for node in ast.walk(defs[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            assert called not in {"print", "parse_perm", "exit"}, (name, called)
