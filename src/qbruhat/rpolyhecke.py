@@ -7,11 +7,13 @@ Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 
 The Deodhar DP holds each prefix's weight as one int, its polynomial at
 q = 2^B with B = 2G + 2 for G generators (exact: see ``rtilt_deodhar``), and
-fixes each factor's tilt test once per position.  It carries each prefix's
-length and drops the prefix as soon as that length exceeds the number of
-generators left of it: such a prefix can no longer reach the identity.
-This bound is the DP's own; it shares nothing with the recursion or with
-the trace route's reach sets.
+fixes each factor's tilt test once per position.  It drops a prefix as
+soon as it leaves the Bruhat interval below the Demazure product of the
+generators left of it: such a prefix is the product of no subword of them,
+so it can no longer reach the identity.  The test is one prefix sum per
+prefix and generator, against a cap fixed per position
+(``_demazure_caps``).  This bound is the DP's own; it shares nothing with
+the recursion or with the trace route's reach sets.
 
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
@@ -404,6 +406,25 @@ def _gens_of(word: TiltedWord) -> list[int]:
     return [f for f in word.factors if f is not BAR]
 
 
+def _demazure_caps(n: int, factors: tuple) -> list[int]:
+    """For each generator f = factors[pos], the sum of the first f entries
+    of the Demazure product D of the generators left of pos (0 at a bar).
+
+    D is built one right step per generator: D * s_f is D s_f when
+    D_f < D_{f+1}, and D otherwise.
+    """
+    d = list(range(1, n + 1))
+    caps = []
+    for f in factors:
+        if f is BAR:
+            caps.append(0)
+            continue
+        caps.append(sum(d[:f]))
+        if d[f - 1] < d[f]:
+            d[f - 1], d[f] = d[f], d[f - 1]
+    return caps
+
+
 def rtilt_deodhar(
     u: Perm, v: Perm, a: Optional[Tilt] = None, word: Optional[TiltedWord] = None
 ) -> LaurentPoly:
@@ -414,16 +435,26 @@ def rtilt_deodhar(
     factor is {u: 1}, and each factor pulls the layer back one position, so
     only prefixes that can still end at u are held, and nothing is cached
     between calls.  The polynomial is read once, from the weight of the
-    identity at position 0.
+    identity at position 0.  A given word must multiply to v, and a given
+    tilt must be the word's.
 
-    A state is a prefix product x with its length appended, x + (l(x),):
-    pulling back across generator f keeps x or moves it to x s_f, whose
-    length is l(x) + 1 if x_f < x_{f+1} and l(x) - 1 otherwise.  Each of the
-    g generators left of position pos changes the length by at most 1, so x
-    can reach the identity at position 0 only if l(x) <= g.  A state that
-    breaks that bound is dropped as soon as it is formed; it would add
-    nothing to the identity's weight, so the sum is unchanged.  A bar reads
-    only the first jump_min <= n entries of a state, never its length.
+    A state is a prefix product x: pulling back across generator f keeps x
+    or moves it to x s_f.  The state held before position pos is the
+    product of a subword of the generators left of pos, so it lies below
+    their Demazure product D in Bruhat order (the subword property:
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.2.2; Demazure
+    products of words: Knutson-Miller, Subword complexes in Coxeter groups,
+    2004).  Bruhat x <= D bounds every prefix sum of x by D's, so a state
+    with a prefix sum above D's cannot reach the identity at position 0; it
+    is dropped as soon as it is formed, and the sum is unchanged.  A step
+    across s_f changes only level f, the sum of the first f entries, both
+    of the state (x and x s_f agree outside positions f, f + 1) and of D
+    (one right Demazure step by s_f).  Every other level compares as it did
+    one step to the right, so each step tests level f alone: one
+    sum(x[:f]) per state, against the cap ``_demazure_caps`` fixes for the
+    position.  The bound is the DP's own; the recursion and the trace route
+    share none of it.  A bar reads only the first jump_min <= n entries of
+    a state.
 
     A prefix's weight, sum k (q-1)^jo q^jm over its subwords, is one int:
     the polynomial at q = 2^B.  A Jo step maps c to (c << B) - c, a J-
@@ -438,42 +469,42 @@ def rtilt_deodhar(
     """
     check_perms(u, v)
     n = len(u)
-    if a is None:
-        a = witness_a(u, v)
     if word is None:
-        word = regular_tilted_reduced_word(a, v)
+        word = regular_tilted_reduced_word(witness_a(u, v) if a is None else a, v)
+    elif word.target != v:
+        raise ValueError("the word does not multiply to v")
+    elif a is not None and tuple(a) != word.a:
+        raise ValueError("the tilt is not the word's")
     seqs = tilt_sequence(word)
     factors = word.factors
-    left = len(_gens_of(word))  # generators left of the current position
-    bits = 2 * left + 2
-    start = u + (length(u),)
-    layer: dict[Perm, int] = {start: 1} if start[n] <= left else {}
+    bits = 2 * len(_gens_of(word)) + 2
+    caps = _demazure_caps(n, factors)
+    layer: dict[Perm, int] = {u: 1}
     for pos in range(len(factors) - 1, -1, -1):
         f = factors[pos]
         if f is BAR:
             jm, low = bar_band(seqs[pos + 1])
             layer = {w: c for w, c in layer.items() if band_split(w, jm, low) is not None}
             continue
-        left -= 1
-        t, i = seqs[pos + 1][f - 1], f - 1
+        t, i, cap = seqs[pos + 1][f - 1], f - 1, caps[pos]
         prev: dict[Perm, int] = {}
         get = prev.get
         for x, c in layer.items():
-            xi, xf, lx = x[i], x[f], x[n]
-            lp = lx + 1 if xi < xf else lx - 1
+            xi, xf = x[i], x[f]
+            s = sum(x[:f])
             if 0 < (t - xi) % n <= (xf - xi) % n:
                 cp = c  # x*s_f <_a x: p ascends into J+, 1
             else:
                 cp = c << bits  # p descends into J-: q
-                if lx <= left:
+                if s <= cap:
                     prev[x] = get(x, 0) + cp - c  # x kept in Jo: q - 1
-            if lp <= left:
+            if s - xi + xf <= cap:
                 sw = list(x)
-                sw[i], sw[f], sw[n] = xf, xi, lp
+                sw[i], sw[f] = xf, xi
                 p = tuple(sw)
                 prev[p] = get(p, 0) + cp
         layer = prev
-    return _unpack(layer.get(identity(n) + (0,), 0), bits)
+    return _unpack(layer.get(identity(n), 0), bits)
 
 
 def _unpack(packed: int, bits: int) -> LaurentPoly:

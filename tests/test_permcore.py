@@ -188,6 +188,7 @@ def test_each_gate_names_its_variable(monkeypatch, var, call, n, name):
 
 BAD = (1, 1, 2)
 E3 = (1, 2, 3)
+W0 = (3, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -199,6 +200,14 @@ E3 = (1, 2, 3)
         (lambda: tiltwords.word_length((1, 1, 1), BAD), "not a permutation"),
         (lambda: rpolyhecke.rtilt_deodhar(E3, BAD), "not a permutation"),
         (lambda: rpolyhecke.rtilt_deodhar(BAD, E3), "not a permutation"),
+        # a word for another permutation, or a tilt other than the word's:
+        # unchecked, the DP answers for the word
+        (lambda: rpolyhecke.rtilt_deodhar(
+            E3, W0, a=(1, 1, 1), word=tiltwords.regular_tilted_reduced_word((1, 1, 1), (2, 1, 3))),
+         "does not multiply to v"),
+        (lambda: rpolyhecke.rtilt_deodhar(
+            E3, W0, a=(1, 1, 1), word=tiltwords.regular_tilted_reduced_word((2, 2, 2), W0)),
+         "not the word's"),
         (lambda: rpolyhecke.rtilt_recursive(E3, BAD), "not a permutation"),
         (lambda: rpolyhecke.rtilt_hecke(E3, BAD), "not a permutation"),
         (lambda: varietylab.count_points_fq(BAD, E3, 2), "not a permutation"),

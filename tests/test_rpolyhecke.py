@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from qbruhat import rpolyhecke
 from qbruhat.permcore import (
     InternalConsistencyError,
     all_permutations,
+    apply_simple,
     bruhat_leq,
     identity,
     inverse,
@@ -469,7 +471,8 @@ def test_deodhar_matches_recursion_at_and_near_w0():
         pairs += [(_random_perm(rng, n), rng.choice(tops)) for _ in range(spots)]
         for u, v in pairs:
             assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
-    # the longest word at n = 9, above the rpoly gate: about 1 s for both routes
+    # the longest word at n = 9, above the rpoly gate: the recursion takes
+    # nearly all of its time
     e, w0 = identity(9), tuple(range(9, 0, -1))
     assert rtilt_deodhar(e, w0) == rtilt_recursive(e, w0)
 
@@ -483,12 +486,12 @@ def test_deodhar_matches_recursion_seeded_n5_to_n8():
 
 
 # ---------------------------------------------------------------------------
-# the length bound of the Deodhar DP
+# the Demazure bound of the Deodhar DP
 
 
 def _deodhar_unpruned(u, v, a, word):
-    # the DP without the length bound: every prefix that can still end at u
-    # is held, whether or not it can reach the identity
+    # the DP without the Demazure bound: every prefix that can still end at
+    # u is held, whether or not it can reach the identity
     n = len(u)
     seqs = rpolyhecke.tilt_sequence(word)
     factors = word.factors
@@ -515,10 +518,10 @@ def _deodhar_unpruned(u, v, a, word):
     return rpolyhecke._unpack(layer.get(identity(n), 0), bits)
 
 
-def _length_bound_cases():
+def _bound_cases():
     # every S_4 pair under its witness tilt; the tilts and braid/bar-moved
-    # words of test_deodhar_word_independence; seeded pairs at n = 5..8;
-    # e <-> w0 at n = 8
+    # words of test_deodhar_word_independence; a seeded slice of the S_5
+    # pairs; seeded pairs at n = 5..8; e <-> w0 at n = 8
     perms = list(all_permutations(4))
     for u in perms:
         for v in perms:
@@ -536,6 +539,10 @@ def _length_bound_cases():
                 break
             word = rng.choice(nbrs)
             yield u, v, a, word
+    perms = list(all_permutations(5))
+    for u, v in random.Random(38).sample([(u, v) for u in perms for v in perms], 720):
+        a = witness_a(u, v)
+        yield u, v, a, regular_tilted_reduced_word(a, v)
     rng = random.Random(37)
     for n, count in ((5, 60), (6, 30), (7, 15), (8, 6)):
         for _ in range(count):
@@ -548,10 +555,54 @@ def _length_bound_cases():
         yield u, v, a, regular_tilted_reduced_word(a, v)
 
 
-def test_length_bound_drops_only_what_cannot_reach_the_identity():
-    for u, v, a, word in _length_bound_cases():
+def test_demazure_bound_drops_only_what_cannot_reach_the_identity():
+    for u, v, a, word in _bound_cases():
         want = _deodhar_unpruned(u, v, a, word)
         assert rtilt_deodhar(u, v, a=a, word=word) == want, (u, v, word.factors)
+
+
+def _subword_product_caps(n, factors):
+    # the caps from their definition: the products of every subword of the
+    # generators left of each position, and the largest sum of their first
+    # f entries, reached at their Bruhat-largest element
+    prods, caps = {identity(n)}, []
+    for f in factors:
+        if f is BAR:
+            caps.append(0)
+            continue
+        caps.append(max(sum(x[:f]) for x in prods))
+        prods |= {apply_simple(x, f) for x in prods}
+    return caps
+
+
+def test_demazure_caps_match_the_subword_products():
+    # every word of length <= 6 over the generators of S_4, then the tilted
+    # words (bars included) of seeded S_6 pairs
+    cases = [(4, w) for k in range(7) for w in itertools.product((1, 2, 3), repeat=k)]
+    rng = random.Random(39)
+    for _ in range(20):
+        u, v = _random_perm(rng, 6), _random_perm(rng, 6)
+        cases.append((6, regular_tilted_reduced_word(witness_a(u, v), v).factors))
+    for n, factors in cases:
+        assert rpolyhecke._demazure_caps(n, factors) == _subword_product_caps(n, factors), factors
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_cap_one_too_tight_is_caught(monkeypatch, level):
+    # the recursion and the Hecke route share none of the bound, so a cap
+    # set one too low at any level shows as a disagreement on some S_4 pair
+    demazure_caps = rpolyhecke._demazure_caps
+
+    def tight(n, factors):
+        return [c - (f == level) for c, f in zip(demazure_caps(n, factors), factors)]
+
+    monkeypatch.setattr(rpolyhecke, "_demazure_caps", tight)
+    perms = list(all_permutations(4))
+    u, v = next(
+        (u, v) for u in perms for v in perms if rtilt_deodhar(u, v) != rtilt_recursive(u, v)
+    )
+    with pytest.raises(InternalConsistencyError):
+        rtilt(u, v, "all")
 
 
 def _flattenable_oracle(a, w):
