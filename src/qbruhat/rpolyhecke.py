@@ -8,12 +8,12 @@ Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
 The Deodhar DP holds each prefix's weight as one int, its polynomial at
 q = 2^B with B = 2G + 2 for G generators (exact: see ``rtilt_deodhar``), and
 fixes each factor's tilt test once per position.  It drops a prefix as
-soon as it leaves the Bruhat interval below the Demazure product of the
-generators left of it: such a prefix is the product of no subword of them,
-so it can no longer reach the identity.  The test is one prefix sum per
-prefix and generator, against a cap fixed per position
-(``_demazure_caps``).  This bound is the DP's own; it shares nothing with
-the recursion or with the trace route's reach sets.
+soon as one of its prefix sums exceeds that of the Demazure product of the
+generators left of it: such a prefix is not below that product in Bruhat
+order, so it is the product of no subword of them and can no longer reach
+the identity.  The test is one prefix sum per prefix and generator, against
+a cap fixed per position (``_demazure_caps``).  This bound is the DP's own;
+it shares nothing with the recursion or with the trace route's reach sets.
 
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
@@ -452,9 +452,11 @@ def rtilt_deodhar(
     (one right Demazure step by s_f).  Every other level compares as it did
     one step to the right, so each step tests level f alone: one
     sum(x[:f]) per state, against the cap ``_demazure_caps`` fixes for the
-    position.  The bound is the DP's own; the recursion and the trace route
-    share none of it.  A bar reads only the first jump_min <= n entries of
-    a state.
+    position.  The start u is not tested: a state that breaks a level no
+    step to its left tests keeps that level's sum above the identity's, so
+    it is never read.  The bound is the DP's own; the recursion and the
+    trace route share none of it.  A bar reads only the first
+    jump_min <= n entries of a state.
 
     A prefix's weight, sum k (q-1)^jo q^jm over its subwords, is one int:
     the polynomial at q = 2^B.  A Jo step maps c to (c << B) - c, a J-

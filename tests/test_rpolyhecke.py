@@ -598,9 +598,9 @@ def test_a_cap_one_too_tight_is_caught(monkeypatch, level):
 
     monkeypatch.setattr(rpolyhecke, "_demazure_caps", tight)
     perms = list(all_permutations(4))
-    u, v = next(
-        (u, v) for u in perms for v in perms if rtilt_deodhar(u, v) != rtilt_recursive(u, v)
-    )
+    caught = [(u, v) for u in perms for v in perms if rtilt_deodhar(u, v) != rtilt_recursive(u, v)]
+    assert caught
+    u, v = caught[0]
     with pytest.raises(InternalConsistencyError):
         rtilt(u, v, "all")
 
