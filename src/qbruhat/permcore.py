@@ -210,38 +210,18 @@ def perm_from_word(n: int, word: Iterable[int]) -> Perm:
 # cyclic intervals
 
 
-def cyclic_interval(
-    n: int, a: int, b: int, left_closed: bool = True, right_closed: bool = False
-) -> frozenset[int]:
-    """The cyclic interval from a to b in [n], wrapping when a > b.
-
-    Degenerate endpoints a == b follow the directed-walk convention:
-    [a,a)_c is empty, (a,a)_c = [n] minus {a}, [a,a]_c = {a}, (a,a]_c = [n].
+def cyclic_interval(n: int, a: int, b: int) -> frozenset[int]:
+    """The cyclic interval [a, b)_c in [n], wrapping when a > b; [a, a)_c
+    is empty.
 
     >>> sorted(cyclic_interval(4, 3, 2))
     [1, 3, 4]
     """
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"endpoints ({a},{b}) out of range for n={n}")
-    if a == b:
-        if left_closed and right_closed:
-            return frozenset({a})
-        if left_closed:
-            return frozenset()
-        if right_closed:
-            return frozenset(range(1, n + 1))
-        return frozenset(range(1, n + 1)) - {a}
-    vals = set()
-    x = a
-    while x != b:
-        vals.add(x)
-        x = x % n + 1
-    vals.add(b)
-    if not left_closed:
-        vals.discard(a)
-    if not right_closed:
-        vals.discard(b)
-    return frozenset(vals)
+    if a <= b:
+        return frozenset(range(a, b))
+    return frozenset([*range(a, n + 1), *range(1, b)])
 
 
 # ---------------------------------------------------------------------------

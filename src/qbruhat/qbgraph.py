@@ -12,8 +12,8 @@ j lies between w_i and w_j in the linear order for a strong edge, all of
 them do for a quantum edge); a disagreement raises
 ``InternalConsistencyError``.  ``edges_from`` enumerates the edges of one
 vertex in a single O(n^2) scan that keeps, per i, a running cyclic minimum
-and a bitmask of the entries passed; every traversal of the graph reads it.
-``edge_weight`` is the same test for one pair (i, j), in O(j-i).
+and a bitmask of the entries passed.  It is the only edge test: every
+traversal of the graph reads it, and ``edge_weight`` reads one pair's entry.
 
 No graph query builds a table over S_n.  Minimal degrees d(u,v) come
 from the lattice-path depth formula, read off ``lattice_rows`` (all n-1
@@ -87,22 +87,6 @@ def format_degree(d: DegreeVec) -> str:
 # edges
 
 
-def length_change(w: Perm, i: int, j: int) -> int:
-    """length(w*t_{ij}) - length(w), in O(j-i).
-
-    Swapping w_i and w_j changes the inversion count by 1 + 2c, where c
-    counts the entries strictly between positions i and j whose values lie
-    strictly between w_i and w_j; the sign is + iff w_i < w_j.
-
-    >>> length_change((2, 3, 1, 4), 1, 4)
-    3
-    """
-    wi, wj = w[i - 1], w[j - 1]
-    lo, hi = (wi, wj) if wi < wj else (wj, wi)
-    inside = sum(1 for x in w[i:j - 1] if lo < x < hi)
-    return 1 + 2 * inside if wi < wj else -1 - 2 * inside
-
-
 def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
     if holds:
         what = "edge criterion holds but neither length condition does"
@@ -114,29 +98,14 @@ def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
 def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     """Weight of the edge w -> w*t_{ij}, or None if absent.
 
-    Uses the uniform cyclic-interval criterion and cross-checks it against
-    the two length conditions on ``length_change``; a mismatch is a
-    theorem violation.  This is the per-pair test; ``edges_from`` is the
-    per-vertex kernel.
+    The (i, j) entry of ``edges_from(w)``, so the edge test and its
+    cross-check are the kernel's; this reader checks its input first.
     """
     n = len(w)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
     check_permutation(w)
-    # x in (w_i, w_j)_c iff 0 < (x - w_i) mod n < (w_j - w_i) mod n
-    wi, wj = w[i - 1], w[j - 1]
-    span = (wj - wi) % n
-    ok = all(not 0 < (x - wi) % n < span for x in w[i:j - 1])
-    delta = length_change(w, i, j)
-    if not ok:
-        if delta == 1 or delta == 1 - 2 * (j - i):
-            raise _mismatch(w, i, j, holds=False)
-        return None
-    if delta == 1:
-        return deg_zero(n)
-    if delta == 1 - 2 * (j - i):
-        return tuple(1 if i <= k < j else 0 for k in range(1, n))
-    raise _mismatch(w, i, j, holds=True)
+    return {(a, b): wt for a, b, wt in edges_from(w)}.get((i, j))
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,8 +145,7 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
     counts, by popcount, the entries strictly between w_i and w_j in the
     linear order: none for a strong edge (w_i < w_j), all j-i-1 of them for
     a quantum one.  The two are computed separately and must agree; a
-    mismatch raises ``InternalConsistencyError`` with ``edge_weight``'s
-    message.
+    mismatch raises ``InternalConsistencyError`` (``_mismatch``).
 
     >>> edges_from((3, 2, 1))
     [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
@@ -632,9 +600,10 @@ def increasing_path(
     def search(w: Perm, start: int) -> Optional[list[tuple[Perm, Root, DegreeVec]]]:
         if w == v:
             return []
+        edges = {(i, j): wt for i, j, wt in edges_from(w)}
         for idx in range(start, len(order)):
             i, j = order[idx]
-            wt = edge_weight(w, i, j)
+            wt = edges.get((i, j))
             if wt is None:
                 continue
             rest = search(apply_transposition(w, i, j), idx + 1)

@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -138,6 +139,15 @@ def test_word_and_subwords(capsys):
     assert data["count"] == 4
     sizes = sorted((len(s["jcirc"]), len(s["jminus"])) for s in data["subwords"])
     assert sizes == [(4, 2), (6, 1), (6, 1), (8, 0)]
+    # the plain word of (1342, 1324) is not regular, and the report says so
+    code, out = invoke(capsys, "subwords", "1342", "1324", "--plain-word")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "word: s2 s1 s3 s2 | s2 s1 s3 |",
+        "note: word is not regular; Deodhar indexing is conjectural here",
+    ]
+    code, out = invoke(capsys, "subwords", "1342", "1324")
+    assert code == 0 and "note:" not in out
 
 
 def test_subwords_json_pinned(capsys):
@@ -169,6 +179,16 @@ def test_member(capsys, tmp_path):
         capsys, "member", str(path), "231", "123", "--open", "--format", "json"
     )
     assert json.loads(out)["member"] is False
+
+
+def test_member_reads_the_matrix_from_stdin(capsys, tmp_path, monkeypatch):
+    text = matrix_to_json(permutation_matrix(parse_perm("321")))
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for extra in [[], ["--open"]]:
+        argv = ["231", "123", *extra, "--format", "json"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert invoke(capsys, "member", "-", *argv) == invoke(capsys, "member", str(path), *argv)
 
 
 @pytest.mark.parametrize(
@@ -268,6 +288,29 @@ def test_gw_and_descent_cycle(capsys):
     assert data["d"] == [1, 1] and sum(data["coeffs"].values()) >= 1
     code, out = invoke(capsys, "descent-cycle", "231", "123", "1")
     assert code == 0 and "pass" in out
+
+
+def test_descent_cycle_reports_a_violation(capsys, monkeypatch):
+    # one Gromov-Witten number made nonzero where the vanishing identity
+    # needs it to be 0: the report lists it and the verb exits 2
+    from qbruhat import quantumschub
+
+    gw = quantumschub.gw_min_degree
+
+    def broken(u, v):
+        coeffs = gw(u, v)
+        if (u, v) == ((2, 3, 1), (1, 2, 3)):
+            coeffs = {**coeffs, (1, 2, 3): coeffs.get((1, 2, 3), 0) + 1}
+        return coeffs
+
+    monkeypatch.setattr(quantumschub, "gw_min_degree", broken)
+    code, out = invoke(capsys, "descent-cycle", "231", "123", "1", "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["violations"] == [{"kind": "vanishing", "w": "123", "data": "1"}]
+    code, out = invoke(capsys, "descent-cycle", "231", "123", "1")
+    assert code == 2 and out.startswith("descent-cycling at i=1: FAIL")
 
 
 @pytest.mark.parametrize("u, v, i, n", [("231", "123", "5", 3), ("231", "123", "0", 3),

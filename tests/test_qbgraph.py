@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -33,7 +34,6 @@ from qbruhat.qbgraph import (
     interval_json,
     is_reflection_order,
     lattice_depth,
-    length_change,
     min_degree,
     min_set,
     reflection_order_from_word,
@@ -85,30 +85,49 @@ def test_edge_weight_is_exact_indicator():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_edges_from_matches_edge_weight_exhaustive(n):
+    # the kernel against the length definition (Brenti-Fomin-Postnikov),
+    # read off ``length``, which shares no code with it: w -> w t_ij is
+    # strong iff l(w t_ij) = l(w) + 1, and quantum of weight q_i ... q_{j-1}
+    # iff l(w t_ij) = l(w) - 2(j-i) + 1
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     for w in all_permutations(n):
+        lw = length(w)
         expected = []
         for i, j in pairs:
-            wt = edge_weight(w, i, j)
-            if wt is not None:
-                expected.append((i, j, wt))
+            delta = length(apply_transposition(w, i, j)) - lw
+            if delta == 1:
+                expected.append((i, j, deg_zero(n)))
+            elif delta == 1 - 2 * (j - i):
+                expected.append((i, j, tuple(1 if i <= k < j else 0 for k in range(1, n))))
         assert edges_from(w) == expected, w
 
 
 def test_edge_cross_check_is_live_in_the_kernel(monkeypatch):
     # (1,1,1) is no permutation: at t_13 the cyclic criterion holds but
-    # neither length condition does
+    # neither length condition does; the per-pair reader rejects it at entry
     with pytest.raises(InternalConsistencyError):
         edges_from((1, 1, 1))
-    # the per-pair test rejects it at entry, so its cross-check is made to
-    # disagree on a permutation: a length change off by 2 either way
     with pytest.raises(ValueError, match="not a permutation"):
         edge_weight((1, 1, 1), 1, 3)
-    real = qbgraph.length_change
-    for shift, pair in [(2, (1, 2)), (-2, (1, 3))]:  # an edge, a non-edge
-        monkeypatch.setattr(qbgraph, "length_change", lambda *a: real(*a) + shift)
-        with pytest.raises(InternalConsistencyError):
-            edge_weight((1, 2, 3), *pair)
+    # one bit of the length condition's table flipped, so that it disagrees
+    # with the criterion on a permutation: at (1,2,3), t_13 it drops 2 from
+    # the values between 1 and 3 (a non-edge passes), at (2,1,3), t_13 it
+    # puts 1 between 2 and 3 (an edge fails); both readers raise
+    zero, quantum, between = qbgraph._edge_tables(3)
+    cases = [
+        ((1, 2, 3), 1, 3, 2, "edge criterion and length condition disagree"),
+        ((2, 1, 3), 2, 3, 1, "edge criterion holds but neither length condition does"),
+    ]
+    for w, a, b, bit, what in cases:
+        rows = [list(row) for row in between]
+        rows[a][b] ^= 1 << bit
+        corrupted = (zero, quantum, tuple(map(tuple, rows)))
+        monkeypatch.setattr(qbgraph, "_edge_tables", lambda n: corrupted)
+        message = f"{what} at {w}, t_13"
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+            edges_from(w)
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+            edge_weight(w, 1, 3)
 
 
 def test_bfs_reads_only_the_edge_kernel(monkeypatch):
@@ -239,14 +258,6 @@ def test_rank2_intervals_are_diamonds():
             iv = tilted_interval(u, v)
             if iv.ell == 2:
                 assert len(iv.members) == 4, (u, v, iv.members)
-
-
-def test_length_change_matches_length_s5():
-    for w in all_permutations(5):
-        for i in range(1, 5):
-            for j in range(i + 1, 6):
-                expected = length(apply_transposition(w, i, j)) - length(w)
-                assert length_change(w, i, j) == expected, (w, i, j)
 
 
 def _interval_ranks_oracle(u, v):

@@ -671,3 +671,53 @@ def test_deodhar_reads_each_bar_band_once(monkeypatch):
         calls.clear()
         assert rtilt_deodhar(u, v, word=word) == rtilt_recursive(u, v)
         assert len(calls) == word.factors.count(BAR), (u, v)
+
+
+def _demazure_product(n, gens):
+    # one right step per generator: D s_f when that is longer, D otherwise
+    d = identity(n)
+    for f in gens:
+        ds = apply_simple(d, f)
+        if length(ds) > length(d):
+            d = ds
+    return d
+
+
+def test_deodhar_states_at_each_bar_lie_under_the_demazure_bound(monkeypatch):
+    # the DP tests level f, sum(x[:f]), of each state it forms across s_f
+    # against the Demazure product of the generators left of that s_f.  No
+    # step between a bar and the nearest s_f right of it changes level f of
+    # a state or of that product, so each state a bar reads is bounded at
+    # every such level by the Demazure product D of the generators left of
+    # the bar.  The other levels are never tested, so they are not checked.
+    bars = []
+
+    def reading_bar_band(a):
+        bars.append([])  # bars arrive right to left, one call each
+        return bar_band(a)
+
+    def reading_band_split(w, jm, low):
+        bars[-1].append(w)
+        return band_split(w, jm, low)
+
+    monkeypatch.setattr(rpolyhecke, "bar_band", reading_bar_band)
+    monkeypatch.setattr(rpolyhecke, "band_split", reading_band_split)
+    rng = random.Random(40)
+    checked = 0
+    for n, count in [(4, 60), (5, 60), (6, 40), (7, 20)]:
+        for _ in range(count):
+            u, v = _random_perm(rng, n), _random_perm(rng, n)
+            word = regular_tilted_reduced_word(witness_a(u, v), v)
+            factors = word.factors
+            bars.clear()
+            rtilt_deodhar(u, v, word=word)
+            positions = [p for p, f in enumerate(factors) if f is BAR][::-1]
+            assert len(bars) == len(positions), (u, v)
+            for p, states in zip(positions, bars):
+                d = _demazure_product(n, [f for f in factors[:p] if f is not BAR])
+                right = {f for f in factors[p + 1:] if f is not BAR}
+                for x in states:
+                    for f in right:
+                        assert sum(x[:f]) <= sum(d[:f]), (u, v, p, x, f)
+                        checked += 1
+    assert checked

@@ -151,8 +151,9 @@ def test_validity_detects_bad_words():
     a = (2, 2, 2)
     good = parse_word(a, "s1 s2 | s2 s1")
     assert is_valid(good)
-    # wrong number of bars
-    assert not is_valid(make_word(a, (1, 2, 2, 1)))
+    # wrong number of bars; an invalid word is not regular either
+    bad = make_word(a, (1, 2, 2, 1))
+    assert not is_valid(bad) and not is_regular(bad)
     # prefix at the bar not flattenable: 213 splits {2},{1,3}? order 2<3<1
     assert not is_valid(make_word(a, (1, BAR, 2)))
 
