@@ -14,6 +14,7 @@ them do for a quantum edge); a disagreement raises
 vertex in a single O(n^2) scan that keeps, per i, a running cyclic minimum
 and a bitmask of the entries passed.  It is the only edge test: every
 traversal of the graph reads it, and ``edge_weight`` reads one pair's entry.
+It rejects a non-permutation, read off the bitmask of its first row.
 
 No graph query builds a table over S_n.  Minimal degrees d(u,v) come
 from the lattice-path depth formula, read off ``lattice_rows`` (all n-1
@@ -22,10 +23,12 @@ l(u) + 2|d(u,v)| (Postnikov); ``tiltorder`` reads the tilted orders off
 the same rows.  An edge w -> t = w*t_{ij} of weight wt lies on a shortest
 path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
 each is decided in O(1) by where w's lattice path toward v attains its
-minimum (``_keeps``).  ``min_degree`` cross-checks d by a greedy walk over
-this test, which must reach v in exactly ell steps with weights summing to
-d.  A tilted interval [u,v] scans no edge: lattice-path heights add, so w
-lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
+minimum (``_keeps``).  ``increasing_path`` walks this test greedily, as
+the label-increasing path is the lexicographically least shortest path
+(Brenti-Fomin-Postnikov, Thm 6.4); ``min_degree`` checks d against it (ell
+steps, weights summing to d), and ``tiltorder.k_tilted_leq`` searches the
+same test.  A tilted interval [u,v] scans no edge: lattice-path heights add, so w lies
+in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
 ``tilted_interval`` builds the members prefix set by prefix set, each
 prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
@@ -63,10 +66,6 @@ def deg_add(a: DegreeVec, b: DegreeVec) -> DegreeVec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def deg_sub(a: DegreeVec, b: DegreeVec) -> DegreeVec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def deg_leq(a: DegreeVec, b: DegreeVec) -> bool:
     """Componentwise; "minimal" always means componentwise."""
     return all(x <= y for x, y in zip(a, b))
@@ -88,6 +87,7 @@ def format_degree(d: DegreeVec) -> str:
 
 
 def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
+    check_permutation(w)  # a non-permutation is bad input, not a kernel fault
     if holds:
         what = "edge criterion holds but neither length condition does"
     else:
@@ -98,13 +98,12 @@ def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
 def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     """Weight of the edge w -> w*t_{ij}, or None if absent.
 
-    The (i, j) entry of ``edges_from(w)``, so the edge test and its
-    cross-check are the kernel's; this reader checks its input first.
+    The (i, j) entry of ``edges_from(w)``, so the edge test, its
+    cross-check and the permutation check are the kernel's.
     """
     n = len(w)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
-    check_permutation(w)
     return {(a, b): wt for a, b, wt in edges_from(w)}.get((i, j))
 
 
@@ -138,40 +137,49 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
     One O(n^2) scan.  For each i it walks j = i+1..n and keeps two running
     values over the entries strictly between positions i and j: ``m``, the
     least cyclic offset (x - w_i) mod n, and ``seen``, the bitmask of those
-    entries.  The cyclic criterion is the O(1) test (w_j - w_i) mod n <= m.
-    Offsets are taken in 1..n, so that an entry equal to w_i (possible
-    only when w is no permutation, which this scan does not check) blocks
-    nothing; for a permutation the test is strict.  The length condition
+    entries.  The cyclic criterion is the O(1) test (w_j - w_i) mod n <= m,
+    strict for a permutation: offsets lie in 1..n.  The length condition
     counts, by popcount, the entries strictly between w_i and w_j in the
     linear order: none for a strong edge (w_i < w_j), all j-i-1 of them for
     a quantum one.  The two are computed separately and must agree; a
     mismatch raises ``InternalConsistencyError`` (``_mismatch``).
+
+    w is checked on the way: the first row's ``seen``, with w_1 added, must
+    be {1, ..., n}, and a value out of range fails a table lookup or a shift
+    first.  A non-permutation raises ``check_permutation``'s ``ValueError``.
 
     >>> edges_from((3, 2, 1))
     [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
     """
     n = len(w)
     zero, quantum, between = _edge_tables(n)
-    out = []
-    for i in range(n - 1):
-        wi = w[i]
-        qrow, brow = quantum[i], between[wi]
-        m, seen = n, 0
-        for j in range(i + 1, n):
-            wj = w[j]
-            inside = (seen & brow[wj]).bit_count()
-            strong = wi < wj
-            length_ok = inside == (0 if strong else j - i - 1)
-            if (wj - wi) % n <= m:
-                if not length_ok:
-                    raise _mismatch(w, i + 1, j + 1, holds=True)
-                out.append((i + 1, j + 1, zero if strong else qrow[j]))
-            elif length_ok:
-                raise _mismatch(w, i + 1, j + 1, holds=False)
-            d = (wj - wi - 1) % n + 1
-            if d < m:
-                m = d
-            seen |= 1 << wj
+    out, ok = [], n == 1 and w[0] == 1
+    try:
+        for i in range(n - 1):
+            wi = w[i]
+            qrow, brow = quantum[i], between[wi]
+            m, seen = n, 0
+            for j in range(i + 1, n):
+                wj = w[j]
+                inside = (seen & brow[wj]).bit_count()
+                strong = wi < wj
+                length_ok = inside == (0 if strong else j - i - 1)
+                if (wj - wi) % n <= m:
+                    if not length_ok:
+                        raise _mismatch(w, i + 1, j + 1, holds=True)
+                    out.append((i + 1, j + 1, zero if strong else qrow[j]))
+                elif length_ok:
+                    raise _mismatch(w, i + 1, j + 1, holds=False)
+                d = (wj - wi - 1) % n + 1
+                if d < m:
+                    m = d
+                seen |= 1 << wj
+            if not i:
+                ok = seen | 1 << wi == (2 << n) - 2
+    except (IndexError, ValueError):  # a value out of range
+        ok = False
+    if not ok:
+        check_permutation(w)
     return out
 
 
@@ -381,32 +389,24 @@ def _advance(w: Perm, i: int, j: int, levels: Levels) -> Levels:
 def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     """Minimal degree d(u,v): d_k = depth of the lattice path of (u[k], v[k]).
 
-    d is read off this call's one ``lattice_rows(u, v)``, d_k = -min(row k).
-    With check (the default) the result is cross-checked by a greedy walk
-    from u that takes, at each vertex, the first edge passing ``_keeps``'s
-    test; it starts from the ``_level`` of those same rows, and must reach v
-    in exactly ell(u,v) steps with weights summing to d, or
-    ``InternalConsistencyError``.  check=False skips the walk.
+    d is read off ``lattice_rows(u, v)``, d_k = -min(row k).  With check
+    (the default) it is cross-checked against ``increasing_path(u, v)``, a
+    greedy walk along a shortest path (BFP Thm 6.4), which must take exactly
+    ell(u,v) steps with weights summing to d, or ``InternalConsistencyError``.
+    check=False skips the walk.
     """
     check_perms(u, v)
-    rows = lattice_rows(u, v)
-    d = tuple(-min(row) for row in rows)
+    d = tuple(-min(row) for row in lattice_rows(u, v))
     if not check:
         return d
-    w, levels, delta = u, [_level(row) for row in rows], d
-    for _ in range(_ell(u, v, d)):
-        for i, j, wt in edges_from(w):
-            if _keeps(w, i, j, levels):
-                levels = _advance(w, i, j, levels)
-                w, delta = apply_transposition(w, i, j), deg_sub(delta, wt)
-                break
-        else:
-            break
-    if w != v or any(delta):
+    path, total = increasing_path(u, v), deg_zero(len(u))
+    for _, _, wt in path:
+        total = deg_add(total, wt)
+    if len(path) != _ell(u, v, d) or total != d:
         raise InternalConsistencyError(
             f"depth formula {d} has no path of its length and weight from "
-            f"{format_perm(u)} to {format_perm(v)}: the walk stopped at "
-            f"{format_perm(w)} with {delta} left"
+            f"{format_perm(u)} to {format_perm(v)}: the increasing path has "
+            f"{len(path)} steps of weight {total}"
         )
     return d
 
@@ -556,13 +556,9 @@ def reflection_order_from_word(n: int, word: Sequence[int]) -> list[Root]:
 
 
 def default_reflection_order(n: int) -> list[Root]:
-    """All roots e_1 - e_j first, then e_2 - e_j, and so on (lex order)."""
-    word: list[int] = []
-    for row in range(1, n):
-        word.extend(range(1, n - row + 1))
-    order = reflection_order_from_word(n, word)
-    assert order == [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return order
+    """All roots e_1 - e_j first, then e_2 - e_j, and so on (lex order): the
+    order of the reduced word (1 2 ... n-1)(1 2 ... n-2)...(1) of w_0."""
+    return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
 def is_reflection_order(n: int, order: Sequence[Root]) -> bool:
@@ -585,8 +581,17 @@ def increasing_path(
 ) -> list[tuple[Perm, Root, DegreeVec]]:
     """The unique directed path u -> v with strictly increasing edge labels.
 
-    Returns the edge list [(source, (i,j) label root, weight)]; it is a
-    shortest path, of length ell(u,v) and weight q^{d(u,v)}.
+    Returns the edge list [(source, (i,j) label root, weight)]; the edge
+    w -> w*t_{ij} carries the label (i, j).  For any reflection ordering
+    this path is the lexicographically least shortest path (Brenti-Fomin-
+    Postnikov, IMRN 1999, Thm 6.4), of length ell(u,v) and weight q^{d(u,v)}.
+    So a greedy walk from u finds it: each step takes the first label, after
+    the last one taken, whose edge leaves w and passes ``_keeps``, and
+    ``_advance`` moves the levels on (one ``edges_from`` scan per step).
+    Labels increase, so the walk ends within n(n-1)/2 steps, or raises
+    ``InternalConsistencyError`` when no label qualifies.  The path is unique
+    among all paths, so ``_keeps`` only prunes: a faulty test can make the
+    walk raise, never return another path.
     """
     check_perms(u, v)
     n = len(u)
@@ -594,28 +599,22 @@ def increasing_path(
         order = default_reflection_order(n)
     elif not is_reflection_order(n, order):
         raise ValueError("not a valid reflection ordering")
-
-    # labels are roots e_i - e_j indexed by *positions*: the edge w -> w t_{ij}
-    # carries label (i, j), so walk the ordering and try each entry as an edge
-    def search(w: Perm, start: int) -> Optional[list[tuple[Perm, Root, DegreeVec]]]:
-        if w == v:
-            return []
+    w, levels, last, path = u, _levels(u, v), -1, []
+    while w != v:
         edges = {(i, j): wt for i, j, wt in edges_from(w)}
-        for idx in range(start, len(order)):
-            i, j = order[idx]
+        for k in range(last + 1, len(order)):
+            i, j = order[k]
             wt = edges.get((i, j))
-            if wt is None:
-                continue
-            rest = search(apply_transposition(w, i, j), idx + 1)
-            if rest is not None:
-                return [(w, (i, j), wt)] + rest
-        return None
-
-    path = search(u, 0)
-    if path is None:
-        raise InternalConsistencyError(
-            f"no label-increasing path {format_perm(u)} -> {format_perm(v)}"
-        )
+            if wt is not None and _keeps(w, i, j, levels):
+                break
+        else:
+            raise InternalConsistencyError(
+                f"no label-increasing path {format_perm(u)} -> {format_perm(v)}: "
+                f"the walk stopped at {format_perm(w)}"
+            )
+        path.append((w, (i, j), wt))
+        levels = _advance(w, i, j, levels)
+        w, last = apply_transposition(w, i, j), k
     return path
 
 

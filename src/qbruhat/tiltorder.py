@@ -229,29 +229,24 @@ def strong_lifting_witness(u: Perm, v: Perm, i: int) -> Optional[Tilt]:
 def k_tilted_leq(u: Perm, v: Perm, k: int) -> bool:
     """u <=^k v: some shortest path uses only edges t_{cd} with c <= k < d.
 
-    The condition is independent of any tilt, so none is taken.
+    The condition is independent of any tilt, so none is taken.  A search
+    from u over the edges t_{cd}, c <= k < d, that pass ``qbgraph._keeps``
+    toward v, the test of ``increasing_path``'s greedy walk (BFP Thm 6.4):
+    each such edge lowers ell(., v) by one, so every path the search
+    follows is a shortest path and none needs a distance kept.
     """
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("size mismatch")
-    if not 1 <= k <= n - 1:
+    qbgraph._check_pair(u, v)
+    if not 1 <= k <= len(u) - 1:
         raise ValueError(f"k={k} out of range")
-    target = qbgraph.ell(u, v)
-    # BFS on the edge-restricted graph, stopping at the unrestricted distance
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            dw = dist[w]
-            if dw >= target:
-                break
-            for i, j, _ in qbgraph.edges_from(w):
-                if not (i <= k < j):
-                    continue
+    seen, stack = {u}, [(u, qbgraph._levels(u, v))]
+    while stack:
+        w, levels = stack.pop()
+        if w == v:
+            return True
+        for i, j, _ in qbgraph.edges_from(w):
+            if i <= k < j and qbgraph._keeps(w, i, j, levels):
                 t = apply_transposition(w, i, j)
-                if t not in dist:
-                    dist[t] = dw + 1
-                    nxt.append(t)
-        frontier = nxt
-    return dist.get(v) == target
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, qbgraph._advance(w, i, j, levels)))
+    return False

@@ -23,7 +23,6 @@ PAPER_API = {
     "classical_r",
     "cohomology_class_T",
     "in_tilted_schubert_cell",
-    "increasing_path",
     "interpolate",
     "k_tilted_leq",
     "lattice_depth",
@@ -31,6 +30,7 @@ PAPER_API = {
     "parse_word",
     "permutation_matrix",
     "quantum_chevalley",
+    "reflection_order_from_word",
     "strong_lifting_witness",
     "witness_a_leq",
 }

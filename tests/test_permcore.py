@@ -167,6 +167,7 @@ def test_bruhat_leq_matches_closure():
     "var, call, n, name",
     [
         ("QBRUHAT_MAX_N", lambda w: list(qbgraph.graph_edges(len(w))), 4, "graph"),
+        ("QBRUHAT_MAX_N", lambda w: tiltorder.k_tilted_leq(w, w, 1), 4, "graph"),
         ("QBRUHAT_MAX_COUNT_N", lambda w: varietylab.count_points_fq(w, w, 2), 3, "counting"),
         ("QBRUHAT_MAX_PATH_N", lambda w: quantumschub.path_schubert(w, w), 3, "path"),
         ("QBRUHAT_MAX_GW_N", lambda w: quantumschub.gw_min_degree(w, w), 3, "expansion"),
@@ -227,6 +228,7 @@ W0 = (3, 2, 1)
         (lambda: qbgraph.increasing_path(BAD, E3), "not a permutation"),
         (lambda: tiltorder.a_length((1, 1, 1), BAD), "not a permutation"),
         (lambda: qbgraph.edge_weight(BAD, 1, 3), "not a permutation"),
+        (lambda: tiltorder.k_tilted_leq(E3, BAD, 1), "not a permutation"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbruhat.permcore import (
     GateError,
@@ -104,11 +107,10 @@ def test_edges_from_matches_edge_weight_exhaustive(n):
 
 def test_edge_cross_check_is_live_in_the_kernel(monkeypatch):
     # (1,1,1) is no permutation: at t_13 the cyclic criterion holds but
-    # neither length condition does; the per-pair reader rejects it at entry
-    with pytest.raises(InternalConsistencyError):
-        edges_from((1, 1, 1))
-    with pytest.raises(ValueError, match="not a permutation"):
-        edge_weight((1, 1, 1), 1, 3)
+    # neither length condition does; that is bad input, not a kernel fault
+    for call in (lambda: edges_from((1, 1, 1)), lambda: edge_weight((1, 1, 1), 1, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            call()
     # one bit of the length condition's table flipped, so that it disagrees
     # with the criterion on a permutation: at (1,2,3), t_13 it drops 2 from
     # the values between 1 and 3 (a non-edge passes), at (2,1,3), t_13 it
@@ -309,6 +311,9 @@ def test_reflection_orders():
     order = default_reflection_order(4)
     assert is_reflection_order(4, order)
     assert order[0] == (1, 2) and order[-1] == (3, 4)
+    for n in range(1, 8):  # lex order is the order of (1..n-1)(1..n-2)...(1)
+        word = [i for row in range(n - 1, 0, -1) for i in range(1, row + 1)]
+        assert default_reflection_order(n) == reflection_order_from_word(n, word)
     # the reduced word s3 s1 s2 s1 s3 s2 of the longest element of S_4
     word_order = reflection_order_from_word(4, (3, 1, 2, 1, 3, 2))
     assert word_order == [(3, 4), (1, 2), (1, 4), (2, 4), (1, 3), (2, 3)]
@@ -341,6 +346,126 @@ def test_increasing_path_is_shortest_everywhere():
             for _, _, wt in path:
                 total = deg_add(total, wt)
             assert total == min_degree(u, v)
+
+
+def _increasing_path_oracle(u, v, order):
+    """The label-increasing path by exhaustive search over the labels in
+    order, backtracking, with no shortest-path test: each edge w -> w*t_ij
+    of label (i, j) is tried in turn."""
+
+    def search(w, start):
+        if w == v:
+            return []
+        edges = {(i, j): wt for i, j, wt in edges_from(w)}
+        for idx in range(start, len(order)):
+            i, j = order[idx]
+            if (i, j) in edges:
+                rest = search(apply_transposition(w, i, j), idx + 1)
+                if rest is not None:
+                    return [(w, (i, j), edges[i, j])] + rest
+        return None
+
+    return search(u, 0)
+
+
+def _reflection_orders(n):
+    roots = default_reflection_order(n)
+    return [list(p) for p in itertools.permutations(roots) if is_reflection_order(n, p)]
+
+
+def _random_reflection_order(n, rng):
+    """The order of a random reduced word of w_0, built by peeling a random
+    right descent off w_0 until the identity is left."""
+    w, word = tuple(range(n, 0, -1)), []
+    while any(w[i] > w[i + 1] for i in range(n - 1)):
+        i = rng.choice([i for i in range(n - 1) if w[i] > w[i + 1]])
+        w = apply_transposition(w, i + 1, i + 2)
+        word.append(i + 1)
+    return reflection_order_from_word(n, word[::-1])
+
+
+@pytest.mark.parametrize("n, count", [(3, 2), (4, 16)])
+def test_increasing_path_matches_the_search_oracle_for_every_order(n, count):
+    orders = _reflection_orders(n)
+    assert len(orders) == count  # one per reduced word of w_0
+    perms = list(all_permutations(n))
+    for order in orders:
+        for u in perms:
+            for v in perms:
+                assert increasing_path(u, v, order) == _increasing_path_oracle(u, v, order), (
+                    order, u, v)
+
+
+def test_increasing_path_matches_the_search_oracle_s5():
+    rng = random.Random(36)
+    orders = [default_reflection_order(5)] + [_random_reflection_order(5, rng) for _ in range(3)]
+    assert len({tuple(o) for o in orders}) == 4
+    for order in orders:
+        for u, v in _seeded_pairs(38, (5,), 30):
+            assert increasing_path(u, v, order) == _increasing_path_oracle(u, v, order), (
+                order, u, v)
+
+
+def test_increasing_path_scans_once_per_step(monkeypatch):
+    scanned = []
+    real = qbgraph.edges_from
+    monkeypatch.setattr(qbgraph, "edges_from", lambda w: scanned.append(w) or real(w))
+    w0, e = tuple(range(8, 0, -1)), identity(8)
+    path = increasing_path(w0, e)
+    assert scanned == [w for w, _, _ in path] and len(scanned) == 4 == ell(w0, e)
+
+
+def test_a_refused_edge_is_caught(monkeypatch):
+    # refusing the one edge the walk takes at u leaves no increasing path:
+    # the path is unique, so no other edge may stand in for it
+    pairs = [(u, v) for u, v in _seeded_pairs(37, (3, 4, 5, 6, 7, 8), 6) if u != v]
+    assert len(pairs) > 30
+    taken = {(u, v): (increasing_path(u, v)[0][1], min_degree(u, v)) for u, v in pairs}
+    real = qbgraph._keeps
+    for (u, v), ((a, b), d) in taken.items():
+        refused = (u, a, b)
+        monkeypatch.setattr(
+            qbgraph, "_keeps",
+            lambda w, i, j, levels, refused=refused: (w, i, j) != refused
+            and real(w, i, j, levels))
+        with pytest.raises(InternalConsistencyError, match="no label-increasing path"):
+            increasing_path(u, v)
+        with pytest.raises(InternalConsistencyError):
+            min_degree(u, v)
+        assert min_degree(u, v, check=False) == d  # the depth formula walks nothing
+
+
+_pairs_to_8 = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.permutations(list(range(1, n + 1))).map(tuple),
+        st.permutations(list(range(1, n + 1))).map(tuple),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs_to_8)
+def test_increasing_path_is_a_shortest_increasing_path(pair):
+    u, v = pair
+    path = increasing_path(u, v)
+    labels = [label for _, label, _ in path]
+    assert labels == sorted(set(labels))  # strictly increasing in lex order
+    assert len(path) == ell(u, v)
+    total, w = deg_zero(len(u)), u
+    for x, (i, j), wt in path:
+        assert x == w and (i, j, wt) in edges_from(w)
+        total, w = deg_add(total, wt), apply_transposition(w, i, j)
+    assert w == v and total == min_degree(u, v, check=False)
+
+
+@pytest.mark.parametrize(
+    "w", [(1, 1, 2), (2, 2, 1), (1, 2, 2, 1), (0, 1, 2), (1, 2, 4), (4, 1, 2),
+          (-1, 2, 1), (1, -2, 3), (2,), (0,), ()],
+)
+def test_edges_from_rejects_non_permutations(w):
+    with pytest.raises(ValueError) as err:
+        edges_from(w)
+    assert str(err.value) == f"not a permutation of [n]: {w!r}"
 
 
 def test_shortest_path_reconstruction():
@@ -535,6 +660,19 @@ def test_a_wrong_depth_is_caught(monkeypatch, shift):
             min_degree(u, v)
         with pytest.raises(InternalConsistencyError):
             tilted_interval(u, v)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_wrong_length_is_caught(monkeypatch, shift):
+    # the increasing path's weight agrees with d, but its step count then
+    # disagrees with ell(u,v) = l(v) - l(u) + 2|d| under a shifted l(v)
+    right = {(u, v): min_degree(u, v) for u, v in _seeded_pairs(16, (3, 5, 7), 10) if u != v}
+    real = qbgraph.length
+    for (u, v), d in right.items():
+        monkeypatch.setattr(qbgraph, "length", lambda w, v=v: real(w) + shift * (w == v))
+        with pytest.raises(InternalConsistencyError, match="has no path of its length"):
+            min_degree(u, v)
+        assert min_degree(u, v, check=False) == d  # d reads no length
 
 
 def test_min_degree_check_modes(monkeypatch):

@@ -411,6 +411,49 @@ def test_k_tilted_matches_classical_k_bruhat_s4():
                 assert k_tilted_leq(u, v, k) == _k_bruhat_classical(u, v, k), (u, v, k)
 
 
+def _k_tilted_leq_oracle(u, v, k):
+    """u <=^k v by a breadth-first search over the edges t_cd, c <= k < d,
+    that keeps distances and stops at the unrestricted distance ell(u, v)."""
+    target = ell(u, v)
+    dist, frontier = {u: 0}, [u]
+    while frontier and dist[frontier[0]] < target:
+        nxt = []
+        for w in frontier:
+            for i, j, _ in qbgraph.edges_from(w):
+                t = apply_transposition(w, i, j)
+                if i <= k < j and t not in dist:
+                    dist[t] = dist[w] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return dist.get(v) == target
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_k_tilted_matches_the_bfs_oracle_exhaustive(n):
+    perms = list(all_permutations(n))
+    held = 0
+    for u in perms:
+        for v in perms:
+            for k in range(1, n):
+                got = k_tilted_leq(u, v, k)
+                assert got == _k_tilted_leq_oracle(u, v, k), (u, v, k)
+                held += got
+    assert 0 < held < len(perms) ** 2 * (n - 1)
+
+
+def test_k_tilted_matches_the_bfs_oracle_s5_to_s7():
+    rng = random.Random(36)
+    held = total = 0
+    for n, count in ((5, 60), (6, 30), (7, 15)):
+        for _ in range(count):
+            u, v = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+            for k in range(1, n):
+                got = k_tilted_leq(u, v, k)
+                assert got == _k_tilted_leq_oracle(u, v, k), (u, v, k)
+                held, total = held + got, total + 1
+    assert 0 < held < total
+
+
 def test_all_witnesses_agree_s4():
     # every tilt with u <~_a v carves out the same interval as the graph
     tilts = list(itertools.product(range(1, 5), repeat=4))
