@@ -27,8 +27,8 @@ minimum (``_keeps``).  ``increasing_path`` walks this test greedily, as
 the label-increasing path is the lexicographically least shortest path
 (Brenti-Fomin-Postnikov, Thm 6.4); ``min_degree`` checks d against it (ell
 steps, weights summing to d), and ``tiltorder.k_tilted_leq`` searches the
-same test.  A tilted interval [u,v] scans no edge: lattice-path heights add, so w lies
-in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
+same test.  A tilted interval [u,v] scans no edge: lattice-path heights
+add, so w lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
 ``tilted_interval`` builds the members prefix set by prefix set, each
 prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
@@ -399,9 +399,8 @@ def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     d = tuple(-min(row) for row in lattice_rows(u, v))
     if not check:
         return d
-    path, total = increasing_path(u, v), deg_zero(len(u))
-    for _, _, wt in path:
-        total = deg_add(total, wt)
+    path = increasing_path(u, v)
+    total = tuple(map(sum, zip(deg_zero(len(u)), *(wt for _, _, wt in path))))
     if len(path) != _ell(u, v, d) or total != d:
         raise InternalConsistencyError(
             f"depth formula {d} has no path of its length and weight from "

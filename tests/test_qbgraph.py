@@ -392,18 +392,19 @@ def test_increasing_path_matches_the_search_oracle_for_every_order(n, count):
     for order in orders:
         for u in perms:
             for v in perms:
-                assert increasing_path(u, v, order) == _increasing_path_oracle(u, v, order), (
-                    order, u, v)
+                expected = _increasing_path_oracle(u, v, order)
+                assert increasing_path(u, v, order) == expected, (order, u, v)
 
 
 def test_increasing_path_matches_the_search_oracle_s5():
     rng = random.Random(36)
-    orders = [default_reflection_order(5)] + [_random_reflection_order(5, rng) for _ in range(3)]
+    orders = [default_reflection_order(5)]
+    orders += [_random_reflection_order(5, rng) for _ in range(3)]
     assert len({tuple(o) for o in orders}) == 4
     for order in orders:
         for u, v in _seeded_pairs(38, (5,), 30):
-            assert increasing_path(u, v, order) == _increasing_path_oracle(u, v, order), (
-                order, u, v)
+            expected = _increasing_path_oracle(u, v, order)
+            assert increasing_path(u, v, order) == expected, (order, u, v)
 
 
 def test_increasing_path_scans_once_per_step(monkeypatch):

@@ -446,7 +446,7 @@ def test_k_tilted_matches_the_bfs_oracle_s5_to_s7():
     held = total = 0
     for n, count in ((5, 60), (6, 30), (7, 15)):
         for _ in range(count):
-            u, v = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+            u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in "uv")
             for k in range(1, n):
                 got = k_tilted_leq(u, v, k)
                 assert got == _k_tilted_leq_oracle(u, v, k), (u, v, k)
