@@ -167,7 +167,10 @@ def test_bruhat_leq_matches_closure():
     "var, call, n, name",
     [
         ("QBRUHAT_MAX_N", lambda w: list(qbgraph.graph_edges(len(w))), 4, "graph"),
-        ("QBRUHAT_MAX_N", lambda w: tiltorder.k_tilted_leq(w, w, 1), 4, "graph"),
+        pytest.param(
+            "QBRUHAT_MAX_N", lambda w: tiltorder.k_tilted_leq(w, w, 1), 4, "graph",
+            id="QBRUHAT_MAX_N-k_tilted_leq-4-graph",
+        ),
         ("QBRUHAT_MAX_COUNT_N", lambda w: varietylab.count_points_fq(w, w, 2), 3, "counting"),
         ("QBRUHAT_MAX_PATH_N", lambda w: quantumschub.path_schubert(w, w), 3, "path"),
         ("QBRUHAT_MAX_GW_N", lambda w: quantumschub.gw_min_degree(w, w), 3, "expansion"),
