@@ -63,12 +63,13 @@ def check_gate(var: str, n: int) -> None:
 
 
 def is_permutation(w: Sequence[int]) -> bool:
-    """
-    >>> is_permutation((2, 3, 1, 4)), is_permutation((1, 1, 2))
-    (True, False)
+    """Whether w lists 1..n once each, as ints (not floats or bools).
+
+    >>> is_permutation((2, 3, 1, 4)), is_permutation((1, 1, 2)), is_permutation((True, 2))
+    (True, False, False)
     """
     n = len(w)
-    return n > 0 and sorted(w) == list(range(1, n + 1))
+    return n > 0 and all(type(x) is int for x in w) and sorted(w) == list(range(1, n + 1))
 
 
 def check_permutation(w: Sequence[int]) -> Perm:

@@ -145,15 +145,17 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
     mismatch raises ``InternalConsistencyError`` (``_mismatch``).
 
     w is checked on the way: the first row's ``seen``, with w_1 added, must
-    be {1, ..., n}, and a value out of range fails a table lookup or a shift
-    first.  A non-permutation raises ``check_permutation``'s ``ValueError``.
+    be {1, ..., n}, and its 1 must not be ``True``, the one non-int that
+    passes every test here; a value out of range or not an int fails a
+    table lookup or a shift first.  n = 1 is left to ``check_permutation``.
+    A non-permutation raises ``check_permutation``'s ``ValueError``.
 
     >>> edges_from((3, 2, 1))
     [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
     """
     n = len(w)
     zero, quantum, between = _edge_tables(n)
-    out, ok = [], n == 1 and w[0] == 1
+    out, ok = [], False
     try:
         for i in range(n - 1):
             wi = w[i]
@@ -175,8 +177,8 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
                     m = d
                 seen |= 1 << wj
             if not i:
-                ok = seen | 1 << wi == (2 << n) - 2
-    except (IndexError, ValueError):  # a value out of range
+                ok = seen | 1 << wi == (2 << n) - 2 and type(w[w.index(1)]) is int
+    except (IndexError, TypeError, ValueError):  # a value out of range or not an int
         ok = False
     if not ok:
         check_permutation(w)

@@ -130,18 +130,6 @@ def quantum_chevalley(k: int, w: Perm) -> dict[tuple[Perm, DegreeVec], int]:
     return out
 
 
-def classical_monk(k: int, w: Perm) -> dict[Perm, int]:
-    """Classical Monk by direct transposition enumeration (oracle)."""
-    n = len(w)
-    out: dict[Perm, int] = {}
-    for i in range(1, k + 1):
-        for j in range(k + 1, n + 1):
-            t = apply_transposition(w, i, j)
-            if length(t) == length(w) + 1:
-                out[t] = out.get(t, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # path Schubert polynomials
 

@@ -30,7 +30,8 @@ T_v^{-1} only at the inverses of T_u's support, so T_u is built first and
 T_v^{-1} only toward those targets (``hecke_t_inverse_at``): a term is
 dropped once the factors still to apply cannot carry it there.  That reach
 test is the trace route's own; it shares nothing with the Deodhar DP or the
-recursion, and the full ``hecke_t_inverse`` stays as the tests' oracle.
+recursion; the full product, ``hecke_t_inverse`` in ``tests/oracles.py``,
+is the tests' oracle for it.
 Hecke coefficients are plain integer maps exponent -> coefficient;
 ``LaurentPoly`` is used at the boundary only.
 
@@ -73,6 +74,7 @@ from .tiltwords import (
     band_split,
     bar_band,
     flatten,
+    is_valid,
     regular_tilted_reduced_word,
     tilt_sequence,
     tilted_reduced_word,
@@ -298,14 +300,6 @@ def _plus_qdiff(
     return out
 
 
-def hecke_gen(n: int, i: int) -> HeckeElt:
-    return HeckeElt.basis(apply_simple(identity(n), i))
-
-
-def hecke_gen_inverse(n: int, i: int) -> HeckeElt:
-    return HeckeElt.unit(n).mul_gen_inverse(i)
-
-
 def trace(x: HeckeElt) -> LaurentPoly:
     """The trace eps: the coefficient of T_id."""
     return LaurentPoly(x.terms.get(identity(x.n)))
@@ -341,14 +335,6 @@ def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:
     return out
 
 
-def hecke_t_inverse(word_gens: Iterable[int], n: int) -> HeckeElt:
-    """(T_w)^{-1}: the T_i^{-1} in reverse order."""
-    out = HeckeElt.unit(n)
-    for i in reversed(list(word_gens)):
-        out = out.mul_gen_inverse(i)
-    return out
-
-
 def hecke_t_inverse_at(
     word_gens: Iterable[int], n: int, targets: Iterable[Perm]
 ) -> HeckeElt:
@@ -359,7 +345,7 @@ def hecke_t_inverse_at(
     apply can carry it there: after the factor of gens[j], those are the
     factors of gens[j-1], ..., gens[0], and reach[j] holds the x they can
     carry into targets.  Every other term is dropped as soon as it is
-    formed; the coefficients at targets are those of ``hecke_t_inverse``.
+    formed; the coefficients at targets are those of the full (T_w)^{-1}.
     """
     gens = list(word_gens)
     whole = math.factorial(n)
@@ -435,8 +421,9 @@ def rtilt_deodhar(
     factor is {u: 1}, and each factor pulls the layer back one position, so
     only prefixes that can still end at u are held, and nothing is cached
     between calls.  The polynomial is read once, from the weight of the
-    identity at position 0.  A given word must multiply to v, and a given
-    tilt must be the word's.
+    identity at position 0.  A given word must be a reduced tilted word for
+    v: valid (``is_valid``: its bars split), of ``word_length`` factors and
+    multiplying to v; a given tilt must be the word's.
 
     A state is a prefix product x: pulling back across generator f keeps x
     or moves it to x s_f.  The state held before position pos is the
@@ -477,6 +464,8 @@ def rtilt_deodhar(
         raise ValueError("the word does not multiply to v")
     elif a is not None and tuple(a) != word.a:
         raise ValueError("the tilt is not the word's")
+    elif not is_valid(word) or len(word) != word_length(word.a, v):
+        raise ValueError("the word is not a reduced tilted word")
     seqs = tilt_sequence(word)
     factors = word.factors
     bits = 2 * len(_gens_of(word)) + 2

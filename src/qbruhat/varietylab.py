@@ -21,12 +21,15 @@ elimination that tests compare the chains against.  Plücker signs and
 vanishing for the Plücker route and ``is_tnn`` come from one table of every
 row set's leading minor, ``_minor_table``, filled by Laplace expansion, so
 the two membership routes share no kernel.  Deodhar points are built by
-two-column updates; ``mat_mul``, ``_phi`` and the ``*_matrix`` builders
-are the dense reference that tests compare against.
+two-column updates; the dense reference that tests compare them against,
+a product of pinned matrices by ``mat_mul``, builds those matrices in
+``tests/oracles.py``.
 
 ``_rank_conditions`` is the one place that forms the cyclic rank
 conditions defining T_{u,v}; a level's regions are the first rows of two
-chains grown from its tilt value.  ``in_tilted_richardson`` runs the chains
+chains grown from its tilt value.  It guards the tilt by the shifted-Gale
+definition of u <=_a v (``permcore.shifted_gale_leq``), not by the lattice
+rows the witness tilt is read from.  ``in_tilted_richardson`` runs the chains
 of each distinct tilt value once on one flag; ``count_points_fq`` walks the
 Schubert-cell matrices of Fl_n(F_p) column by column and runs each level's
 chains on the first column prefix that decides it, so a failing prefix
@@ -50,12 +53,12 @@ from .permcore import (
     check_gate,
     check_perms,
     inverse,
-    length,
     prefix_set,
+    shifted_gale_leq,
     shifted_less,
 )
 from . import qbgraph
-from .tiltorder import Tilt, a_leq, check_tilt, witness_a
+from .tiltorder import Tilt, check_tilt, witness_a
 from .tiltwords import (
     BAR,
     Subword,
@@ -351,6 +354,9 @@ def _rank_conditions(
     a (the witness tilt when None); None when an explicit a does not give
     u <=_a v, where the variety is empty.  The witness tilt always gives
     u <~_a v, so its failing u <=_a v raises ``InternalConsistencyError``.
+    u <=_a v is tested by its definition, ``shifted_gale_leq`` on each
+    prefix, not by the lattice rows that ``witness_a`` reads, so the guard
+    shares no kernel with the witness.
 
     Entry k - 1 is level k's (a_k, [(forward rows, bounds), (backward rows,
     bounds)]), the rows of ``_chain_rows(n, a_k)``'s two chains.  The
@@ -365,7 +371,7 @@ def _rank_conditions(
     n = len(u)
     witness = a is None
     a = witness_a(u, v) if witness else check_tilt(a, n)
-    if not a_leq(a, u, v):
+    if not all(shifted_gale_leq(n, a[k - 1], u[:k], v[:k]) for k in range(1, n)):
         if witness:
             raise InternalConsistencyError(f"witness tilt {a} does not give {u} <=_a {v}")
         return None
@@ -522,32 +528,7 @@ def canonical_cell_matrix(
 
 
 # ---------------------------------------------------------------------------
-# pinned matrices for the Deodhar parametrization
-
-
-def _phi(n: int, i: int, block: Sequence[Sequence[Scalar]], field: Optional[int]) -> ExactMatrix:
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r in range(2):
-        for c in range(2):
-            rows[i - 1 + r][i - 1 + c] = block[r][c]
-    return make_matrix(rows, field)
-
-
-def y_matrix(n: int, i: int, p: Scalar, field: Optional[int] = None) -> ExactMatrix:
-    return _phi(n, i, [[1, 0], [p, 1]], field)
-
-
-def x_matrix(n: int, i: int, m: Scalar, field: Optional[int] = None) -> ExactMatrix:
-    return _phi(n, i, [[1, m], [0, 1]], field)
-
-
-def sdot_matrix(n: int, i: int, field: Optional[int] = None) -> ExactMatrix:
-    """The signed permutation matrix with -1 above the diagonal."""
-    return _phi(n, i, [[0, -1], [1, 0]], field)
-
-
-def sdot_inverse_matrix(n: int, i: int, field: Optional[int] = None) -> ExactMatrix:
-    return _phi(n, i, [[0, 1], [-1, 0]], field)
+# Deodhar points
 
 
 def deodhar_point(
@@ -648,10 +629,6 @@ def is_tnn(M: ExactMatrix, a: Tilt) -> bool:
 
 # ---------------------------------------------------------------------------
 # F_q point counting
-
-
-def count_total_flags(n: int, p: int) -> int:
-    return sum(p ** length(w) for w in all_permutations(n))
 
 
 def enumerate_flags_fq(n: int, p: int) -> Iterator[ExactMatrix]:

@@ -4,8 +4,10 @@ routes against each other.
 Each property is a row (name, check, exploratory) of ``PROPERTIES``.  A
 check takes (n, rng, level) and returns None on success or a
 counterexample string; a check that raises fails with the exception as its
-detail.  An exploratory check searches for a conjectural statement and only
-reports what it found (status "info"); it runs at ``--level full`` only.
+detail.  Two routes that disagree raise ``InternalConsistencyError``, so
+that ``verify`` exits 2, as every other verb does on a consistency failure.
+An exploratory check searches for a conjectural statement and only reports
+what it found (status "info"); it runs at ``--level full`` only.
 
 A check draws its pairs or triples from ``_cases``: every k-tuple of S_n,
 or a seeded sample.  ``_sampled`` picks between them: exhaustive at
@@ -100,7 +102,9 @@ def _prop_rpoly_threeway(n: int, rng: random.Random, level: str) -> Optional[str
     for u, v in _cases(n, 2, rng, _sampled(n, level, 60)):
         d, r, h = rpolyhecke.rtilt_routes(u, v).values()
         if not (d == r == h):
-            return f"routes disagree at ({format_perm(u)},{format_perm(v)})"
+            raise InternalConsistencyError(
+                f"routes disagree at ({format_perm(u)},{format_perm(v)})"
+            )
         if d.degree != qbgraph.ell(u, v) or d.leading_coefficient() != 1:
             return f"degree/monic failure at ({format_perm(u)},{format_perm(v)})"
     return None
@@ -110,7 +114,9 @@ def _prop_count_points(n: int, rng: random.Random, level: str) -> Optional[str]:
     for u, v in _cases(min(n, 3), 2, rng):
         c = varietylab.count_points_fq(u, v, 2)
         if c != rpolyhecke.rtilt_deodhar(u, v)(2):
-            return f"F_2 count mismatch at ({format_perm(u)},{format_perm(v)})"
+            raise InternalConsistencyError(
+                f"F_2 count mismatch at ({format_perm(u)},{format_perm(v)})"
+            )
     return None
 
 

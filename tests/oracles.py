@@ -1,0 +1,84 @@
+"""Reference implementations that the tests compare the package against.
+
+Each is the plain definition of something ``qbruhat`` computes by a faster
+or sparser route.  Nothing in ``src/qbruhat/`` calls them, and
+``tests/test_dead_code.py`` fails if one of them is defined there too or if
+a module of the package imports from the tests.
+"""
+
+from typing import Iterable, Optional, Sequence
+
+from qbruhat.permcore import Perm, all_permutations, apply_simple, apply_transposition, identity, length
+from qbruhat.rpolyhecke import HeckeElt
+from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix
+
+
+# ---------------------------------------------------------------------------
+# the Hecke algebra: T_i, T_i^{-1} and the full (T_w)^{-1}
+
+
+def hecke_gen(n: int, i: int) -> HeckeElt:
+    return HeckeElt.basis(apply_simple(identity(n), i))
+
+
+def hecke_gen_inverse(n: int, i: int) -> HeckeElt:
+    return HeckeElt.unit(n).mul_gen_inverse(i)
+
+
+def hecke_t_inverse(word_gens: Iterable[int], n: int) -> HeckeElt:
+    """(T_w)^{-1}: the T_i^{-1} in reverse order, with no term dropped."""
+    out = HeckeElt.unit(n)
+    for i in reversed(list(word_gens)):
+        out = out.mul_gen_inverse(i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# classical Monk
+
+
+def classical_monk(k: int, w: Perm) -> dict[Perm, int]:
+    """Classical Monk by direct transposition enumeration."""
+    n = len(w)
+    out: dict[Perm, int] = {}
+    for i in range(1, k + 1):
+        for j in range(k + 1, n + 1):
+            t = apply_transposition(w, i, j)
+            if length(t) == length(w) + 1:
+                out[t] = out.get(t, 0) + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# flags and the pinned matrices of the Deodhar parametrization
+
+
+def count_total_flags(n: int, p: int) -> int:
+    """|Fl_n(F_p)| = sum of p^{l(w)} over S_n."""
+    return sum(p ** length(w) for w in all_permutations(n))
+
+
+def _phi(n: int, i: int, block: Sequence[Sequence[Scalar]], field: Optional[int]) -> ExactMatrix:
+    """The identity with the 2x2 block on rows and columns i, i + 1."""
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for r in range(2):
+        for c in range(2):
+            rows[i - 1 + r][i - 1 + c] = block[r][c]
+    return make_matrix(rows, field)
+
+
+def y_matrix(n: int, i: int, p: Scalar, field: Optional[int] = None) -> ExactMatrix:
+    return _phi(n, i, [[1, 0], [p, 1]], field)
+
+
+def x_matrix(n: int, i: int, m: Scalar, field: Optional[int] = None) -> ExactMatrix:
+    return _phi(n, i, [[1, m], [0, 1]], field)
+
+
+def sdot_matrix(n: int, i: int, field: Optional[int] = None) -> ExactMatrix:
+    """The signed permutation matrix with -1 above the diagonal."""
+    return _phi(n, i, [[0, -1], [1, 0]], field)
+
+
+def sdot_inverse_matrix(n: int, i: int, field: Optional[int] = None) -> ExactMatrix:
+    return _phi(n, i, [[0, 1], [-1, 0]], field)

@@ -50,7 +50,6 @@ from qbruhat.tiltwords import (
 )
 from qbruhat.varietylab import (
     count_points_fq,
-    count_total_flags,
     deodhar_point,
     in_tilted_richardson,
     in_tilted_richardson_plucker,
@@ -62,6 +61,8 @@ from qbruhat.quantumschub import (
     path_schubert,
     revlex_leading,
 )
+
+from oracles import count_total_flags
 
 GAMMA3_STRONG = {
     ("123", "132"), ("123", "213"), ("132", "312"), ("132", "231"),

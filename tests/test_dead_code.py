@@ -6,9 +6,13 @@ constant equal to the name (``bench/tracer.py`` wraps functions by name).
 The node must lie in ``src/qbruhat/`` outside the function's own
 definition, or in some ``bench/*.py`` file.  Prose does not count: a name
 that appears elsewhere only in a docstring or a comment fails.  Otherwise
-the function must be paper-facing API (``PAPER_API``), an oracle that tests
-compare the production routes against (``ORACLES``), or a method that a
+the function must be paper-facing API (``PAPER_API``) or a method that a
 library calls back (``HOOKS``).  Methods are listed as ``Class.method``.
+
+Oracles, the reference implementations that tests compare the production
+routes against, live in ``tests/oracles.py``: no function there may also be
+defined in the package, and no module of the package may import from the
+tests.
 """
 
 import ast
@@ -33,19 +37,6 @@ PAPER_API = {
     "reflection_order_from_word",
     "strong_lifting_witness",
     "witness_a_leq",
-}
-
-ORACLES = {
-    "classical_monk",
-    "count_total_flags",
-    "hecke_gen",
-    "hecke_gen_inverse",
-    "hecke_t_inverse",
-    "sdot_inverse_matrix",
-    "sdot_matrix",
-    "shifted_gale_leq",
-    "x_matrix",
-    "y_matrix",
 }
 
 HOOKS = {
@@ -82,8 +73,12 @@ def _names(tree):
     return names
 
 
+def _src():
+    return [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qbruhat").glob("*.py"))]
+
+
 def test_every_function_has_a_caller_or_a_reason():
-    src = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qbruhat").glob("*.py"))]
+    src = _src()
     bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
     named = sum(map(_names, src + bench), Counter())
     defined, unreferenced = set(), set()
@@ -92,6 +87,21 @@ def test_every_function_has_a_caller_or_a_reason():
             defined.add(listed)
             if named[name] == _names(node)[name]:
                 unreferenced.add(listed)
-    assert unreferenced - PAPER_API - ORACLES - HOOKS == set()
+    assert unreferenced - PAPER_API - HOOKS == set()
     # no entry outlives its function
-    assert (PAPER_API | ORACLES | HOOKS) - defined == set()
+    assert (PAPER_API | HOOKS) - defined == set()
+
+
+def test_oracles_stay_out_of_the_package():
+    src = _src()
+    defined = {name for tree in src for _, name, _ in _definitions(tree)}
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert {name for _, name, _ in _definitions(oracles)} & defined == set()
+    imported = set()
+    for tree in src:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert {m for m in imported if m.partition(".")[0] in ("tests", "oracles")} == set()

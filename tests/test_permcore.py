@@ -11,6 +11,7 @@ from qbruhat.permcore import (
     all_permutations,
     apply_transposition,
     bruhat_leq,
+    check_permutation,
     compose,
     cyclic_interval,
     descents,
@@ -210,6 +211,24 @@ W0 = (3, 2, 1)
         (lambda: rpolyhecke.rtilt_deodhar(
             E3, W0, a=(1, 1, 1), word=tiltwords.regular_tilted_reduced_word((2, 2, 2), W0)),
          "not the word's"),
+        # words that multiply to v under its tilt but are not reduced tilted
+        # words: unchecked, the DP gave q^2 - q + 1, q^2 and q for R~_{v,v} = 1
+        (lambda: rpolyhecke.rtilt_deodhar(
+            E3, E3, a=(1, 1, 1), word=tiltwords.make_word((1, 1, 1), (1, 1))),
+         "not a reduced tilted word"),
+        (lambda: rpolyhecke.rtilt_deodhar(
+            E3, E3, word=tiltwords.make_word((2, 2, 2), (1, 2, 2, 1))),
+         "not a reduced tilted word"),
+        # of the reduced length, but its bar splits nothing
+        (lambda: rpolyhecke.rtilt_deodhar(
+            (2, 1, 3), (2, 1, 3), word=tiltwords.make_word((2, 1, 1), (tiltwords.BAR, 1))),
+         "not a reduced tilted word"),
+        # ints only: unchecked, a float reached lattice_rows as a TypeError
+        (lambda: check_permutation((1.0, 2.0, 3.0)), "not a permutation"),
+        (lambda: check_permutation((True, 2)), "not a permutation"),
+        (lambda: qbgraph.min_degree((1.0, 2.0, 3.0), W0), "not a permutation"),
+        (lambda: qbgraph.ell(E3, (3, 2, 1.0)), "not a permutation"),
+        (lambda: tiltorder.a_leq((1, 1, 1), (True, 2, 3), W0), "not a permutation"),
         (lambda: rpolyhecke.rtilt_recursive(E3, BAD), "not a permutation"),
         (lambda: rpolyhecke.rtilt_hecke(E3, BAD), "not a permutation"),
         (lambda: varietylab.count_points_fq(BAD, E3, 2), "not a permutation"),

@@ -461,7 +461,8 @@ def test_increasing_path_is_a_shortest_increasing_path(pair):
 
 @pytest.mark.parametrize(
     "w", [(1, 1, 2), (2, 2, 1), (1, 2, 2, 1), (0, 1, 2), (1, 2, 4), (4, 1, 2),
-          (-1, 2, 1), (1, -2, 3), (2,), (0,), ()],
+          (-1, 2, 1), (1, -2, 3), (2,), (0,), (),
+          (1.0, 2.0, 3.0), (3, 2, 1.0), (1.5, 2), (True, 2), (2, True, 3), (True,), (1.0,)],
 )
 def test_edges_from_rejects_non_permutations(w):
     with pytest.raises(ValueError) as err:

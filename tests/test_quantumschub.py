@@ -18,7 +18,6 @@ from qbruhat.qbgraph import deg_add, deg_leq, deg_zero, edges_from, ell, min_deg
 from qbruhat.quantumschub import (
     MultiPoly,
     check_descent_cycling,
-    classical_monk,
     cohomology_class_T,
     divided_difference,
     gw_min_degree,
@@ -30,6 +29,8 @@ from qbruhat.quantumschub import (
 )
 from qbruhat.tiltorder import interval_s_invariant
 from qbruhat.varietylab import solve_exact
+
+from oracles import classical_monk
 
 
 def mono(n, xe):
@@ -352,3 +353,14 @@ def test_degree_bound_keeps_the_paths_below_it():
         assert m in full.q_weights()
         # a bound past every field's width bounds nothing
         assert path_schubert(u, v, (99,) * len(m)) == full
+
+
+def test_gw_raises_on_a_negative_coefficient(monkeypatch):
+    # Gromov-Witten numbers count curves: a negative one is a fault
+    real = quantumschub.schubert_expand
+    monkeypatch.setattr(
+        quantumschub, "schubert_expand",
+        lambda P, grade: {z: -c for z, c in real(P, grade).items()},
+    )
+    with pytest.raises(InternalConsistencyError, match="negative expansion coefficient"):
+        gw_min_degree((1, 2, 3), (3, 2, 1))

@@ -29,10 +29,7 @@ from qbruhat.rpolyhecke import (
     LaurentPoly,
     as_qpoly,
     classical_r,
-    hecke_gen,
-    hecke_gen_inverse,
     hecke_t,
-    hecke_t_inverse,
     hecke_t_inverse_at,
     rtilt,
     rtilt_deodhar,
@@ -52,6 +49,8 @@ from qbruhat.tiltwords import (
     tilted_reduced_word,
     word_moves,
 )
+
+from oracles import hecke_gen, hecke_gen_inverse, hecke_t_inverse
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -721,3 +720,13 @@ def test_deodhar_states_at_each_bar_lie_under_the_demazure_bound(monkeypatch):
                         assert sum(x[:f]) <= sum(d[:f]), (u, v, p, x, f)
                         checked += 1
     assert checked
+
+
+def test_recursion_past_its_budget_is_a_fault(monkeypatch):
+    # each step of the recursion shortens the tilted word of v by one, so
+    # l^word_a(v) + 1 calls bound its depth; a recursion that outruns the
+    # bound must raise, not loop
+    monkeypatch.setattr(rpolyhecke, "_REC_MEMO", {})
+    monkeypatch.setattr(rpolyhecke, "word_length", lambda a, w: 0)
+    with pytest.raises(InternalConsistencyError, match="failed to terminate"):
+        rtilt_recursive((1, 2, 3), (3, 2, 1))

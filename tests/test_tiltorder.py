@@ -5,6 +5,7 @@ import pytest
 
 from qbruhat import qbgraph
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     apply_simple,
     apply_transposition,
@@ -492,3 +493,14 @@ def test_tilt_1233_poset_shapes():
         maxs = {format_perm(u) for u in perms if not any((u, w) in less for w in perms)}
         assert len(hasse) == edges, (mode, len(hasse))
         assert mins == minimal and maxs == maximal, mode
+
+
+def test_lattice_paths_sharing_no_minimum_are_a_fault(monkeypatch):
+    # adjacent lattice paths always share a minimum; levels whose minima are
+    # one abscissa each, a different one per path, must not yield a tilt
+    real = qbgraph._levels
+    monkeypatch.setattr(
+        qbgraph, "_levels", lambda u, v: [(row, 1 << k) for k, (row, _) in enumerate(real(u, v))]
+    )
+    with pytest.raises(InternalConsistencyError, match="share no minimum at k=1"):
+        witness_a((2, 3, 1), (1, 2, 3))

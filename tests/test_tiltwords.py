@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from qbruhat import tiltwords
 from qbruhat.permcore import (
+    InternalConsistencyError,
     all_permutations,
     apply_simple,
     identity,
@@ -385,3 +387,19 @@ def test_positive_subword_is_unique_in_enumeration():
         positives = [s for s in subs if not s.jminus]
         assert len(positives) == 1
         assert positives[0] == positive_distinguished_subword(word, u)
+
+
+def test_a_positive_subword_for_the_wrong_permutation_is_a_fault(monkeypatch):
+    # the descent rule builds the subword for u; classified as one for
+    # another permutation, it must not be returned
+    real = tiltwords._classify
+
+    def misread(word, keep):
+        s = real(word, keep)
+        return tiltwords.Subword(s.word, s.keep, word.target, s.jplus, s.jcirc, s.jminus)
+
+    monkeypatch.setattr(tiltwords, "_classify", misread)
+    u, v = (1, 2, 3), (3, 2, 1)
+    word = regular_tilted_reduced_word(witness_a(u, v), v)
+    with pytest.raises(InternalConsistencyError, match="construction failed"):
+        positive_distinguished_subword(word, u)

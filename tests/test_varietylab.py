@@ -32,7 +32,6 @@ from qbruhat.tiltwords import (
 from qbruhat.varietylab import (
     canonical_cell_matrix,
     count_points_fq,
-    count_total_flags,
     deodhar_point,
     det,
     enumerate_flags_fq,
@@ -49,15 +48,13 @@ from qbruhat.varietylab import (
     multi_plucker,
     permutation_matrix,
     plucker,
-    sdot_inverse_matrix,
-    sdot_matrix,
     solve_exact,
     tilted_rothe,
     tilted_rothe_op,
     tnn_signs,
-    x_matrix,
-    y_matrix,
 )
+
+from oracles import count_total_flags, sdot_inverse_matrix, sdot_matrix, x_matrix, y_matrix
 
 rng = random.Random(0)
 
@@ -576,11 +573,11 @@ def test_count_matches_rpoly_s5(monkeypatch):
 
 def test_witness_tilt_failing_a_leq_is_a_fault(monkeypatch, capsys):
     # the witness tilt gives u <~_a v, so a count of 0 from u not <=_a v under
-    # it would hide a fault in witness_a or a_leq
+    # it would hide a fault in witness_a or in the shifted-Gale guard
     from qbruhat.cli import run
 
     u, v = (2, 3, 1), (1, 2, 3)
-    monkeypatch.setattr(varietylab, "a_leq", lambda a, u, v: False)
+    monkeypatch.setattr(varietylab, "shifted_gale_leq", lambda n, r, A, B: False)
     with pytest.raises(InternalConsistencyError, match="witness tilt"):
         count_points_fq(u, v, 2)
     assert run(["count", "231", "123", "--p", "2"]) == 2
@@ -912,7 +909,6 @@ def test_deodhar_point_uses_no_dense_product(monkeypatch):
         raise AssertionError("dense product on the Deodhar route")
 
     monkeypatch.setattr(varietylab, "mat_mul", forbidden)
-    monkeypatch.setattr(varietylab, "_phi", forbidden)
     a, v, u = (4, 4, 2, 2), parse_perm("3142"), parse_perm("4231")
     word = tilted_reduced_word(a, v)
     sub = positive_distinguished_subword(word, u)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qbruhat import qbgraph, verify
+from qbruhat import qbgraph, rpolyhecke, tiltorder, tiltwords, varietylab, verify
 from qbruhat.cli import run
 from qbruhat.permcore import all_permutations
 
@@ -128,3 +128,66 @@ def test_a_wrong_bfs_oracle_fails_its_property_with_exit_2(
     assert code == 2
     assert [r["name"] for r in failed] == [name]
     assert failed[0]["detail"].startswith(detail)
+
+
+def _skewed(module, name, skew):
+    """A fault: module.name with skew applied to each result."""
+    real = getattr(module, name)
+    return module, name, lambda *args, **kwargs: skew(real(*args, **kwargs), *args)
+
+
+def _lying_after_apply_simple(monkeypatch, side):
+    # the lifting property forms us_i, then vs_i, with apply_simple and tests
+    # each at once: a_lesssim answers False for the one just formed on side
+    formed = []
+    real_simple, real_lesssim = verify.apply_simple, tiltorder.a_lesssim
+    monkeypatch.setattr(
+        verify, "apply_simple", lambda w, i: formed.append(real_simple(w, i)) or formed[-1]
+    )
+    monkeypatch.setattr(
+        tiltorder, "a_lesssim",
+        lambda a, u, v: real_lesssim(a, u, v) and not (formed and (u, v)[side] is formed[-1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, name, detail, code",
+    [
+        (_skewed(qbgraph, "graph_edges", lambda edges, n: list(edges)[:-1]),
+         "graph-reconstruction", "Gamma_3 has 8 strong / 6 quantum edges", 1),
+        (_skewed(qbgraph, "graph_edges",
+                 lambda edges, n: [(w, t, (wt[0] + any(wt), *wt[1:])) for w, t, wt in edges]),
+         "graph-reconstruction", "edge weight vs minimal degree mismatch", 1),
+        (_skewed(qbgraph, "tilted_interval",
+                 lambda iv, u, v: iv._replace(members=frozenset([u, v]))),
+         "thin-intervals", "rank-2 interval", 1),
+        (_skewed(rpolyhecke, "rtilt_hecke", lambda r, u, v: r + rpolyhecke.ONE),
+         "rpoly-three-routes", "InternalConsistencyError: routes disagree", 2),
+        (_skewed(qbgraph, "ell", lambda e, u, v: e + 1),
+         "rpoly-three-routes", "degree/monic failure", 1),
+        (_skewed(varietylab, "count_points_fq", lambda c, u, v, p: c + 1),
+         "fq-count-vs-rpoly", "InternalConsistencyError: F_2 count mismatch", 2),
+        (_skewed(varietylab, "in_tilted_richardson", lambda ok, *args: False),
+         "deodhar-points-in-variety", "Deodhar point escaped T°", 1),
+        (_skewed(varietylab, "is_tnn", lambda ok, M, a: False),
+         "tnn-parametrization", "signed point not TNN", 1),
+        (lambda mp: _lying_after_apply_simple(mp, 0), "lifting-property", "lifting fails: us_i", 1),
+        (lambda mp: _lying_after_apply_simple(mp, 1), "lifting-property", "lifting fails: vs_i", 1),
+        (_skewed(tiltwords, "word_length", lambda length, a, w: 0),
+         "word-length-rank-function", "word length not a rank function", 1),
+    ],
+    ids=["edge-count", "edge-weight", "thin", "routes", "degree", "fq-count", "deodhar-point",
+         "tnn", "lift-us", "lift-vs", "word-rank"],
+)
+def test_each_property_reports_its_fault(capsys, monkeypatch, fault, name, detail, code):
+    # a route that disagrees exits 2, as every verb does on a consistency
+    # failure; a counterexample to an identity of the paper exits 1
+    if callable(fault):
+        fault(monkeypatch)
+    else:
+        monkeypatch.setattr(*fault)
+    got = run(["verify", "--n", "3", "--format", "json"])
+    failed = {r["name"]: r["detail"] for r in json.loads(capsys.readouterr().out)["reports"]
+              if r["status"] == "fail"}
+    assert failed[name].startswith(detail), failed
+    assert got == code
