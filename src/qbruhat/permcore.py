@@ -173,30 +173,45 @@ def all_permutations(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
+def sorting_word(p: list[int]) -> list[int]:
+    """Sort p in place by adjacent swaps and return them: i for each swap
+    of positions i and i + 1 (1-based).
+
+    Each swap is at the leftmost descent of p.  Left of it p is sorted, so
+    after the swap the next leftmost descent lies at most one place back:
+    the scan steps back one place after each swap and forward otherwise,
+    so it makes at most n + 2 l comparisons for l swaps.  The swaps are
+    the inversions of p, each once, so the word is reduced.
+
+    >>> sorting_word([3, 1, 2])
+    [1, 2]
+    """
+    word = []
+    i, last = 0, len(p) - 1
+    while i < last:
+        x, y = p[i], p[i + 1]
+        if x > y:
+            p[i], p[i + 1] = y, x
+            word.append(i + 1)
+            if i:
+                i -= 1
+        else:
+            i += 1
+    return word
+
+
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """The lexicographically smallest reduced word for w.
 
-    Built greedily by peeling the smallest left descent; this is the
+    The greedy word that peels the smallest left descent of w at each
+    step: a left descent i of w is a right descent of w^{-1}, so it is
+    ``sorting_word`` on the positions ``inverse(w)``.  This is the
     canonical word used everywhere deterministic output is needed.
 
     >>> reduced_word((3, 1, 5, 2, 4, 6))
     (2, 1, 4, 3)
     """
-    word = []
-    cur = list(check_permutation(w))
-    n = len(cur)
-    pos = [0] * (n + 1)
-    while True:
-        for i, v in enumerate(cur):
-            pos[v] = i
-        for i in range(1, n):
-            if pos[i] > pos[i + 1]:
-                break
-        else:
-            return tuple(word)
-        word.append(i)
-        # left-multiply by s_i: swap the values i and i+1
-        cur[pos[i]], cur[pos[i + 1]] = cur[pos[i + 1]], cur[pos[i]]
+    return tuple(sorting_word(list(inverse(check_permutation(w)))))
 
 
 def perm_from_word(n: int, word: Iterable[int]) -> Perm:

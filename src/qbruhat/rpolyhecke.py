@@ -28,10 +28,13 @@ so T_v^{-1} and T_u are built separately (each from the unit, one
 generator at a time) and paired by ``trace_product``.  The pairing reads
 T_v^{-1} only at the inverses of T_u's support, so T_u is built first and
 T_v^{-1} only toward those targets (``hecke_t_inverse_at``): a term is
-dropped once the factors still to apply cannot carry it there.  That reach
-test is the trace route's own; it shares nothing with the Deodhar DP or the
-recursion; the full product, ``hecke_t_inverse`` in ``tests/oracles.py``,
-is the tests' oracle for it.
+dropped once the factors still to apply cannot carry it there, by reach
+sets built only while each is smaller than the product it filters
+(``_reach``).  That reach test is the trace route's own; it shares nothing
+with the Deodhar DP or the recursion (``tests/test_rpolyhecke.py`` checks
+the AST); the full product, ``hecke_t_inverse`` in ``tests/oracles.py``,
+is the tests' oracle for it.  The recursion reads u <~_a v and the tilted
+descents from ``tiltorder``'s unchecked kernels, not from a copy here.
 Hecke coefficients are plain integer maps exponent -> coefficient;
 ``LaurentPoly`` is used at the boundary only.
 
@@ -62,10 +65,10 @@ from .permcore import (
 from .poly import Poly
 from .tiltorder import (
     Tilt,
-    a_descents,
     a_length,
-    a_lesssim,
-    a_step_type,
+    check_tilt,
+    descends,
+    lesssim,
     witness_a,
 )
 from .tiltwords import (
@@ -184,10 +187,6 @@ class HeckeElt:
     @classmethod
     def unit(cls, n: int) -> "HeckeElt":
         return cls(n, {identity(n): {0: 1}})
-
-    @classmethod
-    def basis(cls, w: Perm) -> "HeckeElt":
-        return cls(len(w), {w: {0: 1}})
 
     def __eq__(self, other) -> bool:
         return (
@@ -335,6 +334,27 @@ def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:
     return out
 
 
+def _reach(gens: list[int], n: int, targets: Iterable[Perm]) -> list[frozenset[Perm]]:
+    """reach[0] = targets and, while they pay, the sets reach[j]: the x
+    that the factors gens[j-1], ..., gens[0] can carry into targets.
+
+    reach[j] is reach[j-1] and its translates by s_{gens[j-1]}.  A set
+    costs what it holds, and the filter at step j can drop no more terms
+    than the product holds there: after the m - j factors gens[m-1], ...,
+    gens[j] that is at most 2^(m-j).  So reach[j] is built only while the
+    last set built is smaller than that bound, and than the whole group.
+    """
+    m = len(gens)
+    whole = math.factorial(n)
+    reach = [frozenset(targets)]
+    for j in range(1, m):
+        last = reach[-1]
+        if len(last) >= min(whole, 1 << (m - j)):
+            break
+        reach.append(last.union([apply_simple(x, gens[j - 1]) for x in last]))
+    return reach
+
+
 def hecke_t_inverse_at(
     word_gens: Iterable[int], n: int, targets: Iterable[Perm]
 ) -> HeckeElt:
@@ -343,18 +363,19 @@ def hecke_t_inverse_at(
     Right multiplication by T_i^{-1} sends T_x into the span of T_x and
     T_{x s_i}, so a term can end in targets only if the factors still to
     apply can carry it there: after the factor of gens[j], those are the
-    factors of gens[j-1], ..., gens[0], and reach[j] holds the x they can
-    carry into targets.  Every other term is dropped as soon as it is
-    formed; the coefficients at targets are those of the full (T_w)^{-1}.
+    factors of gens[j-1], ..., gens[0], and ``_reach`` builds the sets
+    reach[j] of the x they can carry into targets, for the low j where a
+    set is smaller than the product it filters.  After the factor of
+    gens[j] the terms outside reach[j] are dropped; above the last set the
+    product runs unfiltered.
+
+    Skipping a filter is exact.  reach[j] holds reach[j-1] and its
+    translates, so a term outside reach[j] has no descendant in reach[j-1],
+    ..., reach[0]; reach[0] = targets is always applied and drops them all.
+    So the coefficients at targets are those of the full (T_w)^{-1}.
     """
     gens = list(word_gens)
-    whole = math.factorial(n)
-    reach = [frozenset(targets)]
-    for i in gens[:-1]:
-        last = reach[-1]
-        if len(last) == whole:
-            break  # every earlier set is the whole group: nothing to drop
-        reach.append(last.union([apply_simple(x, i) for x in last]))
+    reach = _reach(gens, n, targets)
     out = HeckeElt.unit(n)
     for j in range(len(gens) - 1, -1, -1):
         out = out.mul_gen_inverse(gens[j])
@@ -516,6 +537,9 @@ _REC_MEMO: dict[tuple[Perm, Perm, Tilt], LaurentPoly] = {}
 
 
 def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
+    """The recursion at one node, for u, v and a that ``rtilt_recursive``
+    checked: each node tests u <~_a v and the tilted descents through
+    ``tiltorder``'s unchecked kernels."""
     if budget < 0:
         raise InternalConsistencyError("tilted R recursion failed to terminate")
     key = (u, v, a)
@@ -524,15 +548,14 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
         return hit
     if u == v:
         out = ONE
-    elif not a_lesssim(a, u, v):
+    elif not lesssim(a, u, v):
         out = ZERO
     else:
-        des = a_descents(a, v)
-        if des:
-            i = min(des)
+        i = next((i for i in range(1, len(v)) if descends(a, v, i)), None)
+        if i is not None:
             vs = apply_simple(v, i)
             us = apply_simple(u, i)
-            if a_step_type(a, u, i) == "descent":
+            if descends(a, u, i):
                 out = _rtilt_rec(us, vs, a, budget - 1)
             else:
                 out = Q * _rtilt_rec(us, vs, a, budget - 1) + Q_MINUS_1 * _rtilt_rec(
@@ -546,10 +569,13 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
 
 
 def rtilt_recursive(u: Perm, v: Perm, a: Optional[Tilt] = None) -> LaurentPoly:
-    """The descent/flatten recursion for the tilted R-polynomial."""
+    """The descent/flatten recursion for the tilted R-polynomial.
+
+    u, v and a given tilt are checked here, once; the nodes below test
+    nothing of their input again (``_rtilt_rec``).
+    """
     check_perms(u, v)
-    if a is None:
-        a = witness_a(u, v)
+    a = witness_a(u, v) if a is None else check_tilt(a, len(u))
     return _rtilt_rec(u, v, a, word_length(a, v) + 1)
 
 

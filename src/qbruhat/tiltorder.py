@@ -14,6 +14,11 @@ against ``permcore``'s definitions: the sorted ``shifted_gale_leq`` and
 the counts over ``cyclic_interval``.  A band test "t in (x, y]_c" reads
 y <_t x (``shifted_less``), and the cover test's gap is the graph's edge
 criterion (``qbgraph.edge_weight``).
+
+The public tests check their input; ``lesssim`` (u <~_a v) and
+``descends`` (i in Des_a(w)) are their unchecked kernels, for callers that
+checked u, v and a once and then test many nodes, as the tilted
+R-polynomial recursion does.
 """
 
 from __future__ import annotations
@@ -65,7 +70,14 @@ def a_sim(a: Tilt, u: Perm, v: Perm) -> bool:
 
 def a_lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
     """u <~_a v, i.e. u <=_a v and u ~_a v."""
-    a, rows = _rows(a, u, v)
+    check_perms(u, v)
+    return lesssim(check_tilt(a, len(u)), u, v)
+
+
+def lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
+    """u <~_a v for permutations u, v of one size and a tilt a of that size,
+    which the caller has checked: ``a_lesssim`` without its input checks."""
+    rows = qbgraph.lattice_rows(u, v)
     return all(h[a[k] - 1] == h[a[k + 1] - 1] == min(h) for k, h in enumerate(rows))
 
 
@@ -173,20 +185,29 @@ def a_length(a: Tilt, w: Perm) -> int:
 
 def a_step_type(a: Tilt, w: Perm, i: int) -> Optional[str]:
     """'descent', 'ascent', or None when a_i != a_{i+1} (not applicable)."""
-    n = len(w)
+    n = len(check_permutation(w))
+    a = check_tilt(a, n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"position {i} out of range")
     if a[i - 1] != a[i]:
         return None
-    if shifted_less(n, a[i - 1], w[i], w[i - 1]):
-        return "descent"
-    return "ascent"
+    return "descent" if descends(a, w, i) else "ascent"
 
 
 def a_descents(a: Tilt, w: Perm) -> set[int]:
-    return {
-        i for i in range(1, len(w)) if a_step_type(a, w, i) == "descent"
-    }
+    """Des_a(w) = {i : a_i = a_{i+1} and w_{i+1} <_{a_i} w_i}."""
+    n = len(check_permutation(w))
+    a = check_tilt(a, n)
+    return {i for i in range(1, n) if descends(a, w, i)}
+
+
+def descends(a: Tilt, w: Perm, i: int) -> bool:
+    """i in Des_a(w), for a permutation w, a tilt a of its size and
+    1 <= i < n, which the caller has checked: the kernel of ``a_step_type``
+    and ``a_descents``.  w_{i+1} <_t w_i reads (w_{i+1} - t) mod n <
+    (w_i - t) mod n, the keys of ``permcore.shifted_key``."""
+    t, n = a[i - 1], len(w)
+    return t == a[i] and (w[i] - t) % n < (w[i - 1] - t) % n
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ active tilt.  ``bar_splits`` checks both in one walk and returns each
 bar's (jump_min, split); ``_regular_splits`` adds the regularity test on
 top of that one walk, for ``is_regular`` and the TNN signs.
 Both constructions join waypoints id -> ... -> w, one group per jump.
+Each step is emitted from positions (``_join``), with the word kernel of
+``reduced_word``; w is checked once, at each construction's entry.
 
 Factors are ints (generator indices) or BAR (None).  Subwords drop
 generator factors only; bars are never droppable.
@@ -24,16 +26,15 @@ from .permcore import (
     InternalConsistencyError,
     Perm,
     apply_simple,
-    compose,
+    check_permutation,
     cyclic_interval,
     identity,
-    inverse,
     length,
     perm_from_word,
-    reduced_word,
     sort_shifted,
+    sorting_word,
 )
-from .tiltorder import Tilt, a_sim, adj_increases, a_step_type, check_tilt, witness_a
+from .tiltorder import Tilt, a_sim, adj_increases, check_tilt, descends, witness_a
 
 BAR = None
 Factor = Optional[int]
@@ -180,15 +181,20 @@ def _sorted_prefix(w: Perm, count: int, n: int, r: int) -> Perm:
 
 
 def _join(a: Tilt, w: Perm, groups: list[list[Perm]]) -> TiltedWord:
-    """Walk from id through each group's waypoints to w: the canonical
-    reduced word of src^{-1} . dst for every step, a bar between groups."""
+    """Walk from id through each group's waypoints to w, a bar between
+    groups.  A step src -> dst is ``sorting_word`` of the positions in dst
+    of src's entries: the swaps that carry src to dst, leftmost descent
+    first, which is the canonical word ``reduced_word(src^{-1} . dst)``."""
     factors: list[Factor] = []
     src = identity(len(w))
+    at = [0] * (len(w) + 1)
     for k, group in enumerate(groups):
         if k:
             factors.append(BAR)
         for dst in group:
-            factors.extend(reduced_word(compose(inverse(src), dst)))
+            for i, x in enumerate(dst):
+                at[x] = i
+            factors.extend(sorting_word([at[x] for x in src]))
             src = dst
     return TiltedWord(a=a, factors=tuple(factors), target=w)
 
@@ -199,6 +205,7 @@ def tilted_reduced_word(a: Tilt, w: Perm) -> TiltedWord:
     """
     n = len(w)
     a = check_tilt(a, n)
+    check_permutation(w)
     js = sorted(jumps(a), reverse=True)
     return _join(a, w, [[_sorted_prefix(w, jk, n, a[jk - 1])] for jk in js] + [[w]])
 
@@ -210,6 +217,7 @@ def regular_tilted_reduced_word(a: Tilt, w: Perm) -> TiltedWord:
     """
     n = len(w)
     a = check_tilt(a, n)
+    check_permutation(w)
     js = sorted(jumps(a), reverse=True)
     past = a + (1,)
     groups = [[_sorted_prefix(w, jk, n, r) for r in (past[jk], a[jk - 1])] for jk in js]
@@ -390,7 +398,11 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
 def positive_distinguished_subword(word_v: TiltedWord, u: Perm) -> Subword:
     """The unique distinguished subword for u with no forced keeps,
     built right to left by the descent rule.  Requires u <~_a target.
+    u is checked here, once; each step tests its descent with the
+    unchecked ``tiltorder.descends``.
     """
+    if len(check_permutation(u)) != word_v.n:
+        raise ValueError("size mismatch")
     seqs = tilt_sequence(word_v)
     cur = u
     keep: list[bool] = []
@@ -401,7 +413,7 @@ def positive_distinguished_subword(word_v: TiltedWord, u: Perm) -> Subword:
             if flattenable(seqs[j], cur) is None:
                 raise ValueError("u is not <~_a below the word's target")
             continue
-        if a_step_type(seqs[j], cur, f) == "descent":
+        if descends(seqs[j], cur, f):
             keep.append(True)
             cur = apply_simple(cur, f)
         else:

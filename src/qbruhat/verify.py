@@ -105,8 +105,12 @@ def _prop_rpoly_threeway(n: int, rng: random.Random, level: str) -> Optional[str
             raise InternalConsistencyError(
                 f"routes disagree at ({format_perm(u)},{format_perm(v)})"
             )
-        if d.degree != qbgraph.ell(u, v) or d.leading_coefficient() != 1:
-            return f"degree/monic failure at ({format_perm(u)},{format_perm(v)})"
+        if d.degree != qbgraph.ell(u, v):
+            raise InternalConsistencyError(
+                f"degree differs from ell at ({format_perm(u)},{format_perm(v)})"
+            )
+        if d.leading_coefficient() != 1:
+            return f"monic failure at ({format_perm(u)},{format_perm(v)})"
     return None
 
 

@@ -8,17 +8,84 @@ a module of the package imports from the tests.
 
 from typing import Iterable, Optional, Sequence
 
-from qbruhat.permcore import Perm, all_permutations, apply_simple, apply_transposition, identity, length
+from qbruhat.permcore import (
+    Perm,
+    all_permutations,
+    apply_simple,
+    apply_transposition,
+    compose,
+    identity,
+    inverse,
+    length,
+    sort_shifted,
+)
 from qbruhat.rpolyhecke import HeckeElt
+from qbruhat.tiltorder import Tilt
+from qbruhat.tiltwords import BAR, jumps
 from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix
 
 
 # ---------------------------------------------------------------------------
-# the Hecke algebra: T_i, T_i^{-1} and the full (T_w)^{-1}
+# words: the smallest-left-descent peel and the words joined from it
+
+
+def reduced_word_by_peeling(w: Perm) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word of w: peel the smallest
+    left descent i of w (i + 1 left of i in w), then swap the values i and
+    i + 1, until w is the identity."""
+    word = []
+    cur = list(w)
+    n = len(cur)
+    pos = [0] * (n + 1)
+    while True:
+        for i, v in enumerate(cur):
+            pos[v] = i
+        for i in range(1, n):
+            if pos[i] > pos[i + 1]:
+                break
+        else:
+            return tuple(word)
+        word.append(i)
+        cur[pos[i]], cur[pos[i + 1]] = cur[pos[i + 1]], cur[pos[i]]
+
+
+def tilted_word_by_peeling(a: Tilt, w: Perm, regular: bool = False) -> tuple:
+    """The factors of ``tilted_reduced_word(a, w)`` (``regular=False``) or
+    ``regular_tilted_reduced_word(a, w)``: the waypoints id -> ... -> w,
+    each step src -> dst the peeled word of src^{-1} . dst, a bar between
+    groups."""
+    n = len(w)
+
+    def sorted_prefix(count: int, r: int) -> Perm:
+        return tuple(sort_shifted(n, r, w[:count])) + w[count:]
+
+    past = tuple(a) + (1,)
+    groups = [
+        [sorted_prefix(jk, r) for r in ((past[jk], a[jk - 1]) if regular else (a[jk - 1],))]
+        for jk in sorted(jumps(a), reverse=True)
+    ]
+    factors: list = []
+    src = identity(n)
+    for k, group in enumerate(groups + [[w]]):
+        if k:
+            factors.append(BAR)
+        for dst in group:
+            factors.extend(reduced_word_by_peeling(compose(inverse(src), dst)))
+            src = dst
+    return tuple(factors)
+
+
+# ---------------------------------------------------------------------------
+# the Hecke algebra: T_w, T_i, T_i^{-1} and the full (T_w)^{-1}
+
+
+def hecke_basis(w: Perm) -> HeckeElt:
+    """The basis element T_w."""
+    return HeckeElt(len(w), {w: {0: 1}})
 
 
 def hecke_gen(n: int, i: int) -> HeckeElt:
-    return HeckeElt.basis(apply_simple(identity(n), i))
+    return hecke_basis(apply_simple(identity(n), i))
 
 
 def hecke_gen_inverse(n: int, i: int) -> HeckeElt:

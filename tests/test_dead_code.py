@@ -1,8 +1,10 @@
 """Every function in ``src/qbruhat/`` has a caller or a reason to exist.
 
-A top-level function or a non-dunder method passes when some AST node
-names it: a ``Name``, an ``Attribute``, an import alias, or a string
-constant equal to the name (``bench/tracer.py`` wraps functions by name).
+A top-level function passes when some AST node names it: a ``Name``, an
+``Attribute``, an import alias, or a string constant equal to the name
+(``bench/tracer.py`` wraps functions by name).  A non-dunder method passes
+only through an ``Attribute`` or a string constant: a bare name equal to
+a method's is some other binding, such as a local variable.
 The node must lie in ``src/qbruhat/`` outside the function's own
 definition, or in some ``bench/*.py`` file.  Prose does not count: a name
 that appears elsewhere only in a docstring or a comment fails.  Otherwise
@@ -23,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PAPER_API = {
     "ExactMatrix.entry",
+    "a_descents",
     "canonical_cell_matrix",
     "classical_r",
     "cohomology_class_T",
@@ -58,18 +61,21 @@ def _definitions(tree):
                     yield f"{node.name}.{m.name}", m.name, m
 
 
-def _names(tree):
-    """Every name that a node under tree names, once per node."""
+def _names(tree, method=False):
+    """Every name that a node under tree names, once per node; for a
+    method, only the names of ``Attribute`` nodes and string constants."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rpartition(".")[2]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names[node.value] += 1
+        elif method:
+            continue
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
     return names
 
 
@@ -80,12 +86,16 @@ def _src():
 def test_every_function_has_a_caller_or_a_reason():
     src = _src()
     bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
-    named = sum(map(_names, src + bench), Counter())
+    named = {
+        method: sum((_names(tree, method) for tree in src + bench), Counter())
+        for method in (False, True)
+    }
     defined, unreferenced = set(), set()
     for tree in src:
         for listed, name, node in _definitions(tree):
             defined.add(listed)
-            if named[name] == _names(node)[name]:
+            method = "." in listed
+            if named[method][name] == _names(node, method)[name]:
                 unreferenced.add(listed)
     assert unreferenced - PAPER_API - HOOKS == set()
     # no entry outlives its function

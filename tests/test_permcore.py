@@ -27,6 +27,8 @@ from qbruhat.permcore import (
     shifted_less,
 )
 
+from oracles import reduced_word_by_peeling
+
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
@@ -63,6 +65,13 @@ def test_reduced_word_roundtrip(w):
     word = reduced_word(w)
     assert len(word) == length(w)
     assert perm_from_word(len(w), word) == w
+
+
+def test_reduced_word_is_the_smallest_left_descent_peel():
+    # the sorting scan on inverse(w) against the peel it replaced
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert reduced_word(w) == reduced_word_by_peeling(w), w
 
 
 def test_length_is_the_pairwise_inversion_count():
@@ -251,6 +260,15 @@ W0 = (3, 2, 1)
         (lambda: tiltorder.a_length((1, 1, 1), BAD), "not a permutation"),
         (lambda: qbgraph.edge_weight(BAD, 1, 3), "not a permutation"),
         (lambda: tiltorder.k_tilted_leq(E3, BAD, 1), "not a permutation"),
+        # the recursion checks a given tilt at its entry, not at its first node
+        (lambda: rpolyhecke.rtilt_recursive(E3, W0, a=(0, 1, 1)), "tilt must lie in"),
+        (lambda: tiltorder.a_step_type((1, 1, 1), BAD, 1), "not a permutation"),
+        (lambda: tiltorder.a_descents((1, 1, 1), BAD), "not a permutation"),
+        (lambda: tiltorder.a_descents((1, 1), E3), "tilt must lie in"),
+        (lambda: tiltwords.positive_distinguished_subword(
+            tiltwords.regular_tilted_reduced_word((1, 1, 1), W0), BAD), "not a permutation"),
+        (lambda: tiltwords.positive_distinguished_subword(
+            tiltwords.regular_tilted_reduced_word((1, 1, 1), W0), (1, 2)), "size mismatch"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

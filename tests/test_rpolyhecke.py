@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbruhat import rpolyhecke
+from qbruhat import rpolyhecke, tiltorder
 from qbruhat.permcore import (
     InternalConsistencyError,
     all_permutations,
@@ -50,7 +53,7 @@ from qbruhat.tiltwords import (
     word_moves,
 )
 
-from oracles import hecke_gen, hecke_gen_inverse, hecke_t_inverse
+from oracles import hecke_basis, hecke_gen, hecke_gen_inverse, hecke_t_inverse
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -127,7 +130,7 @@ def test_hecke_relations():
 def test_t_basis_well_defined():
     # T_w from any reduced word of w is the basis element
     for w in all_permutations(4):
-        assert hecke_t(reduced_word(w), 4) == HeckeElt.basis(w)
+        assert hecke_t(reduced_word(w), 4) == hecke_basis(w)
         assert hecke_t_inverse(reduced_word(w), 4) * hecke_t(reduced_word(w), 4) == (
             HeckeElt.unit(4)
         )
@@ -136,7 +139,7 @@ def test_t_basis_well_defined():
 def test_trace():
     for w in all_permutations(3):
         expected = ONE if w == identity(3) else ZERO
-        assert trace(HeckeElt.basis(w)) == expected
+        assert trace(hecke_basis(w)) == expected
     # invariance under conjugation by T_i on random elements
     rng = random.Random(1)
     perms = list(all_permutations(3))
@@ -145,7 +148,7 @@ def test_trace():
         for _ in range(3):
             w = rng.choice(perms)
             c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
-            x = x + HeckeElt.basis(w).scale(c)
+            x = x + hecke_basis(w).scale(c)
         for i in (1, 2):
             conj = hecke_gen(3, i) * x * hecke_gen_inverse(3, i)
             assert trace(conj) == trace(x), (i,)
@@ -402,6 +405,104 @@ def test_hecke_route_builds_only_toward_t_u(monkeypatch):
         hecke_t_inverse(_route_words(u, v)[1], 6)
         full += terms_in[0]
     assert 0 < pruned * 10 <= full, (pruned, full)
+
+
+def test_pruned_t_inverse_matches_full_build_s5_s6_pairs():
+    # uniform S_5 pairs and near-w0 S_6 pairs, whose long words stop the
+    # reach sets well before the whole group
+    rng = random.Random(39)
+    pairs = [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(40)]
+    pairs += [_near_w0_pair(rng, 6) for _ in range(12)]
+    for u, v in pairs:
+        n = len(u)
+        gens_u, gens_v = _route_words(u, v)
+        targets = {inverse(w) for w in hecke_t(gens_u, n).terms}
+        pruned = hecke_t_inverse_at(gens_v, n, targets)
+        full = hecke_t_inverse(gens_v, n)
+        assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(
+            full, targets
+        ), (u, v)
+
+
+def _reach_until_whole(gens, n, targets):
+    # every reach set, built until one covers the group
+    reach = [frozenset(targets)]
+    for i in gens[:-1]:
+        if len(reach[-1]) == math.factorial(n):
+            break
+        reach.append(reach[-1] | {apply_simple(x, i) for x in reach[-1]})
+    return reach
+
+
+def test_reach_sets_stop_at_the_product_bound():
+    # a set is built only while the last one is smaller than the 2^(m-j)
+    # terms the product can hold where it filters, and than the group
+    rng = random.Random(23)
+    pairs = [_near_w0_pair(rng, 6) for _ in range(10)]
+    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(20)]
+    built = every = 0
+    for u, v in pairs:
+        n = len(u)
+        gens_u, gens_v = _route_words(u, v)
+        targets = {inverse(w) for w in hecke_t(gens_u, n).terms}
+        reach = rpolyhecke._reach(gens_v, n, targets)
+        whole = _reach_until_whole(gens_v, n, targets)
+        m = len(gens_v)
+        assert reach == whole[: len(reach)], (u, v)
+        for j in range(1, len(reach)):
+            assert len(reach[j - 1]) < min(math.factorial(n), 2 ** (m - j)), (u, v, j)
+        if len(reach) < m:
+            assert len(reach[-1]) >= min(math.factorial(n), 2 ** (m - len(reach))), (u, v)
+        built += sum(map(len, reach))
+        every += sum(map(len, whole))
+    assert 0 < built * 4 <= every, (built, every)
+
+
+# the three R-polynomial routes, by the functions that make each one up
+ROUTES = {
+    "hecke": {"rtilt_hecke", "hecke_t_inverse_at", "_reach", "hecke_t", "trace_product"},
+    "deodhar": {"rtilt_deodhar", "_demazure_caps", "_unpack"},
+    "recursion": {"rtilt_recursive", "_rtilt_rec"},
+}
+
+
+def _rpolyhecke_tree():
+    return ast.parse(Path(rpolyhecke.__file__).read_text())
+
+
+def test_routes_name_nothing_of_each_other():
+    # each route is an independent check on the other two only while it
+    # shares none of their code
+    defs = {node.name: node for node in _rpolyhecke_tree().body
+            if isinstance(node, ast.FunctionDef)}
+    assert set().union(*ROUTES.values()) <= set(defs)
+    for route, names in ROUTES.items():
+        others = set().union(*(v for k, v in ROUTES.items() if k != route))
+        for name in names:
+            used = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+            assert used & others == set(), (route, name, used & others)
+
+
+def test_recursion_reads_the_tilted_order_from_tiltorder():
+    # rpolyhecke keeps no copy of the <~_a or tilted-descent test: the
+    # recursion calls tiltorder's kernels, and nothing in the module reads
+    # the lattice rows or shifted keys such a copy would need
+    tree = _rpolyhecke_tree()
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "tiltorder"
+                for alias in node.names}
+    assert {"lesssim", "descends"} <= imported
+    rec = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_rtilt_rec")
+    assert {"lesssim", "descends"} <= {n.id for n in ast.walk(rec) if isinstance(n, ast.Name)}
+    own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tilt = ast.parse(Path(tiltorder.__file__).read_text())
+    assert own & {node.name for node in tilt.body if isinstance(node, ast.FunctionDef)} == set()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    read |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert read & {"lattice_rows", "_levels", "shifted_key", "shifted_less", "qbgraph"} == set()
 
 
 def test_deodhar_zero_for_incomparable_tilt():

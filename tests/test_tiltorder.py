@@ -15,6 +15,7 @@ from qbruhat.permcore import (
     parse_perm,
     prefix_set,
     shifted_gale_leq,
+    shifted_less,
 )
 from qbruhat.qbgraph import bfs_ell, ell, min_set, tilted_interval
 from qbruhat.tiltorder import (
@@ -265,6 +266,20 @@ def test_length_rank_on_lesssim_comparable_pairs():
         for v in all_permutations(3):
             a = witness_a(u, v)
             assert a_length(a, v) - a_length(a, u) == ell(u, v), (u, v, a)
+
+
+def test_descent_kernel_is_the_shifted_order_s4():
+    # descends, which the recursion calls unchecked, against the definition
+    # w_{i+1} <_{a_i} w_i when a_i = a_{i+1}, through both checked wrappers
+    for a in all_tilts(4):
+        for w in all_permutations(4):
+            des = {i for i in range(1, 4)
+                   if a[i - 1] == a[i] and shifted_less(4, a[i - 1], w[i], w[i - 1])}
+            assert a_descents(a, w) == des, (a, w)
+            for i in range(1, 4):
+                step = a_step_type(a, w, i)
+                assert (step == "descent") == (i in des), (a, w, i)
+                assert (step is None) == (a[i - 1] != a[i]), (a, w, i)
 
 
 def test_step_types_partial():

@@ -40,6 +40,8 @@ from qbruhat.tiltwords import (
     word_moves,
 )
 
+from oracles import tilted_word_by_peeling
+
 
 def all_tilts(n):
     return itertools.product(range(1, n + 1), repeat=n)
@@ -125,6 +127,24 @@ def test_construction_outputs_are_valid_and_reduced():
         assert is_regular(reg)
         assert len(plain) == len(reg) == word_length(a, w)
         assert len(plain.bar_positions()) == len(jumps(a))
+
+
+def test_constructions_match_the_peeled_words():
+    # the words emitted from position lists against the parent's
+    # compose/inverse/peel join: every (tilt, w) of S_4, then seeded S_6 and
+    # S_7 witness tilts on both ends of their pairs
+    cases = [(a, w) for a in all_tilts(4) for w in all_permutations(4)]
+    rng = random.Random(39)
+    for n, count in ((6, 40), (7, 20)):
+        for _ in range(count):
+            u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            a = witness_a(u, v)
+            cases += [(a, u), (a, v)]
+    for a, w in cases:
+        assert tilted_reduced_word(a, w).factors == tilted_word_by_peeling(a, w), (a, w)
+        assert regular_tilted_reduced_word(a, w).factors == tilted_word_by_peeling(
+            a, w, regular=True
+        ), (a, w)
 
 
 def test_word_length_rank_function():

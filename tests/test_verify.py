@@ -164,7 +164,10 @@ def _lying_after_apply_simple(monkeypatch, side):
         (_skewed(rpolyhecke, "rtilt_hecke", lambda r, u, v: r + rpolyhecke.ONE),
          "rpoly-three-routes", "InternalConsistencyError: routes disagree", 2),
         (_skewed(qbgraph, "ell", lambda e, u, v: e + 1),
-         "rpoly-three-routes", "degree/monic failure", 1),
+         "rpoly-three-routes", "InternalConsistencyError: degree differs from ell", 2),
+        (_skewed(rpolyhecke, "rtilt_routes",
+                 lambda routes, u, v: {k: r + r for k, r in routes.items()}),
+         "rpoly-three-routes", "monic failure", 1),
         (_skewed(varietylab, "count_points_fq", lambda c, u, v, p: c + 1),
          "fq-count-vs-rpoly", "InternalConsistencyError: F_2 count mismatch", 2),
         (_skewed(varietylab, "in_tilted_richardson", lambda ok, *args: False),
@@ -176,12 +179,13 @@ def _lying_after_apply_simple(monkeypatch, side):
         (_skewed(tiltwords, "word_length", lambda length, a, w: 0),
          "word-length-rank-function", "word length not a rank function", 1),
     ],
-    ids=["edge-count", "edge-weight", "thin", "routes", "degree", "fq-count", "deodhar-point",
-         "tnn", "lift-us", "lift-vs", "word-rank"],
+    ids=["edge-count", "edge-weight", "thin", "routes", "degree", "monic", "fq-count",
+         "deodhar-point", "tnn", "lift-us", "lift-vs", "word-rank"],
 )
 def test_each_property_reports_its_fault(capsys, monkeypatch, fault, name, detail, code):
     # a route that disagrees exits 2, as every verb does on a consistency
-    # failure; a counterexample to an identity of the paper exits 1
+    # failure (R's degree against ell(u, v) is such a pair of routes); a
+    # counterexample to an identity of the paper exits 1
     if callable(fault):
         fault(monkeypatch)
     else:
