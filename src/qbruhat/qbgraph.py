@@ -275,8 +275,11 @@ def shortest_path_weight(u: Perm, v: Perm) -> DegreeVec:
 # lattice paths and minimal degrees
 
 
-def _lattice_heights(n: int, A: frozenset[int] | set[int], B: frozenset[int] | set[int]) -> list[int]:
+def _lattice_heights(n: int, A: Iterable[int], B: Iterable[int]) -> list[int]:
     """Heights h_0..h_n of the lattice path of (A, B); h_{x-1} is at abscissa x."""
+    A, B = set(A), set(B)
+    if len(A) != len(B):
+        raise ValueError("subset size mismatch")
     h = [0]
     for i in range(1, n + 1):
         step = (1 if i in A else 0) - (1 if i in B else 0)
@@ -290,9 +293,6 @@ def lattice_depth(n: int, A: Iterable[int], B: Iterable[int]) -> int:
     >>> lattice_depth(7, {3, 4, 6, 7}, {1, 2, 3, 5})
     2
     """
-    A, B = set(A), set(B)
-    if len(A) != len(B):
-        raise ValueError("subset size mismatch")
     return -min(_lattice_heights(n, A, B))
 
 
@@ -304,9 +304,6 @@ def min_set(n: int, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
     >>> sorted(min_set(7, {3, 4, 6, 7}, {1, 2, 3, 5}))
     [3, 4, 6]
     """
-    A, B = set(A), set(B)
-    if len(A) != len(B):
-        raise ValueError("subset size mismatch")
     h = _lattice_heights(n, A, B)
     m = min(h)
     return frozenset(r for r in range(1, n + 1) if h[r - 1] == m)

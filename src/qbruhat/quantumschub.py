@@ -5,8 +5,9 @@ descent-cycling identities.
 
 Path Schubert polynomials count admissible paths segment by segment, the
 tails from each (segment, permutation, packed weight budget) once per call.
-``gw_min_degree`` passes d = d(u,v) as a bound, so the walk prunes a path as
-soon as its weight leaves d, and expands the q^d part triangularly.
+``cohomology_class_T`` passes d = d(u,v) as a bound, so the walk prunes a
+path as soon as its weight leaves d, and expands the q^d part triangularly;
+``gw_min_degree`` relabels that expansion by w_0.
 
 Polynomials here are integer multipolynomials in x_1..x_n and q_1..q_{n-1}:
 ``MultiPoly`` is the ``poly.Poly`` keyed by (x-exponents, q-exponents), so
@@ -225,10 +226,10 @@ def schubert_expand(P: MultiPoly, grade: int) -> dict[Perm, int]:
     return out
 
 
-def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
-    """Minimal-degree Gromov-Witten numbers {w: c_{u,w}^{v, d(u,v)}}."""
-    n = len(u)
-    check_gate("QBRUHAT_MAX_GW_N", n)
+def cohomology_class_T(u: Perm, v: Perm) -> dict[Perm, int]:
+    """[T_{u,v}] in the Schubert basis, {z: coefficient of sigma_z}: the
+    Schubert expansion of the q^{d(u,v)} part of the path polynomial."""
+    check_gate("QBRUHAT_MAX_GW_N", len(u))
     # every path u -> v weighs at least d (Postnikov), so the bound keeps
     # exactly the paths of weight d, and nothing else may appear; a d that
     # is not the least path weight fails that guard, which is why the
@@ -238,20 +239,18 @@ def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
     if P.q_weights() != {d}:
         raise InternalConsistencyError(f"paths under the bound {d} weigh {sorted(P.q_weights())}")
     grade = max(sum(xe) for (xe, _) in P.terms)
-    w0 = longest(n)
     coeffs = schubert_expand(P.q_part(d), grade)
-    out: dict[Perm, int] = {}
     for z, c in coeffs.items():
         if c < 0:
             raise InternalConsistencyError(f"negative expansion coefficient at {z}")
-        out[compose(w0, z)] = c
-    return out
+    return coeffs
 
 
-def cohomology_class_T(u: Perm, v: Perm) -> dict[Perm, int]:
-    """[T_{u,v}] in the Schubert basis: {w_0 w: c_{u,w}^{v, d(u,v)}}."""
+def gw_min_degree(u: Perm, v: Perm) -> dict[Perm, int]:
+    """Minimal-degree Gromov-Witten numbers {w: c_{u,w}^{v, d(u,v)}}: the
+    class [T_{u,v}] relabelled by z -> w_0 z."""
     w0 = longest(len(u))
-    return {compose(w0, w): c for w, c in gw_min_degree(u, v).items()}
+    return {compose(w0, z): c for z, c in cohomology_class_T(u, v).items()}
 
 
 # ---------------------------------------------------------------------------

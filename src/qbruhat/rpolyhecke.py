@@ -161,8 +161,8 @@ class HeckeElt:
     held as a plain integer map exponent -> coefficient.  Normal form: no
     zero coefficient and no empty map is stored, so equal elements have
     equal ``terms``.  ``LaurentPoly`` appears only at the boundary: ``scale``
-    takes one, ``trace`` and ``trace_product`` return one, ``__str__``
-    prints through it.
+    takes one, ``trace_product`` returns one, ``__str__`` prints through
+    it.
     """
 
     __slots__ = ("n", "terms")
@@ -297,11 +297,6 @@ def _plus_qdiff(
     if 0 in out.values():
         return {e: k for e, k in out.items() if k}
     return out
-
-
-def trace(x: HeckeElt) -> LaurentPoly:
-    """The trace eps: the coefficient of T_id."""
-    return LaurentPoly(x.terms.get(identity(x.n)))
 
 
 def trace_product(x: HeckeElt, y: HeckeElt) -> LaurentPoly:

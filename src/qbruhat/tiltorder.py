@@ -168,19 +168,24 @@ def covers(
 
 
 # ---------------------------------------------------------------------------
-# tilted length and descents
+# the tilted Rothe diagram, tilted length and descents
+
+
+def tilted_rothe(a: Tilt, w: Perm) -> frozenset[tuple[int, int]]:
+    """D_a(w) = {(w_i, k) : i > k, w_i <_{a_k} w_k}, the tilted Rothe diagram."""
+    n = len(check_permutation(w))
+    a = check_tilt(a, n)
+    return frozenset(
+        (w[i - 1], k)
+        for k in range(1, n + 1)
+        for i in range(k + 1, n + 1)
+        if shifted_less(n, a[k - 1], w[i - 1], w[k - 1])
+    )
 
 
 def a_length(a: Tilt, w: Perm) -> int:
-    """Number of a-inversions: pairs i < j with w_i >_{a_i} w_j."""
-    n = len(check_permutation(w))
-    a = check_tilt(a, n)
-    return sum(
-        1
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if shifted_less(n, a[i - 1], w[j - 1], w[i - 1])
-    )
+    """l_a(w) = |D_a(w)|: the a-inversions, pairs k < i with w_i <_{a_k} w_k."""
+    return len(tilted_rothe(a, w))
 
 
 def a_step_type(a: Tilt, w: Perm, i: int) -> Optional[str]:

@@ -19,7 +19,6 @@ generator factors only; bars are never droppable.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .permcore import (
@@ -224,7 +223,6 @@ def regular_tilted_reduced_word(a: Tilt, w: Perm) -> TiltedWord:
     return _join(a, w, groups + [[w]])
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def word_length(a: Tilt, w: Perm) -> int:
     """l^word_a(w): factors (bars included) of a reduced tilted word."""
     return len(tilted_reduced_word(a, w))

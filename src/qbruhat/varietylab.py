@@ -51,14 +51,13 @@ from .permcore import (
     Perm,
     all_permutations,
     check_gate,
+    check_permutation,
     check_perms,
-    inverse,
     prefix_set,
     shifted_gale_leq,
-    shifted_less,
 )
 from . import qbgraph
-from .tiltorder import Tilt, check_tilt, witness_a
+from .tiltorder import Tilt, check_tilt, tilted_rothe, witness_a
 from .tiltwords import (
     BAR,
     Subword,
@@ -118,13 +117,21 @@ def _to_field(x: Scalar, p: int) -> int:
     return x.numerator * pow(d, -1, p) % p
 
 
-def permutation_matrix(w: Perm, field: Optional[int] = None) -> ExactMatrix:
-    """The flag e_w: a 1 in each position (w_k, k)."""
+def _cell_rows(w: Perm, entries: Iterable[tuple[tuple[int, int], Scalar]]) -> list[list[Scalar]]:
+    """The rows of the matrix with a 1 at each (w_k, k), the value x at each
+    ((i, k), x) of entries, and 0 elsewhere (1-indexed row, column)."""
     n = len(w)
     rows = [[0] * n for _ in range(n)]
     for k, wk in enumerate(w, start=1):
         rows[wk - 1][k - 1] = 1
-    return make_matrix(rows, field)
+    for (i, k), x in entries:
+        rows[i - 1][k - 1] = x
+    return rows
+
+
+def permutation_matrix(w: Perm, field: Optional[int] = None) -> ExactMatrix:
+    """The flag e_w: a 1 in each position (w_k, k)."""
+    return make_matrix(_cell_rows(check_permutation(w), ()), field)
 
 
 def mat_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -465,8 +472,8 @@ def in_tilted_schubert_cell(
 ) -> bool:
     """Plücker-vanishing membership in X°_{w,a} (kind 'cell') or
     Ω°_{w,a} (kind 'opposite')."""
-    n = M.n
-    a = check_tilt(a, n)
+    check_permutation(w)
+    a = check_tilt(a, M.n)
     if multi_plucker(M, w) == 0:
         return False
     diagram = tilted_rothe_op(a, w) if kind == "cell" else tilted_rothe(a, w)
@@ -480,28 +487,12 @@ def in_tilted_schubert_cell(
 # tilted Rothe diagrams and canonical cell matrices
 
 
-def tilted_rothe(a: Tilt, w: Perm) -> frozenset[tuple[int, int]]:
-    """D_a(w) = {(w_i, k) : i > k, w_i <_{a_k} w_k}; |D_a(w)| = l_a(w)."""
-    n = len(w)
-    a = check_tilt(a, n)
-    return frozenset(
-        (w[i - 1], k)
-        for k in range(1, n + 1)
-        for i in range(k + 1, n + 1)
-        if shifted_less(n, a[k - 1], w[i - 1], w[k - 1])
-    )
-
-
 def tilted_rothe_op(a: Tilt, w: Perm) -> frozenset[tuple[int, int]]:
-    """The complementary diagram: i > k with w_i >_{a_k} w_k."""
-    n = len(w)
-    a = check_tilt(a, n)
-    return frozenset(
-        (w[i - 1], k)
-        for k in range(1, n + 1)
-        for i in range(k + 1, n + 1)
-        if shifted_less(n, a[k - 1], w[k - 1], w[i - 1])
-    )
+    """The complementary diagram: the (w_i, k) with i > k outside
+    ``tilted_rothe(a, w)``, i.e. w_i >_{a_k} w_k."""
+    diagram = tilted_rothe(a, w)
+    pairs = itertools.combinations(range(1, len(w) + 1), 2)
+    return frozenset((w[i - 1], k) for k, i in pairs) - diagram
 
 
 def canonical_cell_matrix(
@@ -512,19 +503,13 @@ def canonical_cell_matrix(
 ) -> ExactMatrix:
     """Canonical representative: 1 at (w_k, k), free entries exactly on the
     tilted Rothe diagram (or its opposite), 0 elsewhere."""
-    n = len(w)
     diagram = tilted_rothe(a, w) if kind == "cell" else tilted_rothe_op(a, w)
     params = dict(params or {})
     if set(params) != set(diagram):
         raise ValueError(
             f"params must assign exactly the diagram cells {sorted(diagram)}"
         )
-    rows = [[0] * n for _ in range(n)]
-    for k, wk in enumerate(w, start=1):
-        rows[wk - 1][k - 1] = 1
-    for (i, k), val in params.items():
-        rows[i - 1][k - 1] = val
-    return make_matrix(rows)
+    return make_matrix(_cell_rows(w, params.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +618,14 @@ def is_tnn(M: ExactMatrix, a: Tilt) -> bool:
 
 def enumerate_flags_fq(n: int, p: int) -> Iterator[ExactMatrix]:
     """Every flag of Fl_n(F_p) exactly once, via the canonical classical
-    Schubert-cell matrices (p^{l(w)} matrices per cell)."""
+    Schubert-cell matrices: p^{l(w)} per cell, free on D_{(1,...,1)}(w)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    ones = (1,) * n
     for w in all_permutations(n):
-        winv = inverse(w)
-        free = [
-            (i, k)
-            for k in range(1, n + 1)
-            for i in range(1, w[k - 1])
-            if winv[i - 1] > k
-        ]
-        base = [[0] * n for _ in range(n)]
-        for k, wk in enumerate(w, start=1):
-            base[wk - 1][k - 1] = 1
+        free = sorted(tilted_rothe(ones, w), key=lambda cell: (cell[1], cell[0]))
         for vals in itertools.product(range(p), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, k), val in zip(free, vals):
-                rows[i - 1][k - 1] = val
-            yield make_matrix(rows, p)
+            yield make_matrix(_cell_rows(w, zip(free, vals)), p)
 
 
 def count_points_fq(u: Perm, v: Perm, p: int) -> int:

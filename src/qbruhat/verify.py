@@ -173,13 +173,13 @@ def _prop_word_rank(n: int, rng: random.Random, level: str) -> Optional[str]:
     samples = 5 if level == "fast" else 20
     for _ in range(samples):
         a = tuple(rng.randint(1, n) for _ in range(n))
+        lengths = {w: tiltwords.word_length(a, w) for w in perms}
         for w in perms:
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    if tiltorder.covers(a, w, i, j, "lesssim") == "cover":
-                        w2 = apply_transposition(w, i, j)
-                        if tiltwords.word_length(a, w2) != tiltwords.word_length(a, w) + 1:
-                            return f"word length not a rank function at a={a}, w={w}"
+            # a cover w*t_ij is an edge of the graph, so only edges are classified
+            for i, j, _ in qbgraph.edges_from(w):
+                if tiltorder.covers(a, w, i, j, "lesssim") == "cover":
+                    if lengths[apply_transposition(w, i, j)] != lengths[w] + 1:
+                        return f"word length not a rank function at a={a}, w={w}"
     return None
 
 

@@ -6,7 +6,8 @@ or sparser route.  Nothing in ``src/qbruhat/`` calls them, and
 a module of the package imports from the tests.
 """
 
-from typing import Iterable, Optional, Sequence
+import itertools
+from typing import Iterable, Iterator, Optional, Sequence
 
 from qbruhat.permcore import (
     Perm,
@@ -17,9 +18,10 @@ from qbruhat.permcore import (
     identity,
     inverse,
     length,
+    shifted_less,
     sort_shifted,
 )
-from qbruhat.rpolyhecke import HeckeElt
+from qbruhat.rpolyhecke import HeckeElt, LaurentPoly
 from qbruhat.tiltorder import Tilt
 from qbruhat.tiltwords import BAR, jumps
 from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix
@@ -76,6 +78,54 @@ def tilted_word_by_peeling(a: Tilt, w: Perm, regular: bool = False) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# tilted Rothe diagrams by their pairwise definitions
+
+
+def a_length_by_pairs(a: Tilt, w: Perm) -> int:
+    """Number of a-inversions: pairs i < j with w_i >_{a_i} w_j."""
+    n = len(w)
+    return sum(
+        1
+        for i in range(1, n)
+        for j in range(i + 1, n + 1)
+        if shifted_less(n, a[i - 1], w[j - 1], w[i - 1])
+    )
+
+
+def tilted_rothe_op_by_definition(a: Tilt, w: Perm) -> frozenset[tuple[int, int]]:
+    """The opposite diagram {(w_i, k) : i > k, w_i >_{a_k} w_k}."""
+    n = len(w)
+    return frozenset(
+        (w[i - 1], k)
+        for k in range(1, n + 1)
+        for i in range(k + 1, n + 1)
+        if shifted_less(n, a[k - 1], w[k - 1], w[i - 1])
+    )
+
+
+def flags_by_inverse(n: int, p: int) -> Iterator[ExactMatrix]:
+    """The classical Schubert-cell matrices of Fl_n(F_p), cell by cell: a 1
+    at each (w_k, k), and free entries at the rows i < w_k that a later
+    column takes (w^{-1}(i) > k), column by column, each top down."""
+    for w in all_permutations(n):
+        winv = inverse(w)
+        free = [
+            (i, k)
+            for k in range(1, n + 1)
+            for i in range(1, w[k - 1])
+            if winv[i - 1] > k
+        ]
+        base = [[0] * n for _ in range(n)]
+        for k, wk in enumerate(w, start=1):
+            base[wk - 1][k - 1] = 1
+        for vals in itertools.product(range(p), repeat=len(free)):
+            rows = [row[:] for row in base]
+            for (i, k), val in zip(free, vals):
+                rows[i - 1][k - 1] = val
+            yield make_matrix(rows, p)
+
+
+# ---------------------------------------------------------------------------
 # the Hecke algebra: T_w, T_i, T_i^{-1} and the full (T_w)^{-1}
 
 
@@ -98,6 +148,12 @@ def hecke_t_inverse(word_gens: Iterable[int], n: int) -> HeckeElt:
     for i in reversed(list(word_gens)):
         out = out.mul_gen_inverse(i)
     return out
+
+
+def trace(x: HeckeElt) -> LaurentPoly:
+    """The trace eps: the coefficient of T_id, read off the product that
+    ``trace_product`` never forms."""
+    return LaurentPoly(x.terms.get(identity(x.n)))
 
 
 # ---------------------------------------------------------------------------

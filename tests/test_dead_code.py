@@ -1,15 +1,22 @@
 """Every function in ``src/qbruhat/`` has a caller or a reason to exist.
 
-A top-level function passes when some AST node names it: a ``Name``, an
-``Attribute``, an import alias, or a string constant equal to the name
-(``bench/tracer.py`` wraps functions by name).  A non-dunder method passes
-only through an ``Attribute`` or a string constant: a bare name equal to
-a method's is some other binding, such as a local variable.
-The node must lie in ``src/qbruhat/`` outside the function's own
-definition, or in some ``bench/*.py`` file.  Prose does not count: a name
-that appears elsewhere only in a docstring or a comment fails.  Otherwise
-the function must be paper-facing API (``PAPER_API``) or a method that a
-library calls back (``HOOKS``).  Methods are listed as ``Class.method``.
+A top-level function f of module m passes when some node outside its own
+definition reads it:
+
+* a ``Name`` f in m that no enclosing function shadows (binds f as a
+  parameter or an assignment target);
+* an import of f from m (``from .m import f``, ``from qbruhat.m import f``);
+* an attribute f on m's name (``m.f``, ``qbruhat.m.f``);
+* a string f in ``bench/tracer.py``, which wraps functions by name.
+
+The imports and attributes count in ``src/qbruhat/`` and in ``bench/*.py``.
+A ``Name`` f in another module, or a string elsewhere, is some other
+binding, such as a local variable or a dict key.  A non-dunder method
+passes only through an ``Attribute`` or a string constant in either
+directory.  Prose does not count: a name that appears elsewhere only in a
+docstring or a comment fails.  Otherwise the function must be
+paper-facing API (``PAPER_API``) or a method that a library calls back
+(``HOOKS``).  Methods are listed as ``Class.method``.
 
 Oracles, the reference implementations that tests compare the production
 routes against, live in ``tests/oracles.py``: no function there may also be
@@ -28,7 +35,6 @@ PAPER_API = {
     "a_descents",
     "canonical_cell_matrix",
     "classical_r",
-    "cohomology_class_T",
     "in_tilted_schubert_cell",
     "interpolate",
     "k_tilted_leq",
@@ -61,49 +67,110 @@ def _definitions(tree):
                     yield f"{node.name}.{m.name}", m.name, m
 
 
-def _names(tree, method=False):
-    """Every name that a node under tree names, once per node; for a
-    method, only the names of ``Attribute`` nodes and string constants."""
+def _method_names(tree):
+    """The names of the ``Attribute`` nodes and string constants under tree,
+    once per node."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names[node.value] += 1
-        elif method:
-            continue
-        elif isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rpartition(".")[2]] += 1
     return names
 
 
+def _unshadowed_reads(tree):
+    """The ids of the loaded ``Name`` nodes under tree that no enclosing
+    function binds as a parameter or an assignment target."""
+    reads = Counter()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            bound = bound | {a.arg for a in params if a} | {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            reads[node.id] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def _qualified_reads(tree):
+    """(module, name) for each import of a name from a module and each
+    attribute on a module's name (``m.f`` or ``pkg.m.f``) under tree."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rpartition(".")[2]
+            for alias in node.names:
+                reads[module, alias.name] += 1
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                reads[owner.id, node.attr] += 1
+            elif isinstance(owner, ast.Attribute):
+                reads[owner.attr, node.attr] += 1
+    return reads
+
+
 def _src():
-    return [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qbruhat").glob("*.py"))]
+    return {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qbruhat").glob("*.py"))}
 
 
 def test_every_function_has_a_caller_or_a_reason():
     src = _src()
-    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
-    named = {
-        method: sum((_names(tree, method) for tree in src + bench), Counter())
-        for method in (False, True)
+    bench = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))}
+    trees = [*src.values(), *bench.values()]
+    qualified = sum((_qualified_reads(tree) for tree in trees), Counter())
+    methods = sum((_method_names(tree) for tree in trees), Counter())
+    traced = {
+        node.value
+        for node in ast.walk(bench["tracer"])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     defined, unreferenced = set(), set()
-    for tree in src:
+    for module, tree in src.items():
+        local = _unshadowed_reads(tree)
         for listed, name, node in _definitions(tree):
             defined.add(listed)
-            method = "." in listed
-            if named[method][name] == _names(node, method)[name]:
+            if "." in listed:
+                read = methods[name] > _method_names(node)[name]
+            else:
+                read = (
+                    local[name] > _unshadowed_reads(node)[name]
+                    or qualified[module, name] > _qualified_reads(node)[module, name]
+                    or name in traced
+                )
+            if not read:
                 unreferenced.add(listed)
     assert unreferenced - PAPER_API - HOOKS == set()
     # no entry outlives its function
     assert (PAPER_API | HOOKS) - defined == set()
 
 
+def test_a_name_that_only_spells_a_function_does_not_read_it():
+    # a parameter, a local variable and a dict key named like
+    # rpolyhecke.trace are no readers of it; a free name, an import and an
+    # attribute on the module are
+    tree = ast.parse(
+        "def f(trace):\n    return trace\n"
+        "def g():\n    trace = 1\n    return {'trace': trace}\n"
+        "def h():\n    return trace(1)\n"
+        "x = rpolyhecke.trace\n"
+        "from .rpolyhecke import trace_product\n"
+    )
+    assert _unshadowed_reads(tree)["trace"] == 1
+    assert _qualified_reads(tree)["rpolyhecke", "trace"] == 1
+    assert _qualified_reads(tree)["rpolyhecke", "trace_product"] == 1
+
+
 def test_oracles_stay_out_of_the_package():
-    src = _src()
+    src = _src().values()
     defined = {name for tree in src for _, name, _ in _definitions(tree)}
     oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
     assert {name for _, name, _ in _definitions(oracles)} & defined == set()

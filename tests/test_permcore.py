@@ -269,6 +269,15 @@ W0 = (3, 2, 1)
             tiltwords.regular_tilted_reduced_word((1, 1, 1), W0), BAD), "not a permutation"),
         (lambda: tiltwords.positive_distinguished_subword(
             tiltwords.regular_tilted_reduced_word((1, 1, 1), W0), (1, 2)), "size mismatch"),
+        # unchecked, the cell functions answered for a non-permutation: an
+        # empty diagram, a singular "flag", a membership verdict
+        (lambda: tiltorder.tilted_rothe((1, 1, 1), BAD), "not a permutation"),
+        (lambda: varietylab.tilted_rothe_op((1, 1, 1), BAD), "not a permutation"),
+        (lambda: varietylab.permutation_matrix(BAD), "not a permutation"),
+        (lambda: varietylab.in_tilted_schubert_cell(
+            varietylab.permutation_matrix(E3), BAD, (1, 1, 1)), "not a permutation"),
+        (lambda: varietylab.canonical_cell_matrix((1, 1, 1), (3, 3, 1), "cell", {}),
+         "not a permutation"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

@@ -290,6 +290,21 @@ def test_path_schubert_and_gw_outputs_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "fn, digest",
+    [
+        (gw_min_degree, "c58070ccb1f25956f22026d6dbf904f1b80381e6d13387ab3fe0ce9a8638b6eb"),
+        (cohomology_class_T, "c1fb1cb9cd023142d903b2ab0d2e2512bc4e47ac8e5fdd0c04cdf39701a47c3f"),
+    ],
+)
+def test_gw_and_class_pinned_in_dict_order(fn, digest):
+    # every S_3 and S_4 pair, items in the order returned; the digests were
+    # taken before gw_min_degree read the class, and the class has no second
+    # route to compare against yet
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    assert _digest(repr(list(fn(u, v).items())) for u, v in pairs) == digest
+
+
 def _admissible_paths_oracle(u, v):
     """Every x^beta-admissible path u -> v, yielded one by one as (beta,
     weight): the generator walk that ``path_schubert`` once used.  Segment k

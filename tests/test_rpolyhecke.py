@@ -38,7 +38,6 @@ from qbruhat.rpolyhecke import (
     rtilt_deodhar,
     rtilt_hecke,
     rtilt_recursive,
-    trace,
     trace_product,
 )
 from qbruhat.permcore import cyclic_interval
@@ -53,7 +52,7 @@ from qbruhat.tiltwords import (
     word_moves,
 )
 
-from oracles import hecke_basis, hecke_gen, hecke_gen_inverse, hecke_t_inverse
+from oracles import hecke_basis, hecke_gen, hecke_gen_inverse, hecke_t_inverse, trace
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -571,8 +570,8 @@ def test_deodhar_matches_recursion_at_and_near_w0():
         pairs += [(_random_perm(rng, n), rng.choice(tops)) for _ in range(spots)]
         for u, v in pairs:
             assert rtilt_deodhar(u, v) == rtilt_recursive(u, v), (u, v)
-    # the longest word at n = 9, above the rpoly gate: the recursion takes
-    # nearly all of its time
+    # the longest word at n = 9, above the graph gate (no gate bounds rpoly):
+    # the recursion takes nearly all of its time
     e, w0 = identity(9), tuple(range(9, 0, -1))
     assert rtilt_deodhar(e, w0) == rtilt_recursive(e, w0)
 

@@ -54,7 +54,16 @@ from qbruhat.varietylab import (
     tnn_signs,
 )
 
-from oracles import count_total_flags, sdot_inverse_matrix, sdot_matrix, x_matrix, y_matrix
+from oracles import (
+    a_length_by_pairs,
+    count_total_flags,
+    flags_by_inverse,
+    sdot_inverse_matrix,
+    sdot_matrix,
+    tilted_rothe_op_by_definition,
+    x_matrix,
+    y_matrix,
+)
 
 rng = random.Random(0)
 
@@ -307,8 +316,39 @@ def test_tilted_rothe_example():
     assert tilted_rothe_op(a, w) == {(1, 1), (2, 1), (3, 1), (1, 3)}
     for atilt in [(1, 1, 1, 1), (4, 4, 2, 2), (2, 3, 1, 4)]:
         for w in all_permutations(4):
-            assert len(tilted_rothe(atilt, w)) == a_length(atilt, w)
-            assert len(tilted_rothe_op(atilt, w)) == 6 - a_length(atilt, w)
+            assert len(tilted_rothe(atilt, w)) == a_length_by_pairs(atilt, w)
+            assert len(tilted_rothe_op(atilt, w)) == 6 - a_length_by_pairs(atilt, w)
+
+
+def _tilts_and_perms():
+    """Every tilt of S_1 to S_4, and a seeded slice of the tilts of S_5
+    and S_6, each with every permutation of its size."""
+    for n in range(1, 5):
+        perms = list(all_permutations(n))
+        for a in itertools.product(range(1, n + 1), repeat=n):
+            yield a, perms
+    rng = random.Random(40)
+    for n, count in ((5, 40), (6, 6)):
+        perms = list(all_permutations(n))
+        for _ in range(count):
+            yield tuple(rng.randint(1, n) for _ in range(n)), perms
+
+
+def test_tilted_rothe_matches_the_pairwise_definitions():
+    # D_a(w) and its opposite split the pairs i > k, by the strict order <_{a_k}
+    for a, perms in _tilts_and_perms():
+        n = len(a)
+        for w in perms:
+            diagram, opposite = tilted_rothe(a, w), tilted_rothe_op(a, w)
+            assert opposite == tilted_rothe_op_by_definition(a, w), (a, w)
+            assert len(diagram) == a_length(a, w) == a_length_by_pairs(a, w), (a, w)
+            assert len(diagram | opposite) == n * (n - 1) // 2, (a, w)
+            assert not diagram & opposite, (a, w)
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+def test_enumerate_flags_fq_yields_the_inverse_free_cells_in_order(n, p):
+    assert list(enumerate_flags_fq(n, p)) == list(flags_by_inverse(n, p))
 
 
 def test_canonical_cell_matrix():
