@@ -4,7 +4,10 @@ invariants, the Schubert expansion of tilted Richardson classes, and the
 descent-cycling identities.
 
 Path Schubert polynomials count admissible paths segment by segment, the
-tails from each (segment, permutation, packed weight budget) once per call.
+tails from each (segment, permutation, packed weight budget) once per call,
+in a memo local to the call.  The moves out of a permutation (its edges,
+packed weights and targets) depend on n alone: they come from a per-n table
+that each walk fills from ``edges_from`` as it first reaches a permutation.
 ``cohomology_class_T`` passes d = d(u,v) as a bound, so the walk prunes a
 path as soon as its weight leaves d, and expands the q^d part triangularly;
 ``gw_min_degree`` relabels that expansion by w_0.
@@ -135,6 +138,16 @@ def quantum_chevalley(k: int, w: Perm) -> dict[tuple[Perm, DegreeVec], int]:
 # path Schubert polynomials
 
 
+@functools.lru_cache(maxsize=16)
+def _moves(n: int) -> dict[Perm, tuple[tuple[int, int, int, Perm], ...]]:
+    """The per-n move table of ``path_schubert``: w -> its edges as (i, j,
+    packed step weight, w t_ij), in ``edges_from`` order (i ascending); the
+    packing is ``path_schubert``'s, a function of n.  It starts empty; the
+    walk fills w's entry from ``edges_from(w)`` the first time any walk
+    reaches w, so it holds at most n! entries, and only reached ones."""
+    return {}
+
+
 def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> MultiPoly:
     """Sum of x^{rho - beta} wt(P) over x^beta-admissible paths u -> v.
 
@@ -142,13 +155,15 @@ def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> Multi
     b's; a path is the concatenation of segments k = 1 .. n-1.  What may
     follow segment k depends only on k, the permutation reached and the
     weight budget left, so the tails from each such state are counted once,
-    in a memo local to the call.  With ``degree`` only the paths of weight
-    <= degree are summed: weights grow along a path, so an edge that leaves
-    the budget ends every path through it, and the q^degree part is the
-    same as without the bound.  A weight is one int, q_k's exponent in field
-    k-1 under its top bit, a guard no exponent reaches (a path has at most
-    n(n-1)/2 edges); a budget sets every guard, and w <= budget componentwise
-    exactly when budget - w keeps every guard set.
+    in a memo local to the call.  The moves out of each permutation come
+    from the per-n table ``_moves``, which outlives the call.  With
+    ``degree`` only the paths of weight <= degree are summed: weights grow
+    along a path, so an edge that leaves the budget ends every path through
+    it, and the q^degree part is the same as without the bound.  A weight
+    is one int, q_k's exponent in field k-1 under its top bit, a guard no
+    exponent reaches (a path has at most n(n-1)/2 edges); a budget sets
+    every guard, and w <= budget componentwise exactly when budget - w keeps
+    every guard set.
     """
     check_perms(u, v)
     n = len(u)
@@ -159,7 +174,7 @@ def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> Multi
     guard = sum(q) << width - 1
     step = {(i, j): sum(q[i - 1:j - 1]) for i in range(1, n) for j in range(i + 1, n + 1)}
     memo: dict[tuple[int, Perm, Optional[int]], dict] = {}
-    edges: dict[Perm, list] = {}
+    moves = _moves(n)
 
     def tails(k: int, w: Perm, budget: Optional[int]) -> dict:
         """{(beta_k..beta_{n-1}, weight): count} over segments k..n-1 from w to v."""
@@ -176,13 +191,19 @@ def path_schubert(u: Perm, v: Perm, degree: Optional[DegreeVec] = None) -> Multi
             for (beta, wt), c in tails(k + 1, cur, rest).items():
                 term = ((used.bit_count(),) + beta, swt + wt)
                 out[term] = out.get(term, 0) + c
-            if cur not in edges:
-                edges[cur] = [(i, j, step[i, j] if any(e) else 0) for i, j, e in edges_from(cur)]
-            for i, j, ewt in edges[cur]:
-                if last_a <= i <= k < j and not used >> j & 1 and (
+            out_moves = moves.get(cur)
+            if out_moves is None:
+                out_moves = moves[cur] = tuple(
+                    (i, j, step[i, j] if any(e) else 0, apply_transposition(cur, i, j))
+                    for i, j, e in edges_from(cur)
+                )
+            for i, j, ewt, nxt in out_moves:
+                if i > k:  # moves come in ascending i
+                    break
+                if last_a <= i and k < j and not used >> j & 1 and (
                     rest is None or (rest - ewt) & guard == guard
                 ):
-                    stack.append((apply_transposition(cur, i, j), i, used | 1 << j, swt + ewt))
+                    stack.append((nxt, i, used | 1 << j, swt + ewt))
         memo[k, w, budget] = out
         return out
 

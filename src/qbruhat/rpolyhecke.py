@@ -516,7 +516,11 @@ def rtilt_deodhar(
 
 def _unpack(packed: int, bits: int) -> LaurentPoly:
     """The polynomial P with P(2^bits) = packed and every coefficient in
-    [-2^(bits-1), 2^(bits-1)): the signed base-2^bits digits of packed."""
+    [-2^(bits-1), 2^(bits-1)): the signed base-2^bits digits of packed.
+    One bit leaves only the digits -1 and 0, which no positive packed
+    value is made of, so bits must be at least 2."""
+    if bits < 2:
+        raise ValueError(f"bits must be at least 2, got {bits}")
     out: dict[int, int] = {}
     mask, half, e = (1 << bits) - 1, 1 << (bits - 1), 0
     while packed:

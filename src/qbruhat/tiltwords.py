@@ -6,8 +6,9 @@ bar restores one flattening level; equivalently, scanning from the right,
 crossing a bar flattens the tilt once.  Validity requires that the prefix
 product at each bar splits into the two cyclic bands of the tilt
 (flattenability), and that no generator touches a jump position of its
-active tilt.  ``bar_splits`` checks both in one walk and returns each
-bar's (jump_min, split); ``_regular_splits`` adds the regularity test on
+active tilt.  ``bar_splits`` checks both in one walk, taking the active
+tilt's jump set once per bar, and returns each bar's (jump_min, split);
+``_regular_splits`` adds the regularity test on
 top of that one walk, for ``is_regular`` and the TNN signs.
 Both constructions join waypoints id -> ... -> w, one group per jump.
 Each step is emitted from positions (``_join``), with the word kernel of
@@ -145,6 +146,10 @@ def bar_splits(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
     """{bar position j: (jump_min of the active tilt, split of the prefix
     product before j)} for a valid word; None for an invalid one.
 
+    The active tilt changes only at bars, so its jump set, which the
+    generators must avoid, is taken once for each run of factors between
+    two bars, not once per generator.
+
     >>> bar_splits(make_word((2, 2, 2), (1, 2, None, 2, 1)))
     {3: (3, 2)}
     """
@@ -152,15 +157,18 @@ def bar_splits(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
     if len(word.bar_positions()) != len(jumps(word.a)):
         return None
     seqs = tilt_sequence(word)
+    blocked = jumps(seqs[0])
     cur = identity(n)
     out: dict[int, tuple[int, int]] = {}
     for j, f in enumerate(word.factors, start=1):
         if f is BAR:
-            p = flattenable(seqs[j], cur)
+            jm, low = bar_band(seqs[j])
+            p = band_split(cur, jm, low)
             if p is None:
                 return None
-            out[j] = (jump_min(seqs[j]), p)
-        elif 1 <= f <= n - 1 and f not in jumps(seqs[j]):
+            out[j] = (jm, p)
+            blocked = jumps(seqs[j])
+        elif 1 <= f <= n - 1 and f not in blocked:
             cur = apply_simple(cur, f)
         else:
             return None

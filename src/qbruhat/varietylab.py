@@ -467,12 +467,19 @@ def in_tilted_richardson_plucker(
     return result
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("cell", "opposite"):
+        raise ValueError(f"kind must be 'cell' or 'opposite', got {kind!r}")
+
+
 def in_tilted_schubert_cell(
     M: ExactMatrix, w: Perm, a: Tilt, kind: str = "cell"
 ) -> bool:
     """Plücker-vanishing membership in X°_{w,a} (kind 'cell') or
     Ω°_{w,a} (kind 'opposite')."""
-    check_permutation(w)
+    _check_kind(kind)
+    if len(check_permutation(w)) != M.n:
+        raise ValueError(f"size mismatch: w has {len(w)} entries, the matrix {M.n} rows")
     a = check_tilt(a, M.n)
     if multi_plucker(M, w) == 0:
         return False
@@ -503,6 +510,7 @@ def canonical_cell_matrix(
 ) -> ExactMatrix:
     """Canonical representative: 1 at (w_k, k), free entries exactly on the
     tilted Rothe diagram (or its opposite), 0 elsewhere."""
+    _check_kind(kind)
     diagram = tilted_rothe(a, w) if kind == "cell" else tilted_rothe_op(a, w)
     params = dict(params or {})
     if set(params) != set(diagram):

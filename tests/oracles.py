@@ -23,7 +23,14 @@ from qbruhat.permcore import (
 )
 from qbruhat.rpolyhecke import HeckeElt, LaurentPoly
 from qbruhat.tiltorder import Tilt
-from qbruhat.tiltwords import BAR, jumps
+from qbruhat.tiltwords import (
+    BAR,
+    TiltedWord,
+    flattenable,
+    jump_min,
+    jumps,
+    tilt_sequence,
+)
 from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix
 
 
@@ -75,6 +82,29 @@ def tilted_word_by_peeling(a: Tilt, w: Perm, regular: bool = False) -> tuple:
             factors.extend(reduced_word_by_peeling(compose(inverse(src), dst)))
             src = dst
     return tuple(factors)
+
+
+def bar_splits_per_generator(word: TiltedWord) -> Optional[dict[int, tuple[int, int]]]:
+    """``bar_splits(word)`` with the active tilt's jump set taken afresh at
+    every generator: each factor j is tested against the tilt ``a^(j)`` of
+    ``tilt_sequence``, a bar by ``flattenable`` on the prefix product."""
+    n = word.n
+    if len(word.bar_positions()) != len(jumps(word.a)):
+        return None
+    seqs = tilt_sequence(word)
+    cur = identity(n)
+    out: dict[int, tuple[int, int]] = {}
+    for j, f in enumerate(word.factors, start=1):
+        if f is BAR:
+            p = flattenable(seqs[j], cur)
+            if p is None:
+                return None
+            out[j] = (jump_min(seqs[j]), p)
+        elif 1 <= f <= n - 1 and f not in jumps(seqs[j]):
+            cur = apply_simple(cur, f)
+        else:
+            return None
+    return out if cur == word.target else None
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,16 @@ W0 = (3, 2, 1)
             varietylab.permutation_matrix(E3), BAD, (1, 1, 1)), "not a permutation"),
         (lambda: varietylab.canonical_cell_matrix((1, 1, 1), (3, 3, 1), "cell", {}),
          "not a permutation"),
+        # a kind other than the two cells was read as the opposite cell, and
+        # a w of the wrong size was answered for
+        (lambda: varietylab.canonical_cell_matrix((1, 1, 1), (3, 2, 1), "bogus", {}),
+         "or 'opposite', got 'bogus'"),
+        (lambda: varietylab.in_tilted_schubert_cell(
+            varietylab.permutation_matrix(E3), E3, (1, 1, 1), "Cell"),
+         "or 'opposite', got 'Cell'"),
+        (lambda: varietylab.in_tilted_schubert_cell(
+            varietylab.permutation_matrix(E3), (2, 1), (1, 1, 1)),
+         "size mismatch: w has 2 entries"),
     ],
 )
 def test_library_entry_points_reject_bad_input(call, message):

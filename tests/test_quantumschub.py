@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from qbruhat import quantumschub
+from qbruhat import qbgraph, quantumschub
 from qbruhat.permcore import (
     InternalConsistencyError,
+    Perm,
     all_permutations,
     apply_simple,
     apply_transposition,
@@ -379,3 +380,101 @@ def test_gw_raises_on_a_negative_coefficient(monkeypatch):
     )
     with pytest.raises(InternalConsistencyError, match="negative expansion coefficient"):
         gw_min_degree((1, 2, 3), (3, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the per-n move table of the path walk
+
+
+@pytest.fixture
+def fresh_moves():
+    """The move table, empty before the test and after it, so that a table
+    filled under a patched kernel never reaches another test."""
+    quantumschub._moves.cache_clear()
+    yield quantumschub._moves
+    quantumschub._moves.cache_clear()
+
+
+def _expected_moves(w: Perm):
+    """w's moves as the walk packs them: q_k in field k-1 of width
+    bit_length(n(n-1)/2) + 1, a quantum t_ij weighing q_i + ... + q_{j-1}."""
+    n = len(w)
+    width = (n * (n - 1) // 2).bit_length() + 1
+    return tuple(
+        (i, j, sum(1 << width * k for k in range(i - 1, j - 1)) if any(e) else 0,
+         apply_transposition(w, i, j))
+        for i, j, e in edges_from(w)
+    )
+
+
+def test_move_table_entries_are_the_edges(fresh_moves):
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        for u in perms:
+            path_schubert(u, longest(n))
+            path_schubert(longest(n), u)
+        table = fresh_moves(n)
+        assert len(table) <= len(perms)
+        assert len(table) == (len(perms) if n > 1 else 0), n
+        for w, moves in table.items():
+            assert moves == _expected_moves(w), w
+
+
+def test_move_table_fills_each_entry_once(monkeypatch, fresh_moves):
+    # count calls, not seconds: the first walk scans each permutation it
+    # reaches once, a repeat of the call scans none
+    real = quantumschub.edges_from
+    scanned = []
+    monkeypatch.setattr(quantumschub, "edges_from", lambda w: scanned.append(w) or real(w))
+    u, v = (2, 4, 1, 3), (3, 1, 4, 2)
+    first = gw_min_degree(u, v)
+    assert scanned and len(scanned) == len(set(scanned)) == len(fresh_moves(4))
+    del scanned[:]
+    assert gw_min_degree(u, v) == first
+    assert scanned == []
+    assert fresh_moves.cache_info().currsize == 1
+
+
+def test_a_faulty_edge_kernel_reaches_the_walk(monkeypatch, fresh_moves):
+    # quantum and classical weights swapped in the edge kernel's tables,
+    # after a warm-up under the true kernel; the table is dropped first, so
+    # every walk reads the faulty kernel.  A few polynomials survive the
+    # swap (on (231, 132) the one path's q_1 q_2 maps onto itself), so the
+    # test counts: a walk on the stale table would change none of them
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)
+             if u != v]
+    want = {(u, v): path_schubert(u, v) for u, v in pairs}
+    fresh_moves.cache_clear()
+    real = qbgraph._edge_tables
+
+    def swapped(n):
+        zero, quantum, between = real(n)
+        return (1,) * (n - 1), tuple(tuple(zero for _ in row) for row in quantum), between
+
+    monkeypatch.setattr(qbgraph, "_edge_tables", swapped)
+    changed = raised = 0
+    for u, v in pairs:
+        changed += path_schubert(u, v) != want[u, v]
+        try:
+            gw_min_degree(u, v)
+        except InternalConsistencyError:
+            raised += 1
+    assert changed > 0.95 * len(pairs) and raised > 0.9 * len(pairs), (changed, raised)
+
+
+def test_outputs_pinned_with_the_table_cold_and_warm(fresh_moves):
+    # digests taken before the move table outlived a call
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    rng = random.Random(42)
+    s5 = list(all_permutations(5))
+    pairs5 = [(rng.choice(s5), rng.choice(s5)) for _ in range(30)]
+    for _ in ("cold", "warm"):
+        assert _digest(repr(list(gw_min_degree(u, v).items())) for u, v in pairs) == (
+            "c58070ccb1f25956f22026d6dbf904f1b80381e6d13387ab3fe0ce9a8638b6eb"
+        )
+        assert _digest(repr(sorted(path_schubert(u, v).terms.items())) for u, v in pairs5) == (
+            "4179eb51d143eda002c15cf0497a6129b2e2605e19c13fe1d71f67afc1fb0c57"
+        )
+        assert _digest(
+            repr(sorted(path_schubert(u, v, min_degree(u, v)).terms.items())) for u, v in pairs5
+        ) == "a947c237345ead5c33cd8f27f03cd4fb8364af50b578e64a4c0664f09a3f4794"

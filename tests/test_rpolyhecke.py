@@ -2,7 +2,10 @@ import ast
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -554,6 +557,35 @@ def test_unpack_reads_signed_digits_up_to_the_bound():
             want = LaurentPoly(dict(enumerate(coeffs)))
             assert rpolyhecke._unpack(packed, bits) == want, (bits, coeffs)
         assert rpolyhecke._unpack(0, bits) == ZERO
+
+
+def test_unpack_refuses_one_bit_digits():
+    # with one bit every digit is -1 or 0, so a positive packed value never
+    # shrinks and the decode would loop for ever, its digit dict growing: run
+    # it in a child process with a deadline and a capped address space, so
+    # that a missing guard fails here instead of hanging or filling memory
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from qbruhat import rpolyhecke\n"
+        "for packed in (1, 5, 0):\n"
+        "    try:\n"
+        "        rpolyhecke._unpack(packed, 1)\n"
+        "    except ValueError as e:\n"
+        "        assert 'at least 2' in str(e)\n"
+        "    else:\n"
+        "        raise SystemExit(f'_unpack({packed}, 1) returned')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("_unpack(packed, 1) did not return")
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    with pytest.raises(ValueError, match="at least 2"):
+        rpolyhecke._unpack(0, 0)
 
 
 def _near_w0(n):

@@ -40,7 +40,7 @@ from qbruhat.tiltwords import (
     word_moves,
 )
 
-from oracles import tilted_word_by_peeling
+from oracles import bar_splits_per_generator, tilted_word_by_peeling
 
 
 def all_tilts(n):
@@ -208,6 +208,48 @@ def test_bar_splits_match_positional_walk_s4():
             }
             assert bar_splits(word) == expected, (a, w)
             assert None not in (p for _, p in expected.values())
+
+
+def _word_variants(word):
+    """The word and invalid neighbours of it: each bar moved one step or to
+    an end, a jump generator of the active tilt inserted, each factor
+    dropped (with its target recomputed, and with the old target kept)."""
+    f, a, n = word.factors, word.a, word.n
+    seqs = tilt_sequence(word)
+    yield word
+    for j in word.bar_positions():
+        rest = f[: j - 1] + f[j:]
+        for k in {j - 2, j, 0, len(rest)}:
+            if 0 <= k <= len(rest):
+                yield make_word(a, rest[:k] + (BAR,) + rest[k:])
+    for k in range(len(f) + 1):
+        for g in sorted(jumps(seqs[k])):
+            if g <= n - 1:
+                yield make_word(a, f[:k] + (g,) + f[k:])
+    for k in range(len(f)):
+        dropped = f[:k] + f[k + 1 :]
+        yield make_word(a, dropped)
+        yield tiltwords.TiltedWord(a, dropped, word.target)
+
+
+def test_bar_splits_match_the_per_generator_walk():
+    # the jump set is taken once per bar; the oracle takes it afresh at
+    # every generator, on the witness words and on invalid words near them
+    pairs = [(u, v) for n in (3, 4) for u in all_permutations(n) for v in all_permutations(n)]
+    rng = random.Random(42)
+    for n, count in ((5, 20), (6, 8), (7, 4)):
+        perms = list(all_permutations(n))
+        pairs += [(rng.choice(perms), rng.choice(perms)) for _ in range(count)]
+    seen = {True: 0, False: 0}
+    for u, v in pairs:
+        word = regular_tilted_reduced_word(witness_a(u, v), v)
+        assert bar_splits(word) is not None, (u, v)
+        for cand in _word_variants(word):
+            want = bar_splits_per_generator(cand)
+            assert bar_splits(cand) == want, (u, v, cand.factors)
+            seen[want is None] += 1
+    # both outcomes occur among the variants
+    assert seen[True] > len(pairs) and seen[False] > len(pairs)
 
 
 def test_both_constructions_pinned_s3_s4():
