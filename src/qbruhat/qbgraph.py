@@ -320,10 +320,15 @@ def lattice_rows(u: Perm, v: Perm) -> list[list[int]]:
     >>> lattice_rows((2, 3, 1), (1, 2, 3))
     [[0, -1, 0, 0], [0, -1, -1, 0]]
     """
-    n = len(u)
-    row = [0] * (n + 1)
-    rows = []
-    for k in range(n - 1):
+    return [row[:] for row in _row_updates(u, v)]
+
+
+def _row_updates(u: Perm, v: Perm) -> Iterator[list[int]]:
+    """The rows of ``lattice_rows(u, v)`` as one list, yielded after each
+    update: valid until the next, and no later row is built for a reader
+    that stops."""
+    row = [0] * (len(u) + 1)
+    for k in range(len(u) - 1):
         a, b = u[k], v[k]
         if a < b:
             for x in range(a, b):
@@ -331,8 +336,7 @@ def lattice_rows(u: Perm, v: Perm) -> list[list[int]]:
         elif a > b:
             for x in range(b, a):
                 row[x] -= 1
-        rows.append(row[:])
-    return rows
+        yield row
 
 
 Levels = list[tuple[list[int], int]]
@@ -391,14 +395,15 @@ def min_degree(u: Perm, v: Perm, check: bool = True) -> DegreeVec:
     d is read off ``lattice_rows(u, v)``, d_k = -min(row k).  With check
     (the default) it is cross-checked against ``increasing_path(u, v)``, a
     greedy walk along a shortest path (BFP Thm 6.4), which must take exactly
-    ell(u,v) steps with weights summing to d, or ``InternalConsistencyError``.
-    check=False skips the walk.
+    ell(u,v) steps with weights summing to d, or ``InternalConsistencyError``;
+    its walk starts from the rows d was read from.  check=False skips it.
     """
     check_perms(u, v)
-    d = tuple(-min(row) for row in lattice_rows(u, v))
+    rows = lattice_rows(u, v)
+    d = tuple(-min(row) for row in rows)
     if not check:
         return d
-    path = increasing_path(u, v)
+    path = _walk(u, v, [_level(row) for row in rows], _default_order(len(u)))
     total = tuple(map(sum, zip(deg_zero(len(u)), *(wt for _, _, wt in path))))
     if len(path) != _ell(u, v, d) or total != d:
         raise InternalConsistencyError(
@@ -559,6 +564,12 @@ def default_reflection_order(n: int) -> list[Root]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
+@functools.lru_cache(maxsize=16)
+def _default_order(n: int) -> tuple[Root, ...]:
+    """``default_reflection_order(n)``, built once per n."""
+    return tuple(default_reflection_order(n))
+
+
 def is_reflection_order(n: int, order: Sequence[Root]) -> bool:
     """Betweenness test: e_i - e_k lies between e_i - e_j and e_j - e_k."""
     expected = {(i, j) for i in range(1, n) for j in range(i + 1, n + 1)}
@@ -594,10 +605,18 @@ def increasing_path(
     check_perms(u, v)
     n = len(u)
     if order is None:
-        order = default_reflection_order(n)
+        order = _default_order(n)
     elif not is_reflection_order(n, order):
         raise ValueError("not a valid reflection ordering")
-    w, levels, last, path = u, _levels(u, v), -1, []
+    return _walk(u, v, _levels(u, v), order)
+
+
+def _walk(
+    u: Perm, v: Perm, levels: Levels, order: Sequence[Root]
+) -> list[tuple[Perm, Root, DegreeVec]]:
+    """``increasing_path``'s walk, for checked u, v, u's levels toward v and
+    a valid order."""
+    w, last, path = u, -1, []
     while w != v:
         edges = {(i, j): wt for i, j, wt in edges_from(w)}
         for k in range(last + 1, len(order)):

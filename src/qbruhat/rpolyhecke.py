@@ -1,5 +1,6 @@
-"""Laurent polynomials in q, the Hecke algebra of S_n, classical
-Kazhdan-Lusztig R-polynomials, and tilted R-polynomials by three routes:
+"""Laurent polynomials in q, the Hecke algebra of S_n on packed
+coefficients, classical Kazhdan-Lusztig R-polynomials, and tilted
+R-polynomials by three routes:
 
 * the Deodhar sum (q-1)^{|Jo|} q^{|J-|} over tilted distinguished subwords,
 * the descent/flatten recursion over (u, v, a),
@@ -30,13 +31,22 @@ T_v^{-1} only at the inverses of T_u's support, so T_u is built first and
 T_v^{-1} only toward those targets (``hecke_t_inverse_at``): a term is
 dropped once the factors still to apply cannot carry it there, by reach
 sets built only while each is smaller than the product it filters
-(``_reach``).  That reach test is the trace route's own; it shares nothing
-with the Deodhar DP or the recursion (``tests/test_rpolyhecke.py`` checks
-the AST); the full product, ``hecke_t_inverse`` in ``tests/oracles.py``,
-is the tests' oracle for it.  The recursion reads u <~_a v and the tilted
-descents from ``tiltorder``'s unchecked kernels, not from a copy here.
-Hecke coefficients are plain integer maps exponent -> coefficient;
-``LaurentPoly`` is used at the boundary only.
+(``_reach``).  Each Hecke coefficient is one int, its polynomial at
+q = 2^B (``HeckeElt``).  T_v^{-1} is built scaled by q at each factor,
+q T_i^{-1} = T_i - (q-1), so no exponent goes negative, and the decoded
+pairing is shifted back.  Each factor at most triples the sum of the
+absolute coefficients, so the pairing's coefficients lie below
+3^(m_u + m_v) < 2^(B-1) for B = 2(m_u + m_v) + 2 (``_trace_bits``): its
+signed base-2^B digits, read once (``_decode_pairing``), are the
+polynomial.  The reach test and the decode are the trace route's own; they
+share nothing with the Deodhar DP or the recursion
+(``tests/test_rpolyhecke.py`` checks the AST).  The algebra on Laurent
+coefficient maps, with the full (T_w)^{-1}, is the tests' oracle in
+``tests/oracles.py``.
+
+The recursion reads u <~_a v and the tilted descents from ``tiltorder``'s
+unchecked kernels, not from a copy here.  A node forms q A + (q-1) B in
+one pass over its children's maps, into a new map (the memo holds them).
 
 ``LaurentPoly`` is the ``poly.Poly`` with int exponents; it adds the
 constructors, degree, evaluation at q and the printed form that the CLI
@@ -47,8 +57,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .permcore import (
     InternalConsistencyError,
@@ -60,7 +71,6 @@ from .permcore import (
     identity,
     inverse,
     length,
-    reduced_word,
 )
 from .poly import Poly
 from .tiltorder import (
@@ -151,179 +161,132 @@ def as_qpoly(p: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# the Hecke algebra
+# the Hecke algebra on packed coefficients
 
 
 class HeckeElt:
-    """Element of the Hecke algebra of S_n in the T_w basis.
-
-    ``terms`` maps w to the coefficient of T_w, a Laurent polynomial in q
-    held as a plain integer map exponent -> coefficient.  Normal form: no
-    zero coefficient and no empty map is stored, so equal elements have
-    equal ``terms``.  ``LaurentPoly`` appears only at the boundary: ``scale``
-    takes one, ``trace_product`` returns one, ``__str__`` prints through
-    it.
+    """Element of the Hecke algebra of S_n in the T_w basis: ``terms`` maps
+    w to the coefficient of T_w, a polynomial in q held as its value at
+    q = 2^bits, with no zero stored.  Evaluation at 2^bits is a ring map, so
+    the steps are exact; only ``trace_product`` decodes.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "bits", "terms")
 
-    def __init__(
-        self, n: int, terms: Optional[Mapping[Perm, Mapping[int, int]]] = None
-    ):
-        self.n = n
-        self.terms: dict[Perm, dict[int, int]] = {}
-        for w, c in (terms or {}).items():
-            m = {e: k for e, k in c.items() if k}
-            if m:
-                self.terms[w] = m
-
-    @classmethod
-    def _from_normal(cls, n: int, terms: dict[Perm, dict[int, int]]) -> "HeckeElt":
-        """Wrap terms already in normal form, without copying them."""
-        elt = cls.__new__(cls)
-        elt.n, elt.terms = n, terms
-        return elt
-
-    @classmethod
-    def unit(cls, n: int) -> "HeckeElt":
-        return cls(n, {identity(n): {0: 1}})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElt)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = {w: dict(c) for w, c in self.terms.items()}
-        for w, c in other.terms.items():
-            acc = out.setdefault(w, {})
-            for e, k in c.items():
-                acc[e] = acc.get(e, 0) + k
-        return HeckeElt(self.n, out)
-
-    def scale(self, c: LaurentPoly) -> "HeckeElt":
-        return HeckeElt(
-            self.n, {w: (c * LaurentPoly(cw)).terms for w, cw in self.terms.items()}
-        )
-
-    def _pairs(
-        self, i: int
-    ) -> Iterator[tuple[Perm, Perm, dict[int, int], dict[int, int]]]:
-        """(lo, hi, a, b) once for each pair {w, w s_i} meeting the support.
-
-        hi = lo s_i has one inversion more than lo; a and b are the
-        coefficients of T_lo and T_hi (either may be the empty map).
-        """
-        t = self.terms
-        for w, c in t.items():
-            ws = apply_simple(w, i)
-            if w[i - 1] < w[i]:
-                yield w, ws, c, t.get(ws, _EMPTY)
-            elif ws not in t:
-                yield ws, w, _EMPTY, c
+    def __init__(self, n: int, bits: int, terms: dict[Perm, int]):
+        self.n, self.bits, self.terms = n, bits, terms
 
     def mul_gen(self, i: int) -> "HeckeElt":
         """Right multiplication by T_i.
 
-        Pair by pair, a T_lo + b T_hi -> q b T_lo + (a + (q-1) b) T_hi,
-        since T_lo T_i = T_hi and T_hi T_i = (q-1) T_hi + q T_lo.
+        Pair by pair, with hi = lo s_i one inversion longer than lo,
+        a T_lo + b T_hi -> q b T_lo + (a + (q-1) b) T_hi, since
+        T_lo T_i = T_hi and T_hi T_i = (q-1) T_hi + q T_lo.
         """
-        out: dict[Perm, dict[int, int]] = {}
-        for lo, hi, a, b in self._pairs(i):
-            if b:
-                out[lo] = _shifted(b, 1)
-            m = _plus_qdiff(a, b, 1)
-            if m:
-                out[hi] = m
-        return HeckeElt._from_normal(self.n, out)
+        bits, t, out, swap = self.bits, self.terms, {}, _right_swap(self.n, i)
+        for w, c in t.items():
+            ws = swap(w)
+            if w[i - 1] < w[i]:  # w = lo, c = a
+                b = t.get(ws, 0)
+                if b:
+                    out[w] = b << bits
+                    c += (b << bits) - b
+                if c:
+                    out[ws] = c
+            elif ws not in t:  # w = hi, c = b, a = 0
+                out[ws] = c << bits
+                out[w] = (c << bits) - c
+        return HeckeElt(self.n, bits, out)
 
     def mul_gen_inverse(self, i: int) -> "HeckeElt":
-        """Right multiplication by T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}.
+        """Right multiplication by q T_i^{-1} = T_i - (q-1), the generator
+        inverse scaled by q.
 
-        Pair by pair, a T_lo + b T_hi -> (b + (q^-1 - 1) a) T_lo + q^-1 a T_hi,
-        since T_hi T_i^{-1} = T_lo and T_lo T_i^{-1} = q^-1 T_hi + (q^-1 - 1) T_lo.
+        Pair by pair, a T_lo + b T_hi -> (q b - (q-1) a) T_lo + a T_hi,
+        since q T_hi T_i^{-1} = q T_lo and q T_lo T_i^{-1} = T_hi - (q-1) T_lo.
         """
-        out: dict[Perm, dict[int, int]] = {}
-        for lo, hi, a, b in self._pairs(i):
-            m = _plus_qdiff(b, a, -1)
-            if m:
-                out[lo] = m
-            if a:
-                out[hi] = _shifted(a, -1)
-        return HeckeElt._from_normal(self.n, out)
-
-    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        total = HeckeElt(self.n)
-        for w, c in other.terms.items():
-            piece = self
-            for i in reduced_word(w):
-                piece = piece.mul_gen(i)
-            total = total + piece.scale(LaurentPoly(c))
-        return total
-
-    def __str__(self) -> str:
-        from .permcore import format_perm
-
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({LaurentPoly(self.terms[w])})*T[{format_perm(w)}]"
-            for w in sorted(self.terms)
-        )
-
-    __repr__ = __str__
+        bits, t, out, swap = self.bits, self.terms, {}, _right_swap(self.n, i)
+        for w, c in t.items():
+            ws = swap(w)
+            if w[i - 1] < w[i]:  # w = lo, c = a
+                out[ws] = c
+                lo = ((t.get(ws, 0) - c) << bits) + c
+                if lo:
+                    out[w] = lo
+            elif ws not in t:  # w = hi, c = b, a = 0
+                out[ws] = c << bits
+        return HeckeElt(self.n, bits, out)
 
 
-_EMPTY: dict[int, int] = {}
+@functools.lru_cache(maxsize=256)
+def _right_swap(n: int, i: int) -> Callable[[Perm], Perm]:
+    """w -> w s_i on permutations of size n, as one item getter."""
+    order = list(range(n))
+    order[i - 1], order[i] = i, i - 1
+    return operator.itemgetter(*order)
 
 
-def _shifted(c: Mapping[int, int], s: int) -> dict[int, int]:
-    """q^s c."""
-    return {e + s: k for e, k in c.items()}
+def _trace_bits(m_u: int, m_v: int) -> int:
+    """The digit width B = 2(m_u + m_v) + 2 for a pairing of T_u, built
+    over m_u generators, with q^{m_v} (T_v)^{-1}, built over m_v.
+
+    Let |x| be the sum of the absolute values of all coefficients of all
+    terms of x.  One step maps a pair (a, b) to (q b, a + (q-1) b) or to
+    (q b - (q-1) a, a), of size at most 3(|a| + |b|), so each factor at most
+    triples |x| and dropping terms only lowers it: |T_u| <= 3^{m_u} and
+    |q^{m_v} (T_v)^{-1}| <= 3^{m_v}, pruned or not.  The pairing
+    sum_w x_w y_{w^{-1}} q^{l(w)} then has |.| <= |x| |y| <= 3^{m_u + m_v}
+    < 4^{m_u + m_v} = 2^(B - 2), so each of its coefficients lies in
+    (-2^(B-1), 2^(B-1)) and is one signed base-2^B digit of its value at
+    q = 2^B.
+    """
+    return 2 * (m_u + m_v) + 2
 
 
-def _plus_qdiff(
-    base: Mapping[int, int], c: Mapping[int, int], s: int
-) -> dict[int, int]:
-    """base + (q^s - 1) c, with zero coefficients dropped."""
-    out = dict(base)
-    for e, k in c.items():
-        out[e] = out.get(e, 0) - k
-        out[e + s] = out.get(e + s, 0) + k
-    if 0 in out.values():
-        return {e: k for e, k in out.items() if k}
-    return out
+def _decode_pairing(packed: int, bits: int) -> LaurentPoly:
+    """The polynomial P with P(2^bits) = packed and every coefficient in
+    [-2^(bits-1), 2^(bits-1)), read digit by digit from the low end, a digit
+    of 2^(bits-1) or more taken as negative with a carry.  Refuses bits < 2:
+    the digits -1 and 0 make up no positive value."""
+    if bits < 2:
+        raise ValueError(f"bits must be at least 2, got {bits}")
+    base, half = 1 << bits, 1 << (bits - 1)
+    out: dict[int, int] = {}
+    e = 0  # the exponent of the next digit
+    while packed:
+        packed, digit = divmod(packed, base)
+        if digit >= half:
+            digit -= base
+            packed += 1
+        if digit:
+            out[e] = digit
+        e += 1
+    return LaurentPoly(out)
 
 
 def trace_product(x: HeckeElt, y: HeckeElt) -> LaurentPoly:
     """eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)}, without forming x y.
 
     From eps(T_a T_b) = q^{l(a)} if ab = id, else 0.  The sum is symmetric
-    in x and y (l(w) = l(w^{-1})), so it runs over the smaller support.
+    in x and y (l(w) = l(w^{-1})), so it runs over the smaller support.  It
+    is taken on the packed ints, sum_w x_w y_{w^{-1}} 2^{bits l(w)}, and
+    decoded once (``_decode_pairing``).
     """
-    if x.n != y.n:
-        raise ValueError("size mismatch")
+    if x.n != y.n or x.bits != y.bits:
+        raise ValueError("size or digit width mismatch")
     if len(x.terms) > len(y.terms):
         x, y = y, x
-    out: dict[int, int] = {}
+    bits, get, total = x.bits, y.terms.get, 0
     for w, cx in x.terms.items():
-        cy = y.terms.get(inverse(w))
-        if cy is not None:
-            lw = length(w)
-            for ex, kx in cx.items():
-                for ey, ky in cy.items():
-                    e = ex + ey + lw
-                    out[e] = out.get(e, 0) + kx * ky
-    return LaurentPoly(out)
+        cy = get(inverse(w))
+        if cy:
+            total += (cx * cy) << (bits * length(w))
+    return _decode_pairing(total, bits)
 
 
-def hecke_t(word_gens: Iterable[int], n: int) -> HeckeElt:
+def hecke_t(word_gens: Iterable[int], n: int, bits: int) -> HeckeElt:
     """T_w for a word: the product of the T_i over its generator factors."""
-    out = HeckeElt.unit(n)
+    out = HeckeElt(n, bits, {identity(n): 1})
     for i in word_gens:
         out = out.mul_gen(i)
     return out
@@ -346,14 +309,16 @@ def _reach(gens: list[int], n: int, targets: Iterable[Perm]) -> list[frozenset[P
         last = reach[-1]
         if len(last) >= min(whole, 1 << (m - j)):
             break
-        reach.append(last.union([apply_simple(x, gens[j - 1]) for x in last]))
+        reach.append(last.union(map(_right_swap(n, gens[j - 1]), last)))
     return reach
 
 
 def hecke_t_inverse_at(
-    word_gens: Iterable[int], n: int, targets: Iterable[Perm]
+    word_gens: Iterable[int], n: int, targets: Iterable[Perm], bits: int
 ) -> HeckeElt:
-    """(T_w)^{-1} restricted to the basis elements in targets.
+    """q^m (T_w)^{-1}, for the m generators of the word, restricted to the
+    basis elements in targets: the factors are ``mul_gen_inverse``'s
+    q T_i^{-1}.
 
     Right multiplication by T_i^{-1} sends T_x into the span of T_x and
     T_{x s_i}, so a term can end in targets only if the factors still to
@@ -367,11 +332,11 @@ def hecke_t_inverse_at(
     Skipping a filter is exact.  reach[j] holds reach[j-1] and its
     translates, so a term outside reach[j] has no descendant in reach[j-1],
     ..., reach[0]; reach[0] = targets is always applied and drops them all.
-    So the coefficients at targets are those of the full (T_w)^{-1}.
+    So the coefficients at targets are those of the full q^m (T_w)^{-1}.
     """
     gens = list(word_gens)
     reach = _reach(gens, n, targets)
-    out = HeckeElt.unit(n)
+    out = HeckeElt(n, bits, {identity(n): 1})
     for j in range(len(gens) - 1, -1, -1):
         out = out.mul_gen_inverse(gens[j])
         if j < len(reach):
@@ -557,9 +522,12 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
             if descends(a, u, i):
                 out = _rtilt_rec(us, vs, a, budget - 1)
             else:
-                out = Q * _rtilt_rec(us, vs, a, budget - 1) + Q_MINUS_1 * _rtilt_rec(
-                    u, vs, a, budget - 1
-                )
+                # q A + (q-1) B into a new map: A and B may be in the memo
+                terms = {e + 1: c for e, c in _rtilt_rec(us, vs, a, budget - 1).terms.items()}
+                for e, c in _rtilt_rec(u, vs, a, budget - 1).terms.items():
+                    terms[e + 1] = terms.get(e + 1, 0) + c
+                    terms[e] = terms.get(e, 0) - c
+                out = LaurentPoly(terms)
         else:
             out = _rtilt_rec(u, v, flatten(a), budget - 1)
     if len(_REC_MEMO) < (1 << 18):  # bounded memo
@@ -587,20 +555,24 @@ def rtilt_hecke(u: Perm, v: Perm) -> LaurentPoly:
     pairing eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)} (``trace_product``).
     Only the coefficients of T_v^{-1} at the inverses of T_u's support enter
     it, so T_v^{-1} is built toward those alone (``hecke_t_inverse_at``).
-    With the genuine generator inverse the trace picks up a sign
-    (-1)^{l(u,v)}, absorbed here so that the result is the point count.
-    A result with negative exponents is reported as a hard failure.
+    Coefficients are packed at q = 2^bits (``_trace_bits``), and T_v^{-1} is
+    built scaled by q^{m_v} for the m_v generators of v's word, which the
+    shift of the decoded pairing takes back.  With the genuine generator
+    inverse the trace picks up a sign (-1)^{l(u,v)}, absorbed here so that
+    the result is the point count.  A result with negative exponents is
+    reported as a hard failure.
     """
     check_perms(u, v)
     n = len(u)
     a = witness_a(u, v)
-    wu = tilted_reduced_word(a, u)
-    wv = tilted_reduced_word(a, v)
-    tu = hecke_t(_gens_of(wu), n)
-    tv_inv = hecke_t_inverse_at(_gens_of(wv), n, map(inverse, tu.terms))
-    pairing = trace_product(tv_inv, tu)
+    gens_u = _gens_of(tilted_reduced_word(a, u))
+    gens_v = _gens_of(tilted_reduced_word(a, v))
+    bits = _trace_bits(len(gens_u), len(gens_v))
+    tu = hecke_t(gens_u, n, bits)
+    tv_inv = hecke_t_inverse_at(gens_v, n, map(inverse, tu.terms), bits)
+    pairing = trace_product(tv_inv, tu)  # q^{m_v} eps(T_v^{-1} T_u)
     dist = a_length(a, v) - a_length(a, u)
-    signed = pairing.shifted(dist)
+    signed = pairing.shifted(dist - len(gens_v))
     return as_qpoly(signed if dist % 2 == 0 else -signed)
 
 

@@ -76,9 +76,15 @@ def a_lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
 
 def lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
     """u <~_a v for permutations u, v of one size and a tilt a of that size,
-    which the caller has checked: ``a_lesssim`` without its input checks."""
-    rows = qbgraph.lattice_rows(u, v)
-    return all(h[a[k] - 1] == h[a[k + 1] - 1] == min(h) for k, h in enumerate(rows))
+    which the caller has checked: ``a_lesssim`` without its input checks.
+    It reads the rows uncopied, one level at a time, up to the first that
+    fails (``qbgraph._row_updates``)."""
+    k = 0
+    for h in qbgraph._row_updates(u, v):
+        if not h[a[k] - 1] == h[a[k + 1] - 1] == min(h):
+            return False
+        k += 1
+    return True
 
 
 # ---------------------------------------------------------------------------

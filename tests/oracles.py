@@ -7,7 +7,7 @@ a module of the package imports from the tests.
 """
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from qbruhat.permcore import (
     Perm,
@@ -15,13 +15,15 @@ from qbruhat.permcore import (
     apply_simple,
     apply_transposition,
     compose,
+    format_perm,
     identity,
     inverse,
     length,
+    reduced_word,
     shifted_less,
     sort_shifted,
 )
-from qbruhat.rpolyhecke import HeckeElt, LaurentPoly
+from qbruhat.rpolyhecke import LaurentPoly
 from qbruhat.tiltorder import Tilt
 from qbruhat.tiltwords import (
     BAR,
@@ -156,33 +158,208 @@ def flags_by_inverse(n: int, p: int) -> Iterator[ExactMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# the Hecke algebra: T_w, T_i, T_i^{-1} and the full (T_w)^{-1}
+# the Hecke algebra on Laurent coefficients: T_w, T_i, T_i^{-1}, the full
+# (T_w)^{-1} and the trace
 
 
-def hecke_basis(w: Perm) -> HeckeElt:
-    """The basis element T_w."""
-    return HeckeElt(len(w), {w: {0: 1}})
+class LaurentHeckeElt:
+    """Element of the Hecke algebra of S_n in the T_w basis, the oracle of
+    the trace route's packed ``rpolyhecke.HeckeElt``.
+
+    ``terms`` maps w to the coefficient of T_w, a Laurent polynomial in q
+    held as a plain integer map exponent -> coefficient.  Normal form: no
+    zero coefficient and no empty map is stored, so equal elements have
+    equal ``terms``.  ``LaurentPoly`` appears only at the boundary: ``scale``
+    takes one, ``trace_product_by_dict`` returns one, ``__str__`` prints
+    through it.  The generator steps are the unscaled T_i and T_i^{-1}.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(
+        self, n: int, terms: Optional[Mapping[Perm, Mapping[int, int]]] = None
+    ):
+        self.n = n
+        self.terms: dict[Perm, dict[int, int]] = {}
+        for w, c in (terms or {}).items():
+            m = {e: k for e, k in c.items() if k}
+            if m:
+                self.terms[w] = m
+
+    @classmethod
+    def _wrap_normal(cls, n: int, terms: dict[Perm, dict[int, int]]) -> "LaurentHeckeElt":
+        """Wrap terms already in normal form, without copying them."""
+        elt = cls.__new__(cls)
+        elt.n, elt.terms = n, terms
+        return elt
+
+    @classmethod
+    def identity_elt(cls, n: int) -> "LaurentHeckeElt":
+        return cls(n, {identity(n): {0: 1}})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LaurentHeckeElt)
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other: "LaurentHeckeElt") -> "LaurentHeckeElt":
+        out = {w: dict(c) for w, c in self.terms.items()}
+        for w, c in other.terms.items():
+            acc = out.setdefault(w, {})
+            for e, k in c.items():
+                acc[e] = acc.get(e, 0) + k
+        return LaurentHeckeElt(self.n, out)
+
+    def scale(self, c: LaurentPoly) -> "LaurentHeckeElt":
+        return LaurentHeckeElt(
+            self.n, {w: (c * LaurentPoly(cw)).terms for w, cw in self.terms.items()}
+        )
+
+    def _pair_terms(
+        self, i: int
+    ) -> Iterator[tuple[Perm, Perm, dict[int, int], dict[int, int]]]:
+        """(lo, hi, a, b) once for each pair {w, w s_i} meeting the support.
+
+        hi = lo s_i has one inversion more than lo; a and b are the
+        coefficients of T_lo and T_hi (either may be the empty map).
+        """
+        t = self.terms
+        for w, c in t.items():
+            ws = apply_simple(w, i)
+            if w[i - 1] < w[i]:
+                yield w, ws, c, t.get(ws, _EMPTY)
+            elif ws not in t:
+                yield ws, w, _EMPTY, c
+
+    def times_gen(self, i: int) -> "LaurentHeckeElt":
+        """Right multiplication by T_i.
+
+        Pair by pair, a T_lo + b T_hi -> q b T_lo + (a + (q-1) b) T_hi,
+        since T_lo T_i = T_hi and T_hi T_i = (q-1) T_hi + q T_lo.
+        """
+        out: dict[Perm, dict[int, int]] = {}
+        for lo, hi, a, b in self._pair_terms(i):
+            if b:
+                out[lo] = _shifted(b, 1)
+            m = _plus_qdiff(a, b, 1)
+            if m:
+                out[hi] = m
+        return LaurentHeckeElt._wrap_normal(self.n, out)
+
+    def times_gen_inverse(self, i: int) -> "LaurentHeckeElt":
+        """Right multiplication by T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}.
+
+        Pair by pair, a T_lo + b T_hi -> (b + (q^-1 - 1) a) T_lo + q^-1 a T_hi,
+        since T_hi T_i^{-1} = T_lo and T_lo T_i^{-1} = q^-1 T_hi + (q^-1 - 1) T_lo.
+        """
+        out: dict[Perm, dict[int, int]] = {}
+        for lo, hi, a, b in self._pair_terms(i):
+            m = _plus_qdiff(b, a, -1)
+            if m:
+                out[lo] = m
+            if a:
+                out[hi] = _shifted(a, -1)
+        return LaurentHeckeElt._wrap_normal(self.n, out)
+
+    def __mul__(self, other: "LaurentHeckeElt") -> "LaurentHeckeElt":
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        total = LaurentHeckeElt(self.n)
+        for w, c in other.terms.items():
+            piece = self
+            for i in reduced_word(w):
+                piece = piece.times_gen(i)
+            total = total + piece.scale(LaurentPoly(c))
+        return total
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({LaurentPoly(self.terms[w])})*T[{format_perm(w)}]"
+            for w in sorted(self.terms)
+        )
+
+    __repr__ = __str__
 
 
-def hecke_gen(n: int, i: int) -> HeckeElt:
-    return hecke_basis(apply_simple(identity(n), i))
+_EMPTY: dict[int, int] = {}
 
 
-def hecke_gen_inverse(n: int, i: int) -> HeckeElt:
-    return HeckeElt.unit(n).mul_gen_inverse(i)
+def _shifted(c: Mapping[int, int], s: int) -> dict[int, int]:
+    """q^s c."""
+    return {e + s: k for e, k in c.items()}
 
 
-def hecke_t_inverse(word_gens: Iterable[int], n: int) -> HeckeElt:
-    """(T_w)^{-1}: the T_i^{-1} in reverse order, with no term dropped."""
-    out = HeckeElt.unit(n)
-    for i in reversed(list(word_gens)):
-        out = out.mul_gen_inverse(i)
+def _plus_qdiff(
+    base: Mapping[int, int], c: Mapping[int, int], s: int
+) -> dict[int, int]:
+    """base + (q^s - 1) c, with zero coefficients dropped."""
+    out = dict(base)
+    for e, k in c.items():
+        out[e] = out.get(e, 0) - k
+        out[e + s] = out.get(e + s, 0) + k
+    if 0 in out.values():
+        return {e: k for e, k in out.items() if k}
     return out
 
 
-def trace(x: HeckeElt) -> LaurentPoly:
+def trace_product_by_dict(x: LaurentHeckeElt, y: LaurentHeckeElt) -> LaurentPoly:
+    """eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)}, without forming x y.
+
+    From eps(T_a T_b) = q^{l(a)} if ab = id, else 0.  The sum is symmetric
+    in x and y (l(w) = l(w^{-1})), so it runs over the smaller support.
+    """
+    if x.n != y.n:
+        raise ValueError("size mismatch")
+    if len(x.terms) > len(y.terms):
+        x, y = y, x
+    out: dict[int, int] = {}
+    for w, cx in x.terms.items():
+        cy = y.terms.get(inverse(w))
+        if cy is not None:
+            lw = length(w)
+            for ex, kx in cx.items():
+                for ey, ky in cy.items():
+                    e = ex + ey + lw
+                    out[e] = out.get(e, 0) + kx * ky
+    return LaurentPoly(out)
+
+
+def hecke_t_by_dict(word_gens: Iterable[int], n: int) -> LaurentHeckeElt:
+    """T_w for a word: the product of the T_i over its generator factors."""
+    out = LaurentHeckeElt.identity_elt(n)
+    for i in word_gens:
+        out = out.times_gen(i)
+    return out
+
+
+def hecke_basis(w: Perm) -> LaurentHeckeElt:
+    """The basis element T_w."""
+    return LaurentHeckeElt(len(w), {w: {0: 1}})
+
+
+def hecke_gen(n: int, i: int) -> LaurentHeckeElt:
+    return hecke_basis(apply_simple(identity(n), i))
+
+
+def hecke_gen_inverse(n: int, i: int) -> LaurentHeckeElt:
+    return LaurentHeckeElt.identity_elt(n).times_gen_inverse(i)
+
+
+def hecke_t_inverse(word_gens: Iterable[int], n: int) -> LaurentHeckeElt:
+    """(T_w)^{-1}: the T_i^{-1} in reverse order, with no term dropped."""
+    out = LaurentHeckeElt.identity_elt(n)
+    for i in reversed(list(word_gens)):
+        out = out.times_gen_inverse(i)
+    return out
+
+
+def trace(x: LaurentHeckeElt) -> LaurentPoly:
     """The trace eps: the coefficient of T_id, read off the product that
-    ``trace_product`` never forms."""
+    ``trace_product_by_dict`` never forms."""
     return LaurentPoly(x.terms.get(identity(x.n)))
 
 

@@ -36,6 +36,7 @@ PAPER_API = {
     "canonical_cell_matrix",
     "classical_r",
     "in_tilted_schubert_cell",
+    "increasing_path",
     "interpolate",
     "k_tilted_leq",
     "lattice_depth",
@@ -43,6 +44,7 @@ PAPER_API = {
     "parse_word",
     "permutation_matrix",
     "quantum_chevalley",
+    "reduced_word",
     "reflection_order_from_word",
     "strong_lifting_witness",
     "witness_a_leq",

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,16 @@ from qbruhat.tiltwords import (
     word_moves,
 )
 
-from oracles import hecke_basis, hecke_gen, hecke_gen_inverse, hecke_t_inverse, trace
+from oracles import (
+    LaurentHeckeElt,
+    hecke_basis,
+    hecke_gen,
+    hecke_gen_inverse,
+    hecke_t_by_dict,
+    hecke_t_inverse,
+    trace,
+    trace_product_by_dict,
+)
 
 lpolys = st.dictionaries(
     st.integers(-4, 6), st.integers(-9, 9), max_size=5
@@ -115,7 +125,7 @@ def test_poly_invariants():
 
 def test_hecke_relations():
     for n in (3, 4):
-        unit = HeckeElt.unit(n)
+        unit = LaurentHeckeElt.identity_elt(n)
         for i in range(1, n):
             Ti = hecke_gen(n, i)
             assert Ti * hecke_gen_inverse(n, i) == unit
@@ -132,9 +142,9 @@ def test_hecke_relations():
 def test_t_basis_well_defined():
     # T_w from any reduced word of w is the basis element
     for w in all_permutations(4):
-        assert hecke_t(reduced_word(w), 4) == hecke_basis(w)
-        assert hecke_t_inverse(reduced_word(w), 4) * hecke_t(reduced_word(w), 4) == (
-            HeckeElt.unit(4)
+        assert hecke_t_by_dict(reduced_word(w), 4) == hecke_basis(w)
+        assert hecke_t_inverse(reduced_word(w), 4) * hecke_t_by_dict(reduced_word(w), 4) == (
+            LaurentHeckeElt.identity_elt(4)
         )
 
 
@@ -146,7 +156,7 @@ def test_trace():
     rng = random.Random(1)
     perms = list(all_permutations(3))
     for _ in range(25):
-        x = HeckeElt(3)
+        x = LaurentHeckeElt(3)
         for _ in range(3):
             w = rng.choice(perms)
             c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
@@ -158,7 +168,7 @@ def test_trace():
 
 def _random_elt(rng, n, perms):
     # a few terms, Laurent coefficients with negative exponents
-    return HeckeElt(n, {
+    return LaurentHeckeElt(n, {
         rng.choice(perms): {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(3)}
         for _ in range(rng.randint(1, 4))
     })
@@ -170,8 +180,8 @@ def test_trace_product_matches_trace_of_product():
         perms = list(all_permutations(n))
         for _ in range(15):
             x, y = _random_elt(rng, n, perms), _random_elt(rng, n, perms)
-            assert trace_product(x, y) == trace(x * y), (x, y)
-            assert trace_product(y, x) == trace(x * y), (x, y)
+            assert trace_product_by_dict(x, y) == trace(x * y), (x, y)
+            assert trace_product_by_dict(y, x) == trace(x * y), (x, y)
 
 
 def _assert_normal(x):
@@ -182,37 +192,37 @@ def test_hecke_kernel_normal_form():
     e3 = identity(3)
     for n in (3, 4):
         for i in range(1, n):
-            assert hecke_gen(n, i).mul_gen_inverse(i).terms == {identity(n): {0: 1}}
-            assert hecke_gen_inverse(n, i).mul_gen(i).terms == {identity(n): {0: 1}}
+            assert hecke_gen(n, i).times_gen_inverse(i).terms == {identity(n): {0: 1}}
+            assert hecke_gen_inverse(n, i).times_gen(i).terms == {identity(n): {0: 1}}
     s1 = (2, 1, 3)
     # ((1 - q) T_e + T_s1) T_1 = q T_e: the T_s1 coefficient cancels to nothing
-    x = HeckeElt(3, {e3: {0: 1, 1: -1}, s1: {0: 1}})
-    assert x.mul_gen(1).terms == {e3: {1: 1}}
+    x = LaurentHeckeElt(3, {e3: {0: 1, 1: -1}, s1: {0: 1}})
+    assert x.times_gen(1).terms == {e3: {1: 1}}
     # (-q T_e + T_s1) T_1: the q term of the T_s1 coefficient cancels
-    x = HeckeElt(3, {e3: {1: -1}, s1: {0: 1}})
-    assert x.mul_gen(1).terms == {e3: {1: 1}, s1: {0: -1}}
+    x = LaurentHeckeElt(3, {e3: {1: -1}, s1: {0: 1}})
+    assert x.times_gen(1).terms == {e3: {1: 1}, s1: {0: -1}}
     # (T_e + (1 - q^-1) T_s1) T_1^{-1} = q^-1 T_s1: the T_e coefficient cancels
-    x = HeckeElt(3, {e3: {0: 1}, s1: {0: 1, -1: -1}})
-    assert x.mul_gen_inverse(1).terms == {s1: {-1: 1}}
-    x = hecke_t_inverse((1, 2, 1), 3).mul_gen(2)
+    x = LaurentHeckeElt(3, {e3: {0: 1}, s1: {0: 1, -1: -1}})
+    assert x.times_gen_inverse(1).terms == {s1: {-1: 1}}
+    x = hecke_t_inverse((1, 2, 1), 3).times_gen(2)
     assert (x + x.scale(LaurentPoly.const(-1))).terms == {}
-    assert HeckeElt(3, {e3: {0: 0}, s1: {}}).terms == {}
+    assert LaurentHeckeElt(3, {e3: {0: 0}, s1: {}}).terms == {}
     rng = random.Random(3)
     perms = list(all_permutations(3))
     for _ in range(20):
         y = _random_elt(rng, 3, perms)
         for i in (rng.choice((1, 2)) for _ in range(6)):
-            y = y.mul_gen(i) if rng.random() < 0.5 else y.mul_gen_inverse(i)
+            y = y.times_gen(i) if rng.random() < 0.5 else y.times_gen_inverse(i)
             _assert_normal(y)
 
 
 def test_hecke_str_pinned():
-    x = hecke_t_inverse((1, 2, 1), 3).mul_gen(2)
+    x = hecke_t_inverse((1, 2, 1), 3).times_gen(2)
     assert str(x) == (
         "(1 - 2q^-1 + q^-2)*T[123] + (-q^-1 + q^-2)*T[132]"
         " + (-q^-1 + q^-2)*T[213] + (q^-2)*T[312]"
     )
-    assert str(HeckeElt(3)) == "0"
+    assert str(LaurentHeckeElt(3)) == "0"
 
 
 def test_classical_r_base_cases():
@@ -229,7 +239,7 @@ def test_classical_r_trace_identity_s4():
         for v in all_permutations(4):
             elt = hecke_t_inverse(reduced_word(v), 4)
             for i in reduced_word(u):
-                elt = elt.mul_gen(i)
+                elt = elt.times_gen(i)
             d = length(v) - length(u)
             got = trace(elt).shifted(d)
             if d % 2:
@@ -351,6 +361,24 @@ def _t_inverse_at_targets(x, targets):
     return {t: x.terms.get(t) for t in targets}
 
 
+def _decoded_at_targets(x, targets, m):
+    # the packed coefficients of a product scaled by q^m, decoded and scaled
+    # back, as exponent maps like the dict oracle's
+    return {
+        t: rpolyhecke._decode_pairing(x.terms[t], x.bits).shifted(-m).terms
+        if t in x.terms else None
+        for t in targets
+    }
+
+
+def _packed_t_inverse(gens, n, bits):
+    # q^m (T_w)^{-1} on packed coefficients, with no term dropped
+    out = HeckeElt(n, bits, {identity(n): 1})
+    for i in reversed(gens):
+        out = out.mul_gen_inverse(i)
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pruned_t_inverse_matches_full_build_at_targets(data):
@@ -360,8 +388,10 @@ def test_pruned_t_inverse_matches_full_build_at_targets(data):
     # targets mix arbitrary permutations with terms the full build has
     targets = data.draw(st.sets(st.permutations(range(1, n + 1)).map(tuple), max_size=3))
     targets |= data.draw(st.sets(st.sampled_from(sorted(full.terms)), max_size=3))
-    pruned = hecke_t_inverse_at(word, n, targets)
-    assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(full, targets)
+    pruned = hecke_t_inverse_at(word, n, targets, rpolyhecke._trace_bits(0, len(word)))
+    assert _decoded_at_targets(pruned, targets, len(word)) == _t_inverse_at_targets(
+        full, targets
+    )
     if word:
         assert set(pruned.terms) <= targets
 
@@ -378,10 +408,11 @@ def test_pruned_t_inverse_matches_full_build_s4_pairs():
     for u in perms:
         for v in perms:
             gens_u, gens_v = _route_words(u, v)
-            targets = {inverse(w) for w in hecke_t(gens_u, 4).terms}
-            pruned = hecke_t_inverse_at(gens_v, 4, targets)
+            bits = rpolyhecke._trace_bits(len(gens_u), len(gens_v))
+            targets = {inverse(w) for w in hecke_t(gens_u, 4, bits).terms}
+            pruned = hecke_t_inverse_at(gens_v, 4, targets, bits)
             full = hecke_t_inverse(gens_v, 4)
-            assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(
+            assert _decoded_at_targets(pruned, targets, len(gens_v)) == _t_inverse_at_targets(
                 full, targets
             ), (u, v)
 
@@ -404,7 +435,7 @@ def test_hecke_route_builds_only_toward_t_u(monkeypatch):
         rtilt_hecke(u, v)
         pruned += terms_in[0]
         terms_in[0] = 0
-        hecke_t_inverse(_route_words(u, v)[1], 6)
+        _packed_t_inverse(_route_words(u, v)[1], 6, 64)
         full += terms_in[0]
     assert 0 < pruned * 10 <= full, (pruned, full)
 
@@ -418,10 +449,11 @@ def test_pruned_t_inverse_matches_full_build_s5_s6_pairs():
     for u, v in pairs:
         n = len(u)
         gens_u, gens_v = _route_words(u, v)
-        targets = {inverse(w) for w in hecke_t(gens_u, n).terms}
-        pruned = hecke_t_inverse_at(gens_v, n, targets)
+        bits = rpolyhecke._trace_bits(len(gens_u), len(gens_v))
+        targets = {inverse(w) for w in hecke_t(gens_u, n, bits).terms}
+        pruned = hecke_t_inverse_at(gens_v, n, targets, bits)
         full = hecke_t_inverse(gens_v, n)
-        assert _t_inverse_at_targets(pruned, targets) == _t_inverse_at_targets(
+        assert _decoded_at_targets(pruned, targets, len(gens_v)) == _t_inverse_at_targets(
             full, targets
         ), (u, v)
 
@@ -446,7 +478,7 @@ def test_reach_sets_stop_at_the_product_bound():
     for u, v in pairs:
         n = len(u)
         gens_u, gens_v = _route_words(u, v)
-        targets = {inverse(w) for w in hecke_t(gens_u, n).terms}
+        targets = {inverse(w) for w in hecke_t(gens_u, n, 64).terms}
         reach = rpolyhecke._reach(gens_v, n, targets)
         whole = _reach_until_whole(gens_v, n, targets)
         m = len(gens_v)
@@ -460,9 +492,164 @@ def test_reach_sets_stop_at_the_product_bound():
     assert 0 < built * 4 <= every, (built, every)
 
 
+# ---------------------------------------------------------------------------
+# the trace route on packed coefficients
+
+
+def _oracle_cases():
+    # every S_1-S_4 pair, 200 seeded S_5 pairs, near-w0 S_6 and S_7 pairs
+    for n in range(1, 5):
+        perms = list(all_permutations(n))
+        yield from ((u, v) for u in perms for v in perms)
+    rng = random.Random(43)
+    yield from ((_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(200))
+    yield from (_near_w0_pair(rng, 6) for _ in range(6))
+    yield from (_near_w0_pair(rng, 7) for _ in range(2))
+
+
+def test_packed_hecke_matches_the_dict_oracle():
+    # T_u, the full q^m (T_v)^{-1} and their trace, packed and decoded,
+    # against the Laurent-coefficient algebra of the tests; the route's
+    # answer against the oracle's and the Deodhar DP's
+    for u, v in _oracle_cases():
+        n = len(u)
+        gens_u, gens_v = _route_words(u, v)
+        m_v = len(gens_v)
+        bits = rpolyhecke._trace_bits(len(gens_u), m_v)
+        tu, tu_dict = hecke_t(gens_u, n, bits), hecke_t_by_dict(gens_u, n)
+        assert set(tu.terms) == set(tu_dict.terms), (u, v)
+        assert _decoded_at_targets(tu, tu.terms, 0) == tu_dict.terms, (u, v)
+        tv, tv_dict = _packed_t_inverse(gens_v, n, bits), hecke_t_inverse(gens_v, n)
+        assert set(tv.terms) == set(tv_dict.terms), (u, v)
+        assert _decoded_at_targets(tv, tv.terms, m_v) == tv_dict.terms, (u, v)
+        pairing = trace_product_by_dict(tv_dict, tu_dict)
+        assert trace_product(tv, tu).shifted(-m_v) == pairing, (u, v)
+        dist = tiltorder.a_length(witness_a(u, v), v) - tiltorder.a_length(witness_a(u, v), u)
+        want = pairing.shifted(dist) * (-1) ** dist
+        assert rtilt_hecke(u, v) == want == rtilt_deodhar(u, v), (u, v)
+
+
+def test_packed_steps_match_the_dict_steps_on_random_elements():
+    # arbitrary supports, where a term's partner under s_i may be missing (a
+    # product built from the unit keeps its support closed downward, so the
+    # route's own products never leave a lower term out)
+    rng = random.Random(48)
+    for n in (3, 4):
+        perms = list(all_permutations(n))
+        for _ in range(40):
+            x = _random_elt(rng, n, perms)
+            shift, bits = 3, 40  # q^3 x has no negative exponent
+            y = HeckeElt(n, bits, {
+                w: sum(k << (bits * (e + shift)) for e, k in c.items()) for w, c in x.terms.items()
+            })
+            for _ in range(6):
+                i = rng.randint(1, n - 1)
+                if rng.random() < 0.5:
+                    x, y = x.times_gen(i), y.mul_gen(i)
+                else:  # the packed step is scaled by q
+                    x, y, shift = x.times_gen_inverse(i), y.mul_gen_inverse(i), shift + 1
+                assert _decoded_at_targets(y, y.terms, shift) == x.terms, (x, i)
+
+
+def test_a_digit_width_below_the_bound_is_caught(monkeypatch):
+    # B = floor((m_u + m_v)/2) + 1 is too narrow for the pairing's digits:
+    # the trace route then answers wrong on some S_4 pairs, which the other
+    # two routes catch, and the decode refuses the pairs where B < 2
+    monkeypatch.setattr(rpolyhecke, "_trace_bits", lambda m_u, m_v: (m_u + m_v) // 2 + 1)
+    perms = list(all_permutations(4))
+    wrong = caught = refused = 0
+    for u in perms:
+        for v in perms:
+            try:
+                wrong += rtilt_hecke(u, v) != rtilt_deodhar(u, v)
+            except ValueError:
+                pass
+            try:
+                rtilt(u, v, "all")
+            except InternalConsistencyError:
+                caught += 1
+            except ValueError as e:
+                assert "at least 2" in str(e)
+                refused += 1
+    assert wrong and caught == wrong and refused, (wrong, caught, refused)
+
+
+def _refuses_one_bit_digits(decode):
+    # with one bit every digit is -1 or 0, so a positive packed value never
+    # shrinks and the decode would loop for ever, its digit dict growing: run
+    # it in a child process with a deadline and a capped address space, so
+    # that a missing guard fails here instead of hanging or filling memory
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from qbruhat import rpolyhecke\n"
+        "for packed in (1, 5, 0):\n"
+        "    try:\n"
+        f"        rpolyhecke.{decode}(packed, 1)\n"
+        "    except ValueError as e:\n"
+        "        assert 'at least 2' in str(e)\n"
+        "    else:\n"
+        f"        raise SystemExit(f'{decode}({{packed}}, 1) returned')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{decode}(packed, 1) did not return")
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    with pytest.raises(ValueError, match="at least 2"):
+        getattr(rpolyhecke, decode)(0, 0)
+
+
+def test_decode_pairing_refuses_one_bit_digits():
+    _refuses_one_bit_digits("_decode_pairing")
+
+
+def test_decode_pairing_reads_signed_digits():
+    # the trace route's own decode against packed coefficient lists at the
+    # ends of the digit range
+    rng = random.Random(46)
+    for bits in (2, 3, 8, 30, 66):
+        top = (1 << (bits - 1)) - 1
+        for _ in range(40):
+            coeffs = [rng.choice((top, -top, -top - 1, 0, 1, -1, rng.randint(-top, top)))
+                      for _ in range(rng.randint(1, 9))]
+            packed = sum(c << (bits * e) for e, c in enumerate(coeffs))
+            want = LaurentPoly(dict(enumerate(coeffs)))
+            assert rpolyhecke._decode_pairing(packed, bits) == want, (bits, coeffs)
+
+
+def test_the_traced_hecke_names_run_in_the_three_route_check(monkeypatch):
+    # the benchmark's tracer wraps HeckeElt.mul_gen, HeckeElt.mul_gen_inverse
+    # and rtilt_hecke by name and counts the terms entering the steps; a
+    # change that stops calling them would leave those metrics at zero
+    calls, terms = Counter(), Counter()
+
+    def counted(name, fn, elt=True):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if elt:
+                terms[name] += len(args[0].terms)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("mul_gen", "mul_gen_inverse"):
+        monkeypatch.setattr(HeckeElt, name, counted(name, getattr(HeckeElt, name)))
+    monkeypatch.setattr(rpolyhecke, "rtilt_hecke", counted("rtilt_hecke", rtilt_hecke, False))
+    rng = random.Random(44)
+    for _ in range(4):
+        u, v = _random_perm(rng, 5), _random_perm(rng, 5)
+        assert rtilt(u, v, "all") == rtilt_deodhar(u, v)
+    assert set(calls) == {"mul_gen", "mul_gen_inverse", "rtilt_hecke"}, calls
+    assert calls["rtilt_hecke"] == 4 and terms["mul_gen"] and terms["mul_gen_inverse"]
+
+
 # the three R-polynomial routes, by the functions that make each one up
 ROUTES = {
-    "hecke": {"rtilt_hecke", "hecke_t_inverse_at", "_reach", "hecke_t", "trace_product"},
+    "hecke": {"rtilt_hecke", "hecke_t_inverse_at", "_reach", "hecke_t", "trace_product",
+              "_right_swap", "_trace_bits", "_decode_pairing"},
     "deodhar": {"rtilt_deodhar", "_demazure_caps", "_unpack"},
     "recursion": {"rtilt_recursive", "_rtilt_rec"},
 }
@@ -525,6 +712,26 @@ def test_rtilt_all_output_pinned():
     )
 
 
+def test_recursion_output_pinned_cold_and_warm():
+    # str(rtilt_recursive(u, v)) over every S_4 pair and 40 seeded S_5/S_6
+    # pairs, pinned before the recursion formed q A + (q-1) B in one pass;
+    # a second pass reads every node from the memo, so a node that changed a
+    # polynomial held there shows as a second digest
+    perms = list(all_permutations(4))
+    rng = random.Random(41)
+    pairs = [(u, v) for u in perms for v in perms]
+    pairs += [(_random_perm(rng, n), _random_perm(rng, n)) for n in (5, 6) for _ in range(20)]
+    rpolyhecke._REC_MEMO.clear()
+    try:
+        for _ in range(2):
+            text = "\n".join(str(rtilt_recursive(u, v)) for u, v in pairs)
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "19bfacfb1142d2e627f694500372c38f667e33d9f0793a18fe964185351df568"
+            )
+    finally:
+        rpolyhecke._REC_MEMO.clear()
+
+
 def test_routes_are_looked_up_at_call_time(monkeypatch):
     u, v = parse_perm("231"), parse_perm("123")
     routes = rpolyhecke.rtilt_routes(u, v)
@@ -560,32 +767,7 @@ def test_unpack_reads_signed_digits_up_to_the_bound():
 
 
 def test_unpack_refuses_one_bit_digits():
-    # with one bit every digit is -1 or 0, so a positive packed value never
-    # shrinks and the decode would loop for ever, its digit dict growing: run
-    # it in a child process with a deadline and a capped address space, so
-    # that a missing guard fails here instead of hanging or filling memory
-    code = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
-        "from qbruhat import rpolyhecke\n"
-        "for packed in (1, 5, 0):\n"
-        "    try:\n"
-        "        rpolyhecke._unpack(packed, 1)\n"
-        "    except ValueError as e:\n"
-        "        assert 'at least 2' in str(e)\n"
-        "    else:\n"
-        "        raise SystemExit(f'_unpack({packed}, 1) returned')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail("_unpack(packed, 1) did not return")
-    assert proc.returncode == 0, proc.stderr + proc.stdout
-    with pytest.raises(ValueError, match="at least 2"):
-        rpolyhecke._unpack(0, 0)
+    _refuses_one_bit_digits("_unpack")
 
 
 def _near_w0(n):

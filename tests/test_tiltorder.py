@@ -30,6 +30,7 @@ from qbruhat.tiltorder import (
     in_tilted_interval,
     interval_s_invariant,
     k_tilted_leq,
+    lesssim,
     strong_lifting_witness,
     witness_a,
     witness_a_leq,
@@ -132,6 +133,47 @@ def test_orders_and_witnesses_match_the_definitions():
                 a = witness
             _check_against_definitions(a, u, v)
             _check_against_definitions(lowest, u, v)
+
+
+def _lesssim_cases():
+    # every S_3 pair under every tilt, then seeded S_4-S_8 triples, half of
+    # them under the pair's witness tilt
+    perms = list(all_permutations(3))
+    yield from ((a, u, v) for u in perms for v in perms for a in all_tilts(3))
+    rng = random.Random(47)
+    for n in range(4, 9):
+        for draw in range(150):
+            u = tuple(rng.sample(range(1, n + 1), n))
+            v = tuple(rng.sample(range(1, n + 1), n))
+            a = witness_a(u, v) if draw % 2 else tuple(rng.randint(1, n) for _ in range(n))
+            yield a, u, v
+
+
+def test_lesssim_kernel_matches_the_orders():
+    for a, u, v in _lesssim_cases():
+        leq, sim = _orders_by_definition(a, u, v)
+        assert lesssim(a, u, v) == (a_leq(a, u, v) and a_sim(a, u, v)) == (leq and sim), (a, u, v)
+
+
+def test_lesssim_reads_rows_up_to_the_first_failing_level(monkeypatch):
+    read = []
+    real = qbgraph._row_updates
+
+    def counting(u, v):
+        for row in real(u, v):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(qbgraph, "_row_updates", counting)
+    stopped = 0
+    for a, u, v in _lesssim_cases():
+        rows = qbgraph.lattice_rows(u, v)
+        fails = [k for k, h in enumerate(rows) if not h[a[k] - 1] == h[a[k + 1] - 1] == min(h)]
+        read.clear()
+        assert lesssim(a, u, v) == (not fails), (a, u, v)
+        assert len(read) == (fails[0] + 1 if fails else len(u) - 1), (a, u, v)
+        stopped += bool(fails) and fails[0] + 1 < len(u) - 1
+    assert stopped
 
 
 def test_lesssim_implies_leq():
