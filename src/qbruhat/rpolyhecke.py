@@ -530,8 +530,9 @@ def _rtilt_rec(u: Perm, v: Perm, a: Tilt, budget: int) -> LaurentPoly:
                 out = LaurentPoly(terms)
         else:
             out = _rtilt_rec(u, v, flatten(a), budget - 1)
-    if len(_REC_MEMO) < (1 << 18):  # bounded memo
-        _REC_MEMO[key] = out
+    if len(_REC_MEMO) >= 1 << 18:  # bounded memo: start over when full
+        _REC_MEMO.clear()
+    _REC_MEMO[key] = out
     return out
 
 

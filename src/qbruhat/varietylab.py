@@ -7,23 +7,20 @@ samplers, totally nonnegative sign data, and F_q point counting.
 A matrix lives over Q (field None; entries Fraction) or over F_p (field
 p; entries ints in [0, p)).  No floating point anywhere.
 
-Determinants, ranks and solves go through one routine,
-``_eliminate(rows, p)``: fraction-free Bareiss over Z when p is None,
-modular over F_p otherwise.  Rational rows are first scaled to integers by
-``_clear``.  The entry points ``_det_fractions`` (det over Q), ``_det_mod``
-(det over F_p), ``_rank`` and ``solve_exact`` only read the echelon form it
-returns; the first three keep their names because ``bench/tracer.py``
-times det and rank per field by wrapping them by name.  The rank route and
-the count use ``_echelon_chain`` instead: it inserts rows one at a time and
-gives the rank after each insertion on every column prefix at once, where
-one Bareiss pass gives one row set's rank, so ``_rank`` stays the separate
-elimination that tests compare the chains against.  Plücker signs and
-vanishing for the Plücker route and ``is_tnn`` come from one table of every
-row set's leading minor, ``_minor_table``, filled by Laplace expansion, so
-the two membership routes share no kernel.  Deodhar points are built by
-two-column updates; the dense reference that tests compare them against,
-a product of pinned matrices by ``mat_mul``, builds those matrices in
-``tests/oracles.py``.
+Each route reads one kernel.  The rank route and the count read
+``_echelon_chain``: it inserts rows one at a time and gives the rank after
+each insertion on every column prefix at once.  The Plücker route and
+``is_tnn`` read ``_minor_table``, every row set's leading minor by Laplace
+expansion; its full minor is also the route's singularity test, so the two
+membership routes share no kernel.  ``_eliminate(rows, p)`` (fraction-free
+Bareiss over Z when p is None, modular over F_p otherwise; rational rows
+are first scaled to integers by ``_clear``) is the reference behind both:
+``plucker`` reads a minor off it, ``_rank`` a rank, and tests compare the
+table and the chains against them.  ``solve_exact`` reads it too, and
+``in_tilted_schubert_cell`` reads ``plucker``.
+Deodhar points are built by two-column updates; the dense reference that
+tests compare them against, a product of pinned matrices by ``mat_mul``,
+builds those matrices in ``tests/oracles.py``.
 
 ``_rank_conditions`` is the one place that forms the cyclic rank
 conditions defining T_{u,v}; a level's regions are the first rows of two
@@ -311,43 +308,24 @@ def _minor_table(M: ExactMatrix) -> list[int]:
     return minor
 
 
-def submatrix_det(M: ExactMatrix, row_order: Sequence[int], k: int) -> Scalar:
-    rows = [[M.rows[i - 1][c] for c in range(k)] for i in row_order]
-    if M.field is None:
-        return _det_fractions(rows)
-    return _det_mod(rows, M.field)
-
-
-def det(M: ExactMatrix) -> Scalar:
-    return submatrix_det(M, range(1, M.n + 1), M.n)
-
-
-def is_invertible(M: ExactMatrix) -> bool:
-    return det(M) != 0
-
-
 # ---------------------------------------------------------------------------
 # Plücker coordinates
 
 
 def plucker(M: ExactMatrix, I: Sequence[int]) -> Scalar:
-    """Delta_I: rows I in the listed order against the first |I| columns."""
+    """Delta_I: rows I in the listed order against the first |I| columns.
+
+    This is the Bareiss route (``_det_fractions``, ``_det_mod``), the
+    reference that tests compare ``_minor_table`` against.
+    """
     if len(set(I)) != len(I):
         return 0 if M.field is not None else Fraction(0)
     if any(not 1 <= i <= M.n for i in I):
         raise ValueError(f"row index out of range in {I}")
-    return submatrix_det(M, I, len(I))
-
-
-def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
-    """Delta_w = prod_k Delta_{w[k]}."""
-    total: Scalar = Fraction(1) if M.field is None else 1
-    for k in range(1, M.n + 1):
-        f = plucker(M, w[:k])
-        if f == 0:
-            return f
-        total = total * f if M.field is None else total * f % M.field
-    return total
+    rows = [list(M.rows[i - 1][: len(I)]) for i in I]
+    if M.field is None:
+        return _det_fractions(rows)
+    return _det_mod(rows, M.field)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +415,16 @@ def in_tilted_richardson_plucker(
 
     Only whether each factor Delta_{w[k]} vanishes is read, and that does
     not depend on the order of the rows, so it is read off ``_minor_table``
-    by prefix-set bitmask.
+    by prefix-set bitmask.  The same table's full minor tests M for
+    singularity, after u, v and the gate are checked.
     """
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
-    if not is_invertible(M):
-        raise ValueError("matrix does not represent a flag (singular)")
     members = qbgraph.tilted_interval(u, v).members  # checks the gate before the 2^n table
     minor = _minor_table(M)
+    if not minor[-1]:  # det(M), times a positive row scale over Q
+        raise ValueError("matrix does not represent a flag (singular)")
 
     def multi_nonzero(w: Perm) -> bool:
         mask = 0
@@ -481,7 +460,7 @@ def in_tilted_schubert_cell(
     if len(check_permutation(w)) != M.n:
         raise ValueError(f"size mismatch: w has {len(w)} entries, the matrix {M.n} rows")
     a = check_tilt(a, M.n)
-    if multi_plucker(M, w) == 0:
+    if any(plucker(M, w[:k]) == 0 for k in range(1, M.n + 1)):  # Delta_w = 0
         return False
     diagram = tilted_rothe_op(a, w) if kind == "cell" else tilted_rothe(a, w)
     for (i, k) in diagram:

@@ -33,7 +33,7 @@ from qbruhat.tiltwords import (
     jumps,
     tilt_sequence,
 )
-from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix
+from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix, plucker
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +386,14 @@ def classical_monk(k: int, w: Perm) -> dict[Perm, int]:
 def count_total_flags(n: int, p: int) -> int:
     """|Fl_n(F_p)| = sum of p^{l(w)} over S_n."""
     return sum(p ** length(w) for w in all_permutations(n))
+
+
+def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
+    """Delta_w = prod_k Delta_{w[k]}, each factor by ``plucker``."""
+    total: Scalar = 1
+    for k in range(1, M.n + 1):
+        total *= plucker(M, w[:k])
+    return total if M.field is None else total % M.field
 
 
 def _phi(n: int, i: int, block: Sequence[Sequence[Scalar]], field: Optional[int]) -> ExactMatrix:

@@ -1044,3 +1044,25 @@ def test_recursion_past_its_budget_is_a_fault(monkeypatch):
     monkeypatch.setattr(rpolyhecke, "word_length", lambda a, w: 0)
     with pytest.raises(InternalConsistencyError, match="failed to terminate"):
         rtilt_recursive((1, 2, 3), (3, 2, 1))
+
+
+def test_full_recursion_memo_starts_over(monkeypatch):
+    # a memo filled to its bound by unrelated keys is cleared, not frozen:
+    # e -> w0 at n = 6 then makes exactly the calls of a cold recursion
+    real = rpolyhecke._rtilt_rec
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rpolyhecke, "_rtilt_rec", counted)
+    e, w0 = tuple(range(1, 7)), tuple(range(6, 0, -1))
+    monkeypatch.setattr(rpolyhecke, "_REC_MEMO", {})
+    cold = rtilt_recursive(e, w0)
+    cold_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(rpolyhecke, "_REC_MEMO", dict.fromkeys(range(1 << 18), ZERO))
+    assert rtilt_recursive(e, w0) == cold
+    assert len(calls) == cold_calls
+    assert len(rpolyhecke._REC_MEMO) < 1 << 18

@@ -33,19 +33,16 @@ from qbruhat.varietylab import (
     canonical_cell_matrix,
     count_points_fq,
     deodhar_point,
-    det,
     enumerate_flags_fq,
     in_tilted_richardson,
     in_tilted_richardson_plucker,
     in_tilted_schubert_cell,
     interpolate,
-    is_invertible,
     is_tnn,
     make_matrix,
     mat_mul,
     matrix_from_json,
     matrix_to_json,
-    multi_plucker,
     permutation_matrix,
     plucker,
     solve_exact,
@@ -58,6 +55,7 @@ from oracles import (
     a_length_by_pairs,
     count_total_flags,
     flags_by_inverse,
+    multi_plucker,
     sdot_inverse_matrix,
     sdot_matrix,
     tilted_rothe_op_by_definition,
@@ -71,15 +69,15 @@ rng = random.Random(0)
 def rand_invertible(n, lo=-5, hi=5):
     while True:
         M = make_matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
-        if is_invertible(M):
+        if plucker(M, range(1, n + 1)):
             return M
 
 
 def test_det_and_rank():
     M = make_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    assert det(M) == 18
-    assert det(make_matrix(M.rows, field=5)) == 3
-    assert det(make_matrix([[Fraction(1, 2), 1], [1, 2]])) == 0
+    assert plucker(M, (1, 2, 3)) == 18
+    assert plucker(make_matrix(M.rows, field=5), (1, 2, 3)) == 3
+    assert plucker(make_matrix([[Fraction(1, 2), 1], [1, 2]]), (1, 2)) == 0
     assert varietylab._rank([row[:2] for row in M.rows], None) == 2
     assert varietylab._rank([list(M.rows[0])], None) == 1
     assert varietylab._rank([], None) == 0
@@ -258,7 +256,7 @@ def test_rank_route_runs_two_chains_per_tilt_value(monkeypatch):
             sub = positive_distinguished_subword(word, u)
             member = deodhar_point(word, sub, {j: pick.choice((-2, 1, 3)) for j in sub.jcirc})
             other = make_matrix([[pick.randint(-2, 2) for _ in range(n)] for _ in range(n)], 3)
-            if is_invertible(other):
+            if plucker(other, range(1, n + 1)):
                 cases.append((other, u, v, all_region_conditions(other, u, v, True)))
             cases.append((member, u, v, True))
     calls = []
@@ -562,7 +560,7 @@ def test_count_walks_no_flag_list(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the count went through the brute-force route")
 
-    for name in ("enumerate_flags_fq", "is_invertible", "in_tilted_richardson"):
+    for name in ("enumerate_flags_fq", "_det_mod", "in_tilted_richardson"):
         monkeypatch.setattr(varietylab, name, forbidden)
     for u, v in [((2, 3, 1), (1, 2, 3)), ((1, 2, 3, 4), (4, 3, 2, 1)),
                  ((4, 2, 3, 1), (3, 1, 4, 2)), ((2, 1, 4, 3), (2, 1, 4, 3))]:
@@ -705,7 +703,7 @@ def test_pinned_matrices():
     assert [list(r) for r in s1.rows] == [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
     y = y_matrix(3, 2, Fraction(5))
     assert y.entry(3, 2) == 5 and y.entry(2, 2) == 1
-    assert det(mat_mul(s1, y)) == 1
+    assert plucker(mat_mul(s1, y), (1, 2, 3)) == 1
 
 
 def test_membership_independent_of_tilt():
@@ -798,10 +796,11 @@ def test_det_matches_leibniz():
                 rows = kernel_rows(krng, n, n, field)
                 want = leibniz(rows)
                 if field is None:
-                    assert det(make_matrix(rows)) == want, rows
+                    assert plucker(make_matrix(rows), range(1, n + 1)) == want, rows
                     assert varietylab._det_fractions(rows) == want, rows
                 else:
-                    assert det(make_matrix(rows, field)) == want % field, (field, rows)
+                    assert plucker(make_matrix(rows, field), range(1, n + 1)) == want % field, (
+                        field, rows)
                     assert varietylab._det_mod(rows, field) == want % field, (field, rows)
 
 
@@ -1072,3 +1071,90 @@ def test_plucker_route_checks_the_gate_before_the_minor_table(monkeypatch):
     e = identity(9)
     with pytest.raises(GateError):
         in_tilted_richardson_plucker(permutation_matrix(e), e, e)
+
+
+def test_plucker_route_runs_no_bareiss_code(monkeypatch):
+    # the route reads vanishing and singularity off its minor table alone:
+    # with the Bareiss kernels refused it still decides members and
+    # non-members over Q and F_p, open and closed, and still reports a
+    # singular matrix as singular
+    pick = random.Random(44)
+    cases, singular = [], []
+    for field, params in ((None, (-2, 1, 3)), (3, (1, 2, -1))):
+        for n in (3, 4):
+            perms = list(all_permutations(n))
+            for _ in range(8):
+                u, v = pick.choice(perms), pick.choice(perms)
+                word = regular_tilted_reduced_word(witness_a(u, v), v)
+                sub = positive_distinguished_subword(word, u)
+                p_map = {j: pick.choice(params) for j in sub.jcirc}
+                cases.append((deodhar_point(word, sub, p_map, field=field), u, v))
+                while True:
+                    M = make_matrix([[pick.randint(-1, 1) for _ in range(n)] for _ in range(n)], field)
+                    if plucker(M, range(1, n + 1)):
+                        break
+                cases.append((M, u, v))
+                rows = [list(row) for row in M.rows]
+                rows[pick.randrange(1, n)] = [0] * n if pick.random() < 0.5 else rows[0][:]
+                singular.append((make_matrix(rows, field), u, v))
+    want = [(in_tilted_richardson(M, u, v), in_tilted_richardson(M, u, v, open_flag=True))
+            for M, u, v in cases]
+
+    def refuse(*args):
+        raise AssertionError("Bareiss kernel called")
+
+    for name in ("_det_fractions", "_det_mod", "_eliminate"):
+        monkeypatch.setattr(varietylab, name, refuse)
+    for (M, u, v), (closed, open_) in zip(cases, want):
+        assert in_tilted_richardson_plucker(M, u, v, check=False) == closed, (M.rows, u, v)
+        assert in_tilted_richardson_plucker(M, u, v, True, check=False) == open_, (M.rows, u, v)
+    for field in (None, 3):
+        seen = {w for (M, *_), w in zip(cases, want) if M.field == field}
+        assert {(True, True), (False, False)} <= seen, (field, seen)
+    for M, u, v in singular:
+        with pytest.raises(ValueError, match="singular"):
+            in_tilted_richardson_plucker(M, u, v, check=False)
+        with pytest.raises(ValueError, match="singular"):
+            in_tilted_richardson(M, u, v)
+
+
+def _in_cell_by_definition(M, w, a, kind):
+    """M in X°_{w,a} (kind 'cell') or Omega°_{w,a} (kind 'opposite') read off
+    the definition: Delta_w != 0, and Delta_{w[k-1] + (i,)} = 0 on each
+    cell (i, k) of the other kind's diagram, taken pair by pair."""
+    n = len(w)
+    opposite = tilted_rothe_op_by_definition(a, w)
+    pairs = {(w[i - 1], k) for k in range(1, n + 1) for i in range(k + 1, n + 1)}
+    zero = opposite if kind == "cell" else pairs - opposite
+    return multi_plucker(M, w) != 0 and all(plucker(M, w[: k - 1] + (i,)) == 0 for i, k in zero)
+
+
+def test_schubert_cell_matches_its_definition():
+    # every w and tilt of S_3 and a seeded S_4 slice, on canonical cell
+    # matrices of w and of another permutation, of both kinds, with random
+    # parameters, and on random invertible flags
+    pick = random.Random(45)
+    kinds = ("cell", "opposite")
+    cases = [(a, w) for a in itertools.product(range(1, 4), repeat=3) for w in all_permutations(3)]
+    s4 = list(all_permutations(4))
+    cases += [(tuple(pick.randint(1, 4) for _ in range(4)), pick.choice(s4)) for _ in range(60)]
+    hits = misses = 0
+    for a, w in cases:
+        n = len(w)
+        other = tuple(pick.sample(range(1, n + 1), n))
+        mats = [rand_invertible(n, -1, 1)]
+        for x in (w, other):
+            for kind in kinds:
+                diagram = tilted_rothe(a, x) if kind == "cell" else tilted_rothe_op(a, x)
+                params = {c: Fraction(pick.randint(-2, 2), pick.randint(1, 2)) for c in diagram}
+                mats.append(canonical_cell_matrix(a, x, kind, params))
+        for M in mats:
+            for kind in kinds:
+                got = in_tilted_schubert_cell(M, w, a, kind)
+                assert got == _in_cell_by_definition(M, w, a, kind), (a, w, kind, M.rows)
+                hits += got
+                misses += not got
+        # a canonical matrix of w lies in its own cell
+        assert in_tilted_schubert_cell(mats[1], w, a, "cell"), (a, w)
+        assert in_tilted_schubert_cell(mats[2], w, a, "opposite"), (a, w)
+    assert hits and misses
