@@ -301,29 +301,29 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 # ---------------------------------------------------------------------------
 # text syntax
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 def format_perm(w: Perm) -> str:
-    """Contiguous digits for n <= 9, comma-separated beyond.
+    """Contiguous digits for n <= 9 (a bytes translate), commas beyond.
 
     >>> format_perm((2, 3, 1, 4))
     '2314'
     """
     if len(w) <= 9:
-        return "".join(str(v) for v in w)
+        return bytes(w).translate(_DIGITS).decode()
     return ",".join(str(v) for v in w)
 
 
 def parse_perm(text: str) -> Perm:
-    """Inverse of :func:`format_perm`.
+    """Inverse of :func:`format_perm`: ASCII digits, one per entry or in
+    comma-separated tokens; other text raises "cannot parse permutation".
 
     >>> parse_perm("2314")
     (2, 3, 1, 4)
     """
     text = text.strip()
-    if "," in text:
-        vals = tuple(int(p) for p in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation {text!r}")
-        vals = tuple(int(c) for c in text)
-    return check_permutation(vals)
+    parts = [p.strip() for p in text.split(",")] if "," in text else list(text)
+    if not parts or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse permutation {text!r}")
+    return check_permutation(tuple(map(int, parts)))

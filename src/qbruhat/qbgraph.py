@@ -34,7 +34,7 @@ prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
 and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
 (``bfs_ell``, ``shortest_path_weight``) are oracles for tests and
 ``verify``, which compare them against these routes; no production route
-calls them.
+calls them.  Every exporter prints permutations by ``permcore.format_perm``.
 """
 
 from __future__ import annotations
@@ -654,17 +654,11 @@ def graph_dot(n: int) -> str:
     return "\n".join(lines)
 
 
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def ranked_members(iv: TiltedInterval) -> list[tuple[int, str]]:
     """(rank, formatted member) by rank and then lexicographically, as the
-    interval printers list them.  Up to n = 9 a bytes translate gives
-    ``format_perm``'s one digit per entry."""
+    interval printers list them."""
     ws = sorted(sorted(iv.members), key=iv.rank.__getitem__)
-    if len(iv.u) > 9:
-        return [(iv.rank[w], format_perm(w)) for w in ws]
-    return [(iv.rank[w], bytes(w).translate(_DIGITS).decode()) for w in ws]
+    return [(iv.rank[w], format_perm(w)) for w in ws]
 
 
 def interval_dot(iv: TiltedInterval) -> str:

@@ -9,11 +9,13 @@ a = (1, ..., 1) both collapse to the classical Bruhat order.
 The orders and witness tilts are read off the lattice paths of d(u,v)
 (``qbgraph.lattice_rows``): for the heights h of the path of (u[k], v[k]),
 u[k] <=_r v[k] iff h_{r-1} = min h, and the counts in [a_k, a_{k+1})_c
-agree iff h_{a_k - 1} = h_{a_{k+1} - 1}.  The tests compare these reads
-against ``permcore``'s definitions: the sorted ``shifted_gale_leq`` and
-the counts over ``cyclic_interval``.  A band test "t in (x, y]_c" reads
-y <_t x (``shifted_less``), and the cover test's gap is the graph's edge
-criterion (``qbgraph.edge_weight``).
+agree iff h_{a_k - 1} = h_{a_{k+1} - 1}.  The orders and witness minima
+scan ``qbgraph._row_updates`` in place, the orders up to the first level
+that fails; ``k_tilted_leq`` alone copies them (``qbgraph._levels``).  The
+tests compare these reads against ``permcore``'s definitions: the sorted
+``shifted_gale_leq`` and the counts over ``cyclic_interval``.  A band test
+"t in (x, y]_c" reads y <_t x (``shifted_less``), and the cover test's gap
+is the graph's edge criterion (``qbgraph.edge_weight``).
 
 The public tests check their input; ``lesssim`` (u <~_a v) and
 ``descends`` (i in Des_a(w)) are their unchecked kernels, for callers that
@@ -50,22 +52,18 @@ def check_tilt(a: Iterable[int], n: int) -> Tilt:
 # the orders
 
 
-def _rows(a: Iterable[int], u: Perm, v: Perm) -> tuple[Tilt, list[list[int]]]:
-    """The checked tilt and ``qbgraph.lattice_rows(u, v)``."""
-    check_perms(u, v)
-    return check_tilt(a, len(u)), qbgraph.lattice_rows(u, v)
-
-
 def a_leq(a: Tilt, u: Perm, v: Perm) -> bool:
     """u <=_a v: u[k] <=_{a_k} v[k] for all k."""
-    a, rows = _rows(a, u, v)
-    return all(h[a[k] - 1] == min(h) for k, h in enumerate(rows))
+    check_perms(u, v)
+    a = check_tilt(a, len(u))
+    return all(h[a[k] - 1] == min(h) for k, h in enumerate(qbgraph._row_updates(u, v)))
 
 
 def a_sim(a: Tilt, u: Perm, v: Perm) -> bool:
     """u ~_a v: equal counts |.[k] n [a_k, a_{k+1})_c| for all k."""
-    a, rows = _rows(a, u, v)
-    return all(h[a[k] - 1] == h[a[k + 1] - 1] for k, h in enumerate(rows))
+    check_perms(u, v)
+    a = check_tilt(a, len(u))
+    return all(h[a[k] - 1] == h[a[k + 1] - 1] for k, h in enumerate(qbgraph._row_updates(u, v)))
 
 
 def a_lesssim(a: Tilt, u: Perm, v: Perm) -> bool:
@@ -95,10 +93,10 @@ def _minima(u: Perm, v: Perm) -> list[int]:
     """Bitmasks of the r in [n] (bit r-1) where the path of (u[k], v[k])
     is minimal, for k = 0..n (flat at 0 and n); (m & -m).bit_length() is
     the smallest r of a mask m.  These are ``qbgraph._level``'s masks
-    without bit n, as h_n = h_0."""
+    without bit n, as h_n = h_0, read off the rows uncopied."""
     check_perms(u, v)
     flat = (1 << len(u)) - 1
-    return [flat, *(m & flat for _, m in qbgraph._levels(u, v)), flat]
+    return [flat, *(qbgraph._level(h)[1] & flat for h in qbgraph._row_updates(u, v)), flat]
 
 
 def witness_a(u: Perm, v: Perm) -> Tilt:

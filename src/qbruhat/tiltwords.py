@@ -348,10 +348,10 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
 
     Enumerated left to right under the forced-keep rule (a generator whose
     right multiplication decreases the running prefix must be kept), with
-    bar-flattenability enforced.  Dead branches are pruned by ``live``:
-    live[pos] holds the prefixes at position pos that can still end at u,
-    built right to left from live[ell] = {u}, so only states on some path to
-    u are ever held.
+    bar-flattenability enforced on each bar's band, fixed once per bar.
+    Dead branches are pruned by ``live``: live[pos] holds the prefixes at
+    position pos that can still end at u, built right to left from
+    live[ell] = {u}, so only states on some path to u are ever held.
     """
     if not a_sim(word_v.a, u, word_v.target):
         raise ValueError("u is not ~_a equivalent to the word's target")
@@ -365,7 +365,8 @@ def distinguished_subwords(word_v: TiltedWord, u: Perm) -> list[Subword]:
         aj = seqs[pos + 1]
         after = live[pos + 1]
         if f is BAR:
-            live[pos] = {w for w in after if flattenable(aj, w) is not None}
+            jm, low = bar_band(aj)
+            live[pos] = {w for w in after if band_split(w, jm, low) is not None}
         else:
             # w reaches x in after by skipping f (only if w <_a w s_f) or by
             # keeping it (w = x s_f)

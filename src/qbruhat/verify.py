@@ -31,6 +31,7 @@ from .permcore import (
     all_permutations,
     apply_simple,
     apply_transposition,
+    check_gate,
     format_perm,
 )
 from . import qbgraph, rpolyhecke, tiltorder, tiltwords, varietylab
@@ -298,7 +299,8 @@ def run_catalogue(n: int, seed: int, level: str, workers: int) -> tuple[list[dic
     whether any of them raised an ``InternalConsistencyError``.  Each
     property gets a fresh ``random.Random(seed)``, so the reports do not
     depend on ``workers``.  The pool starts no more processes than there
-    are properties to run."""
+    are properties to run, and none above the graph gate (``GateError``)."""
+    check_gate("QBRUHAT_MAX_N", n)
     items = [
         (name, n, seed, level)
         for name, _, exploratory in PROPERTIES

@@ -18,7 +18,8 @@ docstring or a comment fails.  Otherwise the function must be
 paper-facing API (``PAPER_API``) or a method that a library calls back
 (``HOOKS``).  Methods are listed as ``Class.method``.  The two lists hold
 only such functions: an entry that is not defined, or that some node
-reads, fails too.
+reads, fails too.  README's paper-facing sentence names exactly
+``PAPER_API``.
 
 Oracles, the reference implementations that tests compare the production
 routes against, live in ``tests/oracles.py``: no function there may also be
@@ -27,6 +28,7 @@ tests.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -185,3 +187,12 @@ def test_oracles_stay_out_of_the_package():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
     assert {m for m in imported if m.partition(".")[0] in ("tests", "oracles")} == set()
+
+
+def test_readme_lists_the_paper_api():
+    # the README's paper-facing sentence names each entry of PAPER_API once,
+    # and nothing else outside its parenthetical remarks
+    text = " ".join((ROOT / "README.md").read_text().split())
+    start = text.index("The paper-facing API is there")
+    sentence = re.sub(r"\([^)]*\)", "", text[start:text.index(". ", start)])
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(PAPER_API)

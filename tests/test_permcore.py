@@ -41,6 +41,16 @@ def test_parse_format_roundtrip():
     assert parse_perm(format_perm(big)) == big
     with pytest.raises(ValueError):
         parse_perm("1135")
+    assert parse_perm(" 2, 3 ,1 ") == (2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", ",", "1,2,", ",1,2", "1,,2", "１２", "1_0,2,3,4,5,6,7,8,9,1", "+1,2",
+             "-1,2", "1.0,2", "1 2", "²1", "0x1,2"],
+)
+def test_parse_perm_rejects_malformed_text_where_it_enters(text):
+    with pytest.raises(ValueError, match="^cannot parse permutation "):
+        parse_perm(text)
 
 
 def test_basics():

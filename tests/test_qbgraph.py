@@ -708,3 +708,21 @@ def test_ranked_members_list_by_rank_then_lexicographically(monkeypatch):
     assert qbgraph.ranked_members(tilted_interval(identity(10), identity(10))) == [
         (0, "1,2,3,4,5,6,7,8,9,10")
     ]
+
+
+def test_interval_posets_have_euler_sum_one():
+    # sum over x <= y in the poset [u,v] of (-1)^{ell(x,y)} = 1: every
+    # upper interval [x,v] is Eulerian, so only x = v is left; every pair
+    # of S_3 and a seeded sample of S_4, through poset_leq and the ranks
+    pairs = [(u, v) for u in all_permutations(3) for v in all_permutations(3)]
+    rng = random.Random(45)
+    perms = list(all_permutations(4))
+    pairs += [(rng.choice(perms), rng.choice(perms)) for _ in range(200)]
+    for u, v in pairs:
+        iv = tilted_interval(u, v)
+        total = sum(
+            (-1) ** (iv.rank[y] - iv.rank[x])
+            for x, y in itertools.product(iv.members, repeat=2)
+            if iv.poset_leq(x, y)
+        )
+        assert total == 1, (u, v, total)

@@ -25,7 +25,7 @@ from qbruhat.permcore import (
     parse_perm,
     reduced_word,
 )
-from qbruhat.qbgraph import ell
+from qbruhat.qbgraph import ell, tilted_interval
 from qbruhat.quantumschub import MultiPoly
 from qbruhat.rpolyhecke import (
     ONE,
@@ -1066,3 +1066,27 @@ def test_full_recursion_memo_starts_over(monkeypatch):
     assert rtilt_recursive(e, w0) == cold
     assert len(calls) == cold_calls
     assert len(rpolyhecke._REC_MEMO) < 1 << 18
+
+
+def test_tilted_r_polynomials_invert_over_the_interval():
+    # sum over x in [u,v] of (-1)^{rank x} R~_{u,x} R~_{x,v} = delta_{u,v}:
+    # ties the Deodhar route to the interval's members and rank function
+    memo = {}
+
+    def r(u, v):
+        if (u, v) not in memo:
+            memo[u, v] = rtilt(u, v)
+        return memo[u, v]
+
+    pairs = 0
+    for n in (3, 4):
+        perms = list(all_permutations(n))
+        for u, v in itertools.product(perms, repeat=2):
+            iv = tilted_interval(u, v)
+            total = ZERO
+            for x in iv.members:
+                term = r(u, x) * r(x, v)
+                total = total - term if iv.rank[x] % 2 else total + term
+            assert total == (ONE if u == v else ZERO), (u, v, str(total))
+            pairs += 1
+    assert pairs == 612

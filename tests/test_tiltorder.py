@@ -155,7 +155,9 @@ def test_lesssim_kernel_matches_the_orders():
         assert lesssim(a, u, v) == (a_leq(a, u, v) and a_sim(a, u, v)) == (leq and sim), (a, u, v)
 
 
-def test_lesssim_reads_rows_up_to_the_first_failing_level(monkeypatch):
+def _reads_rows_up_to_the_first_failing_level(monkeypatch, order, holds):
+    # order(a, u, v) reads qbgraph._row_updates up to the first level k
+    # where holds(a, k, row) fails, and no further
     read = []
     real = qbgraph._row_updates
 
@@ -168,12 +170,26 @@ def test_lesssim_reads_rows_up_to_the_first_failing_level(monkeypatch):
     stopped = 0
     for a, u, v in _lesssim_cases():
         rows = qbgraph.lattice_rows(u, v)
-        fails = [k for k, h in enumerate(rows) if not h[a[k] - 1] == h[a[k + 1] - 1] == min(h)]
+        fails = [k for k, h in enumerate(rows) if not holds(a, k, h)]
         read.clear()
-        assert lesssim(a, u, v) == (not fails), (a, u, v)
+        assert order(a, u, v) == (not fails), (a, u, v)
         assert len(read) == (fails[0] + 1 if fails else len(u) - 1), (a, u, v)
         stopped += bool(fails) and fails[0] + 1 < len(u) - 1
     assert stopped
+
+
+def test_lesssim_reads_rows_up_to_the_first_failing_level(monkeypatch):
+    _reads_rows_up_to_the_first_failing_level(
+        monkeypatch, lesssim, lambda a, k, h: h[a[k] - 1] == h[a[k + 1] - 1] == min(h)
+    )
+
+
+@pytest.mark.parametrize("order, holds", [
+    (a_leq, lambda a, k, h: h[a[k] - 1] == min(h)),
+    (a_sim, lambda a, k, h: h[a[k] - 1] == h[a[k + 1] - 1]),
+], ids=["leq", "sim"])
+def test_orders_read_rows_up_to_the_first_failing_level(monkeypatch, order, holds):
+    _reads_rows_up_to_the_first_failing_level(monkeypatch, order, holds)
 
 
 def test_lesssim_implies_leq():
@@ -555,9 +571,7 @@ def test_tilt_1233_poset_shapes():
 def test_lattice_paths_sharing_no_minimum_are_a_fault(monkeypatch):
     # adjacent lattice paths always share a minimum; levels whose minima are
     # one abscissa each, a different one per path, must not yield a tilt
-    real = qbgraph._levels
-    monkeypatch.setattr(
-        qbgraph, "_levels", lambda u, v: [(row, 1 << k) for k, (row, _) in enumerate(real(u, v))]
-    )
+    level = itertools.count()
+    monkeypatch.setattr(qbgraph, "_level", lambda row: (row, 1 << next(level)))
     with pytest.raises(InternalConsistencyError, match="share no minimum at k=1"):
         witness_a((2, 3, 1), (1, 2, 3))

@@ -312,6 +312,35 @@ def test_distinguished_subwords_s6_example():
         assert len(s.jcirc) + len(s.jminus) <= ell(u, v)
 
 
+def test_distinguished_subwords_fix_each_bar_band_once(monkeypatch):
+    # one bar_band per bar, however many live states meet it; no flattenable
+    real, calls = tiltwords.bar_band, []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    def refuse(a, w):
+        raise AssertionError("flattenable re-derives the band per state")
+
+    monkeypatch.setattr(tiltwords, "bar_band", counted)
+    monkeypatch.setattr(tiltwords, "flattenable", refuse)
+    rng = random.Random(45)
+    words = [(parse_word((5, 5, 5, 1, 1, 1), "s3 s4 s5 s1 s2 s3 s4 s3 s2 s1 | s1 s2"),
+              parse_perm("512346"))]
+    for _ in range(30):
+        n = rng.choice((4, 5))
+        u, v = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+        words.append((regular_tilted_reduced_word(witness_a(u, v), v), u))
+    bars = found = 0
+    for word, u in words:
+        calls.clear()
+        found += len(distinguished_subwords(word, u))
+        bars += len(calls)
+        assert len(calls) == sum(f is BAR for f in word.factors), word
+    assert bars > len(words) and found > len(words)
+
+
 def test_subword_of_self():
     for w in all_permutations(3):
         a = witness_a(w, w)

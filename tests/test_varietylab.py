@@ -1158,3 +1158,20 @@ def test_schubert_cell_matches_its_definition():
         assert in_tilted_schubert_cell(mats[1], w, a, "cell"), (a, w)
         assert in_tilted_schubert_cell(mats[2], w, a, "opposite"), (a, w)
     assert hits and misses
+
+
+def test_torus_fixed_points_are_the_interval_members():
+    # the permutation matrices in the closed T_{u,v}, by the rank route, are
+    # exactly the members of [u,v]; the open T°_{u,v} holds none unless u = v
+    # (then e_u alone); every pair of S_3 and a seeded sample of S_4
+    rng = random.Random(45)
+    for n, count in ((3, None), (4, 200)):
+        perms = list(all_permutations(n))
+        flags = {w: permutation_matrix(w) for w in perms}
+        pairs = itertools.product(perms, repeat=2) if count is None else (
+            (rng.choice(perms), rng.choice(perms)) for _ in range(count))
+        for u, v in pairs:
+            members = tilted_interval(u, v).members
+            assert {w for w in perms if in_tilted_richardson(flags[w], u, v)} == members, (u, v)
+            opened = {w for w in members if in_tilted_richardson(flags[w], u, v, True)}
+            assert opened == ({u} if u == v else set()), (u, v)

@@ -73,6 +73,22 @@ def test_fast_text_report_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_above_the_graph_gate_runs_nothing(capsys, monkeypatch, workers):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the gate")
+
+    monkeypatch.setattr(verify, "run_property", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    code = run(["--max-n", "3", "verify", "--n", "4", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: n=4 exceeds the graph gate 3; set QBRUHAT_MAX_N to override\n"
+
+
 def test_cases_enumerate_or_draw_in_seeded_order():
     perms = list(all_permutations(3))
     rng = random.Random(5)
