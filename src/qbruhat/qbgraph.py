@@ -10,11 +10,13 @@ Every edge is checked by two separately computed conditions: the cyclic
 criterion above and the length condition (no entry between positions i and
 j lies between w_i and w_j in the linear order for a strong edge, all of
 them do for a quantum edge); a disagreement raises
-``InternalConsistencyError``.  ``edges_from`` enumerates the edges of one
-vertex in a single O(n^2) scan that keeps, per i, a running cyclic minimum
-and a bitmask of the entries passed.  It is the only edge test: every
-traversal of the graph reads it, and ``edge_weight`` reads one pair's entry.
-It rejects a non-permutation, read off the bitmask of its first row.
+``InternalConsistencyError``.  The edge test is one kernel, ``_edge_row``:
+the edges w -> w*t_{ij} of one i, in an O(n) scan that keeps a running
+cyclic minimum and a bitmask of the entries passed.  ``edges_from`` joins
+the n-1 rows of a vertex and rejects a non-permutation, read off the
+bitmask of its first row; ``edge_weight`` checks w and reads row i alone;
+``increasing_path`` and ``tiltorder.k_tilted_leq`` scan only the rows they
+need.
 
 No graph query builds a table over S_n.  Minimal degrees d(u,v) come
 from the lattice-path depth formula, read off ``lattice_rows`` (all n-1
@@ -25,23 +27,25 @@ path to v iff d(t,v) = d(w,v) - wt; only the levels i..j-1 can change, and
 each is decided in O(1) by where w's lattice path toward v attains its
 minimum (``_keeps``).  ``increasing_path`` walks this test greedily, as
 the label-increasing path is the lexicographically least shortest path
-(Brenti-Fomin-Postnikov, Thm 6.4); ``min_degree`` checks d against it (ell
-steps, weights summing to d), and ``tiltorder.k_tilted_leq`` searches the
-same test.  A tilted interval [u,v] scans no edge: lattice-path heights
-add, so w lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
+(Brenti-Fomin-Postnikov, Thm 6.4), testing ``_keeps`` first and scanning
+one edge row per step; ``min_degree`` checks d against it (ell steps,
+weights summing to d), and ``tiltorder.k_tilted_leq`` searches the same
+test.  A tilted interval [u,v] scans no edge: lattice-path heights add, so
+w lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
 ``tilted_interval`` builds the members prefix set by prefix set, each
-prefix set decided once, in O(n), from ``lattice_rows(u, v)``.  The forward
-and reverse BFS (``_bfs``, ``_bfs_reverse``) and the readers over them
-(``bfs_ell``, ``shortest_path_weight``) are oracles for tests and
-``verify``, which compare them against these routes; no production route
-calls them.  Every exporter prints permutations by ``permcore.format_perm``.
+prefix set decided once, in O(1), by a packed band test against the
+prefix counts of u and v (``_prefix_steps``).  The forward and reverse
+BFS (``_bfs``, ``_bfs_reverse``) and the readers over them (``bfs_ell``,
+``shortest_path_weight``) are oracles for tests and ``verify``, which
+compare them against these routes; no production route calls them.  Every
+exporter prints permutations by ``permcore.format_perm``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .permcore import (
     InternalConsistencyError,
@@ -98,20 +102,23 @@ def _mismatch(w: Perm, i: int, j: int, holds: bool) -> InternalConsistencyError:
 def edge_weight(w: Perm, i: int, j: int) -> Optional[DegreeVec]:
     """Weight of the edge w -> w*t_{ij}, or None if absent.
 
-    The (i, j) entry of ``edges_from(w)``, so the edge test, its
-    cross-check and the permutation check are the kernel's.
+    w is checked, then row i of the kernel (``_edge_row``) is scanned, so
+    the edge test and its cross-check are ``edges_from``'s.
     """
     n = len(w)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
-    return {(a, b): wt for a, b, wt in edges_from(w)}.get((i, j))
+    check_permutation(w)
+    row: list[tuple[int, int, DegreeVec]] = []
+    _edge_row(w, i, row)
+    return next((wt for _, b, wt in row if b == j), None)
 
 
 @functools.lru_cache(maxsize=16)
 def _edge_tables(
     n: int,
 ) -> tuple[DegreeVec, tuple[tuple[DegreeVec, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Per-n tables for ``edges_from``, built on first use.
+    """Per-n tables for ``_edge_row``, built on first use.
 
     ``quantum[i][j]`` is the (i+1, j+1) indicator weight (0-based i < j);
     ``between[a][b]`` is the bitmask of the values strictly between a and b
@@ -131,20 +138,48 @@ def _edge_tables(
     return deg_zero(n), quantum, between
 
 
+def _edge_row(w: Perm, i: int, out: list[tuple[int, int, DegreeVec]]) -> int:
+    """Append the edges w -> w*t_{ij}, j = i+1..n, to out as (i, j, weight),
+    j ascending, and return the bitmask of w_{i+1}, ..., w_n.
+
+    One O(n) scan that walks j and keeps two running values over the entries
+    strictly between positions i and j: ``m``, the least cyclic offset
+    (x - w_i) mod n, and ``seen``, the bitmask of those entries.  The cyclic
+    criterion is the O(1) test (w_j - w_i) mod n <= m, strict for a
+    permutation: offsets lie in 1..n.  The length condition counts, by
+    popcount, the entries strictly between w_i and w_j in the linear order:
+    none for a strong edge (w_i < w_j), all j-i-1 of them for a quantum one.
+    The two are computed separately and must agree; a mismatch raises
+    ``InternalConsistencyError`` (``_mismatch``).  w is not checked here.
+    """
+    n = len(w)
+    zero, quantum, between = _edge_tables(n)
+    wi = w[i - 1]
+    qrow, brow = quantum[i - 1], between[wi]
+    m, seen = n, 0
+    for j in range(i, n):  # 0-based: position j + 1
+        wj = w[j]
+        inside = (seen & brow[wj]).bit_count()
+        strong = wi < wj
+        length_ok = inside == (0 if strong else j - i)
+        if (wj - wi) % n <= m:
+            if not length_ok:
+                raise _mismatch(w, i, j + 1, holds=True)
+            out.append((i, j + 1, zero if strong else qrow[j]))
+        elif length_ok:
+            raise _mismatch(w, i, j + 1, holds=False)
+        d = (wj - wi - 1) % n + 1
+        if d < m:
+            m = d
+        seen |= 1 << wj
+    return seen
+
+
 def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
-    """All edges leaving w, as (i, j, weight), i ascending, then j.
+    """All edges leaving w, as (i, j, weight), i ascending, then j: the rows
+    ``_edge_row(w, i)`` for i = 1..n-1 joined, in O(n^2).
 
-    One O(n^2) scan.  For each i it walks j = i+1..n and keeps two running
-    values over the entries strictly between positions i and j: ``m``, the
-    least cyclic offset (x - w_i) mod n, and ``seen``, the bitmask of those
-    entries.  The cyclic criterion is the O(1) test (w_j - w_i) mod n <= m,
-    strict for a permutation: offsets lie in 1..n.  The length condition
-    counts, by popcount, the entries strictly between w_i and w_j in the
-    linear order: none for a strong edge (w_i < w_j), all j-i-1 of them for
-    a quantum one.  The two are computed separately and must agree; a
-    mismatch raises ``InternalConsistencyError`` (``_mismatch``).
-
-    w is checked on the way: the first row's ``seen``, with w_1 added, must
+    w is checked on the way: the first row's bitmask, with w_1 added, must
     be {1, ..., n}, and its 1 must not be ``True``, the one non-int that
     passes every test here; a value out of range or not an int fails a
     table lookup or a shift first.  n = 1 is left to ``check_permutation``.
@@ -154,30 +189,13 @@ def edges_from(w: Perm) -> list[tuple[int, int, DegreeVec]]:
     [(1, 2, (1, 0)), (1, 3, (1, 1)), (2, 3, (0, 1))]
     """
     n = len(w)
-    zero, quantum, between = _edge_tables(n)
-    out, ok = [], False
+    out: list[tuple[int, int, DegreeVec]] = []
+    ok = False
     try:
-        for i in range(n - 1):
-            wi = w[i]
-            qrow, brow = quantum[i], between[wi]
-            m, seen = n, 0
-            for j in range(i + 1, n):
-                wj = w[j]
-                inside = (seen & brow[wj]).bit_count()
-                strong = wi < wj
-                length_ok = inside == (0 if strong else j - i - 1)
-                if (wj - wi) % n <= m:
-                    if not length_ok:
-                        raise _mismatch(w, i + 1, j + 1, holds=True)
-                    out.append((i + 1, j + 1, zero if strong else qrow[j]))
-                elif length_ok:
-                    raise _mismatch(w, i + 1, j + 1, holds=False)
-                d = (wj - wi - 1) % n + 1
-                if d < m:
-                    m = d
-                seen |= 1 << wj
-            if not i:
-                ok = seen | 1 << wi == (2 << n) - 2 and type(w[w.index(1)]) is int
+        for i in range(1, n):
+            seen = _edge_row(w, i, out)
+            if i == 1:
+                ok = seen | 1 << w[0] == (2 << n) - 2 and type(w[w.index(1)]) is int
     except (IndexError, TypeError, ValueError):  # a value out of range or not an int
         ok = False
     if not ok:
@@ -449,6 +467,92 @@ class TiltedInterval(NamedTuple):
         return self.rank[x] + ell(x, y) + ell(y, self.v) == self.ell
 
 
+@functools.lru_cache(maxsize=16)
+def _fields(n: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """Per-n constants of ``tilted_interval``'s band test, built on first use.
+
+    The band test packs one W-bit field per abscissa x = 0..n into an int,
+    field x at bit W*x, with W = bit_length(4n) + 1.  Returned: W; the
+    guard, the top bit of every field; ``step[x]``, 1 in the fields x..n
+    (the prefix counts of {x}, so a k-set's counts are the sum of its
+    entries' steps); and ``off[c]``, 3n - c in every field.
+    """
+    width = (4 * n).bit_length() + 1
+    ones = sum(1 << width * x for x in range(n + 1))
+    step = tuple(ones >> width * x << width * x for x in range(n + 1))
+    off = tuple((3 * n - c) * ones for c in range(n + 1))
+    return width, ones << width - 1, step, off
+
+
+def _prefix_steps(
+    u: Perm, v: Perm, rows: list[list[int]]
+) -> Callable[[int, int], list[tuple[int, int, int, int]]]:
+    """``tilted_interval``'s band test, for u, v and ``lattice_rows(u, v)``.
+
+    Returns steps(s, k): (x, t = s + {x}, inversions x adds, d(u,w)_k) for
+    every entry x that takes a prefix with the (k-1)-set s to a k-set t
+    that passes level k, s and t as bitmasks (bit x for the entry x).  s
+    must be empty or have been tested: a memo local to the returned
+    function holds, per k-set tested, its depth (-1 if it fails) and its
+    packed prefix counts, so each k-set is tested once, in O(1).
+
+    The test.  Let cu, cv and P be the prefix counts of u[k], v[k] and t
+    (cu(x) = |u[k] n [1, x]|), so that row k is cu - cv, and let x* be an
+    abscissa where row k is minimal.  The heights h = cu - P of the path
+    of (u[k], t) and g = P - cv of (t, v[k]) add up to row k, so min h +
+    min g <= row(x*) = min row, with equality iff h and g both attain
+    their minima at x*: t passes iff, for every x,
+    cv(x) - cv(x*) <= P(x) - P(x*) <= cu(x) - cu(x*), and then
+    d(u,w)_k = -h(x*) = P(x*) - cu(x*).
+
+    The packing.  P, cu and cv are ints with the fields of ``_fields(n)``.
+    P is the parent's plus ``step[x]``, and cu, cv move by one step per
+    level.  Re-centred at x* and offset by 3n, the three sides hold
+    differences of counts in [0, n] plus 3n, so every field lies in
+    [2n, 4n], below the guard 2^(W-1) > 4n as W - 1 = bit_length(4n).  So
+    ``a | guard`` adds the guard to every field of a, and (a | guard) - b,
+    for b with fields in [2n, 4n] too, has fields in [guard - 2n,
+    guard + 2n], inside [0, 2^W): no borrow leaves a field, and a field
+    keeps its guard iff a's field is at least b's.  Each side of the test
+    is one such subtraction.
+    """
+    n = len(u)
+    width, guard, step, off = _fields(n)
+    mask = (1 << width) - 1
+    # per level: the shift of x*, cu(x*), the upper bound with guards, the lower
+    bands: list[tuple[int, int, int, int]] = []
+    pu = pv = 0
+    for k in range(1, n):
+        pu += step[u[k - 1]]
+        pv += step[v[k - 1]]
+        row = rows[k - 1]
+        at = width * row.index(min(row))
+        cu = pu >> at & mask
+        bands.append((at, cu, pu + off[cu] | guard, pv + off[pv >> at & mask]))
+    # a tested set -> (its depth, or -1 if it fails; its packed prefix counts)
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
+
+    def steps(s: int, k: int) -> list[tuple[int, int, int, int]]:
+        at, cu, hi, lo = bands[k - 1]
+        ps = memo[s][1]
+        out = []
+        for x in range(1, n + 1):
+            if not s >> x & 1:
+                t = s | 1 << x
+                hit = memo.get(t)
+                if hit is None:
+                    pt = ps + step[x]
+                    p = pt >> at & mask
+                    a = pt + off[p]
+                    ok = (a | guard) - lo & guard == guard and hi - a & guard == guard
+                    hit = memo[t] = (p - cu if ok else -1, pt)
+                if hit[0] >= 0:
+                    out.append((x, t, (s >> x).bit_count(), hit[0]))
+        return out
+
+    return steps
+
+
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     """[u,v] = permutations on some shortest path from u to v.
 
@@ -457,64 +561,37 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     d(u,w)_k + d(w,v)_k, and by the closed form ell(u,w) + ell(w,v) =
     ell(u,v) iff all n-1 are equalities.  Each reads only w[k], so prefixes
     grow level by level by the entries whose new prefix set passes (the last
-    entry is forced).  Memos local to the call, keyed by bitmask (at most
-    2^n entries each), hold d(u,w)_k of each k-set (-1 if it fails), read
-    off ``lattice_rows(u, v)`` in O(n), and the passing extensions of each
-    set.  l(w) and the depth sum are carried down, so rank(w) = ell(u,w) =
-    l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) is read off the
-    same rows, d_k = -min(row k); u must be alone at rank 0 and v alone at
-    rank ell(u,v), or ``InternalConsistencyError``.
+    entry is forced).  Whether a k-set passes, and d(u,w)_k, is a packed
+    band test in O(1), once per k-set (``_prefix_steps``, which proves the
+    test and the field width it needs).  Prefixes are grouped by their set,
+    so each set's extensions are found once, and each prefix carries one
+    int, its inversions plus twice its depths summed, so rank(w) = ell(u,w)
+    = l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) is read off
+    ``lattice_rows(u, v)``, d_k = -min(row k); u must be alone at rank 0 and
+    v alone at rank ell(u,v), or ``InternalConsistencyError``.
     """
     _check_pair(u, v)
     rows = lattice_rows(u, v)
     d = tuple(-min(row) for row in rows)
     total = _ell(u, v, d)
     n = len(u)
-    below = [sum(1 << x for x in u[:k]) for k in range(n)]  # u[k] as a bitmask
-    memo: dict[int, int] = {}  # a k-set's bitmask -> d(u,w)_k, or -1
-    grown: dict[int, list[tuple[int, int, int, int]]] = {}  # a set -> its steps
-
-    def depth(s: int, k: int) -> int:
-        """d(u,w)_k if the k-set s = w[k] passes level k, else -1."""
-        row, um = rows[k - 1], below[k]
-        h = lo_u = lo_v = 0  # h(u[k],s) at abscissa x; h(s,v[k]) = row - h
-        for x in range(1, n + 1):
-            h += (um >> x & 1) - (s >> x & 1)
-            if h < lo_u:
-                lo_u = h
-            if row[x] - h < lo_v:
-                lo_v = row[x] - h
-        return -lo_u if lo_u + lo_v == -d[k - 1] else -1
-
-    def steps(s: int, k: int) -> list[tuple[int, int, int, int]]:
-        """(x, t = s + {x}, inversions x adds, d(u,w)_k) for every entry x
-        that takes a prefix with the (k-1)-set s to a k-set t that passes."""
-        out = []
-        for x in range(1, n + 1):
-            if not s >> x & 1:
-                t = s | 1 << x
-                dt = memo.get(t)
-                if dt is None:
-                    dt = memo[t] = depth(t, k)
-                if dt >= 0:
-                    out.append((x, t, (s >> x).bit_count(), dt))
-        return out
-
-    # (prefix, its set as a bitmask, its inversions, its depths summed)
-    level: list[tuple[Perm, int, int, int]] = [((), 0, 0, 0)]
+    steps = _prefix_steps(u, v, rows)
+    # a prefix set -> its prefixes, each with its inversions + 2 * its depth sum
+    level: dict[int, list[tuple[Perm, int]]] = {0: [((), 0)]}
     for k in range(1, n):
-        nxt = []
-        for w, s, inv, dep in level:
-            if s not in grown:
-                grown[s] = steps(s, k)
-            for x, t, more, dt in grown[s]:
-                nxt.append((w + (x,), t, inv + more, dep + dt))
+        nxt: dict[int, list[tuple[Perm, int]]] = {}
+        for s, group in level.items():
+            for x, t, more, dt in steps(s, k):
+                c = more + 2 * dt
+                nxt.setdefault(t, []).extend([(w + (x,), r + c) for w, r in group])
         level = nxt
     full, base = (2 << n) - 2, length(u)
     rank = {}
-    for w, s, inv, dep in level:
+    for s, group in level.items():
         x = (full ^ s).bit_length() - 1
-        rank[w + (x,)] = inv + (s >> x).bit_count() - base + 2 * dep
+        c = (s >> x).bit_count() - base
+        for w, r in group:
+            rank[w + (x,)] = r + c
     ends = {w for w, r in rank.items() if not 0 < r < total}
     if ends != {u, v} or rank[u] != 0 or rank[v] != total:
         raise InternalConsistencyError(
@@ -595,8 +672,10 @@ def increasing_path(
     this path is the lexicographically least shortest path (Brenti-Fomin-
     Postnikov, IMRN 1999, Thm 6.4), of length ell(u,v) and weight q^{d(u,v)}.
     So a greedy walk from u finds it: each step takes the first label, after
-    the last one taken, whose edge leaves w and passes ``_keeps``, and
-    ``_advance`` moves the levels on (one ``edges_from`` scan per step).
+    the last one taken, that passes ``_keeps`` and whose edge leaves w, and
+    ``_advance`` moves the levels on.  ``_keeps`` is tested first, and only
+    the edge row of a label that passes is scanned (``_edge_row``), so a
+    step costs one O(n) row scan, not the O(n^2) ``edges_from``.
     Labels increase, so the walk ends within n(n-1)/2 steps, or raises
     ``InternalConsistencyError`` when no label qualifies.  The path is unique
     among all paths, so ``_keeps`` only prunes: a faulty test can make the
@@ -615,15 +694,20 @@ def _walk(
     u: Perm, v: Perm, levels: Levels, order: Sequence[Root]
 ) -> list[tuple[Perm, Root, DegreeVec]]:
     """``increasing_path``'s walk, for checked u, v, u's levels toward v and
-    a valid order."""
+    a valid order.  At each w it tests the labels in order with ``_keeps``
+    first, and scans the edge row (``_edge_row``) of a label that passes:
+    the label taken is the first that passes and whose row holds its edge.
+    """
     w, last, path = u, -1, []
     while w != v:
-        edges = {(i, j): wt for i, j, wt in edges_from(w)}
         for k in range(last + 1, len(order)):
             i, j = order[k]
-            wt = edges.get((i, j))
-            if wt is not None and _keeps(w, i, j, levels):
-                break
+            if _keeps(w, i, j, levels):
+                row: list[tuple[int, int, DegreeVec]] = []
+                _edge_row(w, i, row)
+                wt = next((e for _, b, e in row if b == j), None)
+                if wt is not None:
+                    break
         else:
             raise InternalConsistencyError(
                 f"no label-increasing path {format_perm(u)} -> {format_perm(v)}: "

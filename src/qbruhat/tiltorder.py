@@ -263,7 +263,8 @@ def k_tilted_leq(u: Perm, v: Perm, k: int) -> bool:
     from u over the edges t_{cd}, c <= k < d, that pass ``qbgraph._keeps``
     toward v, the test of ``increasing_path``'s greedy walk (BFP Thm 6.4):
     each such edge lowers ell(., v) by one, so every path the search
-    follows is a shortest path and none needs a distance kept.
+    follows is a shortest path and none needs a distance kept.  Only the
+    edge rows c <= k are scanned (``qbgraph._edge_row``).
     """
     qbgraph._check_pair(u, v)
     if not 1 <= k <= len(u) - 1:
@@ -273,8 +274,11 @@ def k_tilted_leq(u: Perm, v: Perm, k: int) -> bool:
         w, levels = stack.pop()
         if w == v:
             return True
-        for i, j, _ in qbgraph.edges_from(w):
-            if i <= k < j and qbgraph._keeps(w, i, j, levels):
+        edges: list[tuple[int, int, qbgraph.DegreeVec]] = []
+        for i in range(1, k + 1):
+            qbgraph._edge_row(w, i, edges)
+        for i, j, _ in edges:
+            if k < j and qbgraph._keeps(w, i, j, levels):
                 t = apply_transposition(w, i, j)
                 if t not in seen:
                     seen.add(t)

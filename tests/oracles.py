@@ -110,6 +110,29 @@ def bar_splits_per_generator(word: TiltedWord) -> Optional[dict[int, tuple[int, 
 
 
 # ---------------------------------------------------------------------------
+# tilted intervals: a prefix set's level test by one walk over the abscissae
+
+
+def prefix_depth_by_walk(row: Sequence[int], below: int, s: int) -> int:
+    """d(u,w)_k if the k-set s = w[k] passes level k of [u,v], else -1.
+
+    row is level k of ``lattice_rows(u, v)``, below is u[k] and s is w[k],
+    both as bitmasks (bit x for the entry x).  One walk over the abscissae
+    x = 1..n keeps h, the height of the path of (u[k], s), and the minima
+    of h and of row - h, the path of (s, v[k]); s passes iff the two minima
+    sum to min(row), and then d(u,w)_k = -min h.
+    """
+    h = lo_u = lo_v = 0
+    for x in range(1, len(row)):
+        h += (below >> x & 1) - (s >> x & 1)
+        if h < lo_u:
+            lo_u = h
+        if row[x] - h < lo_v:
+            lo_v = row[x] - h
+    return -lo_u if lo_u + lo_v == min(row) else -1
+
+
+# ---------------------------------------------------------------------------
 # tilted Rothe diagrams by their pairwise definitions
 
 

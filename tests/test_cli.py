@@ -467,10 +467,11 @@ def test_graph_verbs_at_n7_build_no_bfs_table(capsys, monkeypatch):
 
 
 def test_mindeg_checks_the_gate_before_walking(capsys, monkeypatch):
-    def forbidden(w):
+    def forbidden(w, *row):
         raise AssertionError("walked the graph past the gate")
 
     monkeypatch.setattr(qbgraph, "edges_from", forbidden)
+    monkeypatch.setattr(qbgraph, "_edge_row", forbidden)
     assert run(["--max-n", "5", "mindeg", "123456", "654321"]) == 1
     assert "exceeds the graph gate 5" in capsys.readouterr().err
 

@@ -43,6 +43,7 @@ from qbruhat.qbgraph import (
     shortest_path_weight,
     tilted_interval,
 )
+from oracles import prefix_depth_by_walk
 
 # Gamma_3 in full: 8 strong edges and 7 quantum edges with their weights
 GAMMA3_STRONG = {
@@ -130,6 +131,25 @@ def test_edge_cross_check_is_live_in_the_kernel(monkeypatch):
             edges_from(w)
         with pytest.raises(InternalConsistencyError, match=re.escape(message)):
             edge_weight(w, 1, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_edges_from_is_its_rows_joined(n):
+    # edges_from is the rows of _edge_row joined, and edge_weight, which
+    # scans row i alone, reads the entry of the whole list
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    for w in all_permutations(n):
+        edges, rows = edges_from(w), []
+        for i in range(1, n):
+            qbgraph._edge_row(w, i, rows)
+        assert edges == rows, w
+        table = {(i, j): wt for i, j, wt in edges}
+        assert [edge_weight(w, i, j) for i, j in pairs] == [table.get(p) for p in pairs], w
+    for bad in [(1,) * n, tuple(range(2, n + 2)), (n,) + tuple(range(2, n + 1))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            edges_from(bad)
+        with pytest.raises(ValueError, match="not a permutation"):
+            edge_weight(bad, 1, n)
 
 
 def test_bfs_reads_only_the_edge_kernel(monkeypatch):
@@ -407,13 +427,31 @@ def test_increasing_path_matches_the_search_oracle_s5():
             assert increasing_path(u, v, order) == expected, (order, u, v)
 
 
-def test_increasing_path_scans_once_per_step(monkeypatch):
+def _count_rows(monkeypatch):
+    """Record each ``_edge_row`` scan as (w, i), and forbid ``edges_from``."""
     scanned = []
-    real = qbgraph.edges_from
-    monkeypatch.setattr(qbgraph, "edges_from", lambda w: scanned.append(w) or real(w))
+    real = qbgraph._edge_row
+
+    def forbidden(w):
+        raise AssertionError("edges_from called")
+
+    monkeypatch.setattr(
+        qbgraph, "_edge_row", lambda w, i, out: scanned.append((w, i)) or real(w, i, out)
+    )
+    monkeypatch.setattr(qbgraph, "edges_from", forbidden)
+    return scanned
+
+
+def test_increasing_path_scans_once_per_step(monkeypatch):
+    # one row per step: the row of the label the step takes
+    scanned = _count_rows(monkeypatch)
     w0, e = tuple(range(8, 0, -1)), identity(8)
     path = increasing_path(w0, e)
-    assert scanned == [w for w, _, _ in path] and len(scanned) == 4 == ell(w0, e)
+    assert scanned == [(w, i) for w, (i, _), _ in path] and len(scanned) == 4 == ell(w0, e)
+    scanned.clear()
+    u, v = parse_perm("36812574"), parse_perm("52471863")
+    path = increasing_path(u, v)
+    assert scanned == [(w, i) for w, (i, _), _ in path] and len(path) == ell(u, v) > 4
 
 
 def test_a_refused_edge_is_caught(monkeypatch):
@@ -611,16 +649,78 @@ def test_tilted_interval_scans_no_edge(monkeypatch):
     pairs = list(_seeded_pairs(23, (6, 7, 8), 3))
     expected = [_forward_walk_ranks(u, v) for u, v in pairs]
 
-    def forbidden(w):
+    def forbidden(w, *row):
         raise AssertionError("tilted_interval scanned an edge")
 
     monkeypatch.setattr(qbgraph, "edges_from", forbidden)
+    monkeypatch.setattr(qbgraph, "_edge_row", forbidden)
     for (u, v), rank in zip(pairs, expected):
         assert tilted_interval(u, v).rank == rank, (u, v)
     e, w0 = identity(8), tuple(range(8, 0, -1))
     iv = tilted_interval(e, w0)  # the classical interval: all of S_8, ranked by length
     assert len(iv.members) == 40320 and iv.ell == 28
     assert all(iv.rank[w] == length(w) for w in iv.members)
+
+
+def _band_pairs():
+    """Every pair of S_3..S_5, then seeded pairs at n = 6..10."""
+    for n in range(3, 6):
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                yield u, v
+    yield from _seeded_pairs(47, range(6, 11), 4)
+
+
+def test_band_test_matches_the_depth_walk(monkeypatch):
+    # tilted_interval's packed band test against the walk over the
+    # abscissae, on every k-set at every level: steps runs from every
+    # (k-1)-set, so every k-set is tested; the count of the members, chains
+    # of passing prefix sets, checks the interval built from them
+    monkeypatch.setenv("QBRUHAT_MAX_N", "10")
+    for u, v in _band_pairs():
+        n = len(u)
+        rows = qbgraph.lattice_rows(u, v)
+        steps = qbgraph._prefix_steps(u, v, rows)
+        sets, chains = [0], {0: 1}
+        for k in range(1, n):
+            got = {}
+            for s in sets:
+                for x, t, more, dt in steps(s, k):
+                    assert t == s | 1 << x and more == (s >> x).bit_count(), (u, v, s)
+                    assert got.setdefault(t, dt) == dt, (u, v, t)
+            below = sum(1 << x for x in u[:k])
+            sets = [sum(1 << x for x in c) for c in itertools.combinations(range(1, n + 1), k)]
+            want = {t: prefix_depth_by_walk(rows[k - 1], below, t) for t in sets}
+            assert got == {t: dt for t, dt in want.items() if dt >= 0}, (u, v, k)
+            chains = {
+                t: sum(chains.get(t & ~(1 << x), 0) for x in range(1, n + 1) if t >> x & 1)
+                for t in got
+            }
+        assert len(tilted_interval(u, v).members) == sum(chains.values()), (u, v)
+
+
+def _fields_at(n, width):
+    """``qbgraph._fields(n)``'s constants for a given field width."""
+    ones = sum(1 << width * x for x in range(n + 1))
+    step = tuple(ones >> width * x << width * x for x in range(n + 1))
+    return width, ones << width - 1, step, tuple((3 * n - c) * ones for c in range(n + 1))
+
+
+def test_a_narrow_band_field_is_caught(monkeypatch):
+    # one bit short, a field offset by 3n reaches the guard for n = 5..7,
+    # and the test misreads; for n = 8 the fields stay below 2^5 = 4n
+    pairs = list(dict.fromkeys(_seeded_pairs(48, range(5, 9), 100)))
+    ranks = {(u, v): tilted_interval(u, v).rank for u, v in pairs}
+    assert all(_fields_at(n, (4 * n).bit_length() + 1) == qbgraph._fields(n) for n in range(5, 9))
+    monkeypatch.setattr(qbgraph, "_fields", lambda n: _fields_at(n, (4 * n).bit_length()))
+    caught = {n: 0 for n in range(5, 9)}
+    for (u, v), rank in ranks.items():
+        try:
+            caught[len(u)] += tilted_interval(u, v).rank != rank
+        except InternalConsistencyError:
+            caught[len(u)] += 1
+    assert caught[5] >= 90 and caught[6] == caught[7] == 100, caught
+    assert len(pairs) - sum(caught.values()) <= 110
 
 
 @pytest.mark.parametrize(
@@ -679,14 +779,14 @@ def test_a_wrong_length_is_caught(monkeypatch, shift):
 
 def test_min_degree_check_modes(monkeypatch):
     u, v = parse_perm("7364152"), parse_perm("2513746")
-    steps = []
-    real = qbgraph.edges_from
-    monkeypatch.setattr(qbgraph, "edges_from", lambda w: steps.append(w) or real(w))
+    path = increasing_path(u, v)
+    steps = _count_rows(monkeypatch)
     d = min_degree(u, v, check=False)
     assert steps == []  # no cross-check at all
     assert min_degree(u, v) == d
-    assert len(steps) == ell(u, v) == 7  # one scan per step of the greedy walk
-    assert steps[0] == u
+    # one row scan per step of the greedy walk, the row of the label taken
+    assert steps == [(w, i) for w, (i, _), _ in path]
+    assert len(steps) == ell(u, v) == 7 and steps[0][0] == u
     monkeypatch.setenv("QBRUHAT_MAX_N", "6")
     assert min_degree(u, v) == min_degree(u, v, check=True) == d  # the walk needs no gate
     with pytest.raises(GateError):
