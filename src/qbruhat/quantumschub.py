@@ -233,8 +233,10 @@ def schubert_expand(P: MultiPoly, grade: int) -> dict[Perm, int]:
     """Write the x-only polynomial P as sum c_z S_z over z in S_n of length
     grade.  S_z's lex-smallest monomial is x^{code(z)}, coefficient 1
     (Macdonald, Notes on Schubert Polynomials): peel c S_z off P for its
-    lex-smallest term c x^e, code(z) = e, until P is zero."""
+    lex-smallest term c x^e, code(z) = e, until P is zero.  The terms are
+    peeled off one working copy of P, in place."""
     n = P.n
+    P = MultiPoly(n, P.terms)
     out = {}
     while P:
         qe, e, c = revlex_leading(P)
@@ -243,7 +245,12 @@ def schubert_expand(P: MultiPoly, grade: int) -> dict[Perm, int]:
         if any(qe) or z is None or length(z) != grade:
             raise InternalConsistencyError("polynomial is outside the Schubert span")
         out[z] = c
-        P = P - c * schubert_poly(z)
+        for key, s in schubert_poly(z).terms.items():
+            left = P.terms.get(key, 0) - c * s
+            if left:
+                P.terms[key] = left
+            else:
+                del P.terms[key]
     return out
 
 

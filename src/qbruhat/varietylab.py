@@ -12,15 +12,20 @@ Each route reads one kernel.  The rank route and the count read
 each insertion on every column prefix at once.  The Plücker route and
 ``is_tnn`` read ``_minor_table``, every row set's leading minor by Laplace
 expansion; its full minor is also the route's singularity test, so the two
-membership routes share no kernel.  ``_eliminate(rows, p)`` (fraction-free
-Bareiss over Z when p is None, modular over F_p otherwise; rational rows
-are first scaled to integers by ``_clear``) is the reference behind both:
-``plucker`` reads a minor off it, ``_rank`` a rank, and tests compare the
-table and the chains against them.  ``solve_exact`` reads it too, and
-``in_tilted_schubert_cell`` reads ``plucker``.
-Deodhar points are built by two-column updates; the dense reference that
-tests compare them against, a product of pinned matrices by ``mat_mul``,
-builds those matrices in ``tests/oracles.py``.
+membership routes share no kernel.  The Plücker route builds no interval
+and scans no permutation: it counts the chains of nonzero minors over all
+row sets and over the prefix sets that pass ``qbgraph._prefix_steps``, the
+band test by which ``qbgraph.tilted_interval`` decides membership.
+``_eliminate(rows, p)`` (fraction-free Bareiss over Z when p is None,
+modular over F_p otherwise; rational rows are first scaled to integers by
+``_clear``) is the reference behind both: ``plucker`` reads a minor off it,
+``_rank`` a rank, and tests compare the table and the chains against them.
+``solve_exact`` reads it too, and ``in_tilted_schubert_cell`` reads
+``plucker``.
+Deodhar points are built by two-column updates, a y(p) step skipping the
+rows it leaves unchanged; the dense reference that tests compare them
+against, a product of pinned matrices by ``mat_mul``, builds those
+matrices in ``tests/oracles.py``.
 
 ``_rank_conditions`` is the one place that forms the cyclic rank
 conditions defining T_{u,v}; a level's regions are the first rows of two
@@ -95,8 +100,8 @@ def make_matrix(rows: Sequence[Sequence[Scalar]], field: Optional[int] = None) -
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if field is None:
-        norm = tuple(tuple(Fraction(x) for x in r) for r in rows)
+    if field is None:  # a Fraction is kept as it is, not rebuilt
+        norm = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
     else:
         if not is_prime(field):
             raise ValueError(f"{field} is not prime")
@@ -413,18 +418,47 @@ def in_tilted_richardson_plucker(
     variety adds Delta_u Delta_v != 0.  Cross-checked against the rank
     route when check is on; disagreement is a hard failure.
 
-    Only whether each factor Delta_{w[k]} vanishes is read, and that does
-    not depend on the order of the rows, so it is read off ``_minor_table``
-    by prefix-set bitmask.  The same table's full minor tests M for
-    singularity, after u, v and the gate are checked.
+    Delta_w = prod_k Delta_{w[k]}, and whether a factor vanishes does not
+    depend on the order of the rows, so Delta_w != 0 iff each prefix set
+    w[k] has a nonzero minor in ``_minor_table``.  A permutation is a chain
+    of sets, one of each size, so chains[t] = sum of chains[t - {i}] over
+    i in t when minor[t] != 0 (0 otherwise), from chains[{}] = 1, counts
+    the w with Delta_w != 0 at t = [n], in O(2^n n).  The same count over
+    the k-sets that pass level k of ``qbgraph._prefix_steps``, the band test
+    by which ``tilted_interval`` decides membership (the last entry is
+    forced), counts the w in [u,v] with Delta_w != 0.  Those are among the
+    former, so Delta_w = 0 off [u,v] iff the two counts are equal.  No
+    interval is built and no permutation scanned.  u, v and the gate are
+    checked before the 2^n table, whose full minor tests M for singularity.
     """
     n = M.n
     if len(u) != n or len(v) != n:
         raise ValueError("size mismatch")
-    members = qbgraph.tilted_interval(u, v).members  # checks the gate before the 2^n table
+    qbgraph._check_pair(u, v)  # u, v and the gate before the 2^n table
     minor = _minor_table(M)
     if not minor[-1]:  # det(M), times a positive row scale over Q
         raise ValueError("matrix does not represent a flag (singular)")
+    chains = [1] * len(minor)
+    for t in range(1, len(minor)):
+        total = 0
+        if minor[t]:
+            rest = t
+            while rest:
+                i = rest & -rest  # the lowest row of t
+                total += chains[t ^ i]
+                rest ^= i
+        chains[t] = total
+    # chains through sets passing their level: the band test reads bit x
+    # for the entry x, the minor table bit x - 1
+    steps = qbgraph._prefix_steps(u, v, qbgraph.lattice_rows(u, v))
+    level = {0: 1}
+    for k in range(1, n):
+        nxt: dict[int, int] = {}
+        for s, c in level.items():
+            for _, t, _, _ in steps(s, k):
+                if minor[t >> 1]:
+                    nxt[t] = nxt.get(t, 0) + c
+        level = nxt
 
     def multi_nonzero(w: Perm) -> bool:
         mask = 0
@@ -434,7 +468,7 @@ def in_tilted_richardson_plucker(
                 return False
         return True
 
-    result = all(w in members or not multi_nonzero(w) for w in all_permutations(n))
+    result = sum(level.values()) == chains[-1]
     if result and open_flag:
         result = multi_nonzero(u) and multi_nonzero(v)
     if check:
@@ -512,7 +546,12 @@ def deodhar_point(
 ) -> ExactMatrix:
     """The product g_1 ... g_l: sdot at kept ascents, y_i(p_j) at dropped
     positions, x_i(m_j) sdot_i^{-1} at forced keeps; bars contribute the
-    identity.  p_j must be nonzero."""
+    identity.  p_j must be nonzero.
+
+    Each factor right-multiplies the rows in place on columns (f, f+1).  A
+    y(p) step skips a row whose column f+1 entry is 0, where adding p * 0
+    would only turn an int into a Fraction; ``make_matrix`` then builds
+    only the entries that are not Fractions yet."""
     n = word_v.n
     m_map = dict(m_map or {})
     if set(p_map) != set(sub.jcirc) or set(m_map) != set(sub.jminus):
@@ -533,7 +572,8 @@ def deodhar_point(
             if p == 0:
                 raise ValueError(f"Deodhar parameter p_{j} must be nonzero")
             for row in rows:
-                row[f - 1] += p * row[f]
+                if row[f]:
+                    row[f - 1] += p * row[f]
         else:  # x(m) sdot^{-1} = [[-m, 1], [-1, 0]]
             m = m_map[j]
             for row in rows:

@@ -23,6 +23,7 @@ from qbruhat.permcore import (
     shifted_less,
     sort_shifted,
 )
+from qbruhat.qbgraph import tilted_interval
 from qbruhat.rpolyhecke import LaurentPoly
 from qbruhat.tiltorder import Tilt
 from qbruhat.tiltwords import (
@@ -33,7 +34,7 @@ from qbruhat.tiltwords import (
     jumps,
     tilt_sequence,
 )
-from qbruhat.varietylab import ExactMatrix, Scalar, make_matrix, plucker
+from qbruhat.varietylab import ExactMatrix, Scalar, _minor_table, make_matrix, plucker
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,33 @@ def multi_plucker(M: ExactMatrix, w: Perm) -> Scalar:
     for k in range(1, M.n + 1):
         total *= plucker(M, w[:k])
     return total if M.field is None else total % M.field
+
+
+def in_tilted_richardson_by_scan(
+    M: ExactMatrix, u: Perm, v: Perm, open_flag: bool = False
+) -> bool:
+    """The Plücker route by its definition: Delta_w = 0 for every w in S_n
+    outside ``tilted_interval(u, v)``, each Delta_w read off ``_minor_table``
+    by prefix set; the open variety adds Delta_u Delta_v != 0.  The errors
+    come in the route's order: size, u, v and the gate, then singularity."""
+    n = M.n
+    if len(u) != n or len(v) != n:
+        raise ValueError("size mismatch")
+    members = tilted_interval(u, v).members
+    minor = _minor_table(M)
+    if not minor[-1]:
+        raise ValueError("matrix does not represent a flag (singular)")
+
+    def multi_nonzero(w: Perm) -> bool:
+        mask = 0
+        for i in w:
+            mask |= 1 << (i - 1)
+            if not minor[mask]:
+                return False
+        return True
+
+    result = all(w in members or not multi_nonzero(w) for w in all_permutations(n))
+    return result and (not open_flag or multi_nonzero(u) and multi_nonzero(v))
 
 
 def _phi(n: int, i: int, block: Sequence[Sequence[Scalar]], field: Optional[int]) -> ExactMatrix:

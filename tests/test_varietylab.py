@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbruhat import tiltwords, varietylab
+from qbruhat import qbgraph, tiltwords, varietylab
 from qbruhat.permcore import (
     InternalConsistencyError,
     all_permutations,
@@ -55,6 +56,7 @@ from oracles import (
     a_length_by_pairs,
     count_total_flags,
     flags_by_inverse,
+    in_tilted_richardson_by_scan,
     multi_plucker,
     sdot_inverse_matrix,
     sdot_matrix,
@@ -589,6 +591,100 @@ def test_plucker_route_computes_each_row_set_once(monkeypatch):
         assert len(seen) == len(set(seen)), (u, v, M.rows)
 
 
+def _seeded_deodhar_points(pick, n, count):
+    """(x, y, a rational Deodhar point of T°_{x,y}) for seeded pairs of S_n."""
+    perms = list(all_permutations(n))
+    for _ in range(count):
+        x, y = pick.choice(perms), pick.choice(perms)
+        word = regular_tilted_reduced_word(witness_a(x, y), y)
+        sub = positive_distinguished_subword(word, x)
+        params = {j: Fraction(pick.choice((-3, -1, 1, 2)), pick.randint(1, 3))
+                  for j in sub.jcirc}
+        yield x, y, deodhar_point(word, sub, params)
+
+
+def test_plucker_route_matches_the_scan_oracle():
+    # the chain counts against the scan of S_n over tilted_interval, open
+    # and closed; a singular matrix raises the same ValueError on both
+    pick = random.Random(47)
+    seen = collections.Counter()
+
+    def outcome(route, *args):
+        try:
+            return route(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    def agree(M, u, v):
+        for open_flag in (False, True):
+            want = outcome(in_tilted_richardson_by_scan, M, u, v, open_flag)
+            got = outcome(in_tilted_richardson_plucker, M, u, v, open_flag, False)
+            assert got == want, (M.rows, u, v, open_flag)
+            seen[want] += 1
+
+    flags = list(enumerate_flags_fq(3, 2))
+    for u in all_permutations(3):
+        for v in all_permutations(3):
+            for M in flags:
+                agree(M, u, v)
+    s4 = list(all_permutations(4))
+    for u in s4:
+        for v in s4:
+            agree(permutation_matrix(pick.choice(s4)), u, v)
+            agree(make_matrix([[Fraction(pick.randint(-1, 1), pick.randint(1, 2))
+                                for _ in range(4)] for _ in range(4)]), u, v)
+    for n, count in ((4, 40), (5, 25), (6, 10)):
+        perms = list(all_permutations(n))
+        for x, y, M in _seeded_deodhar_points(pick, n, count):
+            agree(M, x, y)
+            agree(M, pick.choice(perms), pick.choice(perms))
+    assert seen[True] and seen[False], seen
+    assert seen["matrix does not represent a flag (singular)"], seen
+
+
+def test_plucker_route_builds_no_interval(monkeypatch):
+    # the route reads the band test, not tilted_interval, and scans no S_n
+    pick = random.Random(48)
+    cases = []
+    for n in (4, 5):
+        perms = list(all_permutations(n))
+        for x, y, M in _seeded_deodhar_points(pick, n, 15):
+            cases += [(M, x, y, True, True), (M, x, y, False, True)]
+        for _ in range(20):
+            w, u, v = (pick.choice(perms) for _ in range(3))
+            cases.append((permutation_matrix(w), u, v, False, w in tilted_interval(u, v)))
+
+    def forbidden(*args):
+        raise AssertionError("the Plücker route built an interval or scanned S_n")
+
+    monkeypatch.setattr(varietylab, "all_permutations", forbidden)
+    monkeypatch.setattr(qbgraph, "tilted_interval", forbidden)
+    for M, u, v, open_flag, want in cases:
+        assert in_tilted_richardson_plucker(M, u, v, open_flag, check=True) == want, (
+            M.rows, u, v, open_flag)
+    assert {want for *_, want in cases} == {True, False}
+
+
+def test_plucker_route_reads_the_band_test(monkeypatch):
+    # with every candidate set passing, the route counts every nonzero chain
+    # as a member and must then disagree with the rank route somewhere
+    def every_set_passes(u, v, rows):
+        n = len(u)
+        return lambda s, k: [(x, s | 1 << x, 0, 0) for x in range(1, n + 1) if not s >> x & 1]
+
+    monkeypatch.setattr(qbgraph, "_prefix_steps", every_set_passes)
+    pick = random.Random(49)
+    caught = 0
+    for n in (4, 5):
+        perms = list(all_permutations(n))
+        for _, _, M in _seeded_deodhar_points(pick, n, 10):
+            try:
+                in_tilted_richardson_plucker(M, pick.choice(perms), pick.choice(perms))
+            except InternalConsistencyError:
+                caught += 1
+    assert caught > 0
+
+
 def test_count_gate():
     from qbruhat.permcore import GateError
 
@@ -899,7 +995,9 @@ def test_deodhar_point_maps_fractions_into_the_field():
 # Deodhar points against the dense product of pinned matrices
 
 
-def dense_deodhar_point(word, sub, p_map, m_map, field):
+def dense_deodhar_point(word, sub, p_map, m_map, field, zero_reads=None):
+    """The product of pinned matrices; zero_reads, when given, collects per
+    y(p) step the zero entries of the column f + 1 that the step reads."""
     n = word.n
     out = permutation_matrix(identity(n), field)
     for j, f in enumerate(word.factors, start=1):
@@ -908,6 +1006,8 @@ def dense_deodhar_point(word, sub, p_map, m_map, field):
         if j in sub.jplus:
             g = sdot_matrix(n, f, field)
         elif j in sub.jcirc:
+            if zero_reads is not None:
+                zero_reads.append(sum(row[f] == 0 for row in out.rows))
             g = y_matrix(n, f, p_map[j], field)
         else:
             g = mat_mul(x_matrix(n, f, m_map[j], field), sdot_inverse_matrix(n, f, field))
@@ -940,7 +1040,39 @@ def test_deodhar_point_matches_dense_product_s4():
                     assert got == dense_deodhar_point(word, sub, p_map, m_map, field), (
                         u, v, sub, field,
                     )
+                    assert_entry_types(got)
     assert kinds == {"+", "o", "-"}
+
+
+def assert_entry_types(M):
+    """Over Q every entry is a Fraction, over F_p an int in [0, p)."""
+    entries = [x for row in M.rows for x in row]
+    if M.field is None:
+        assert all(type(x) is Fraction for x in entries), M.rows
+    else:
+        assert all(type(x) is int and 0 <= x < M.field for x in entries), M.rows
+
+
+def test_deodhar_point_matches_dense_product_n5_n6():
+    # seeded words at n = 5 and 6, whose y(p) steps read columns that hold
+    # zero entries: the update skips those rows and must still give the product
+    pick = random.Random(15)
+    zero_reads = []
+    for n, count in ((5, 12), (6, 6)):
+        perms = list(all_permutations(n))
+        for _ in range(count):
+            u, v = pick.choice(perms), pick.choice(perms)
+            word = regular_tilted_reduced_word(witness_a(u, v), v)
+            for sub in itertools.islice(distinguished_subwords(word, u), 3):
+                p_map = {j: pick.choice((1, -1)) * Fraction(pick.randint(1, 4), pick.randint(1, 4))
+                         for j in sub.jcirc}
+                m_map = {j: Fraction(pick.randint(-4, 4), pick.randint(1, 4)) for j in sub.jminus}
+                for field in (None, 7):
+                    got = deodhar_point(word, sub, p_map, m_map, field=field)
+                    want = dense_deodhar_point(word, sub, p_map, m_map, field, zero_reads)
+                    assert got == want, (u, v, sub, field)
+                    assert_entry_types(got)
+    assert sum(zero_reads) > 0 and len(zero_reads) > 20, zero_reads
 
 
 def test_deodhar_point_uses_no_dense_product(monkeypatch):
