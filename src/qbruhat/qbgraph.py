@@ -31,11 +31,12 @@ the label-increasing path is the lexicographically least shortest path
 one edge row per step; ``min_degree`` checks d against it (ell steps,
 weights summing to d), and ``tiltorder.k_tilted_leq`` searches the same
 test.  A tilted interval [u,v] scans no edge: lattice-path heights add, so
-w lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k, and
-``tilted_interval`` builds the members prefix set by prefix set, each
-prefix set decided once, in O(1), by a packed band test against the
-prefix counts of u and v (``_prefix_steps``).  The forward and reverse
-BFS (``_bfs``, ``_bfs_reverse``) and the readers over them (``bfs_ell``,
+w lies in [u,v] iff d(u,v)_k = d(u,w)_k + d(w,v)_k at every k.
+``_passing_sets`` sweeps the prefix sets once, level by level, deciding
+each in O(1) by a packed band test against the prefix counts of u and v;
+``tilted_interval`` folds the members out of the sets that pass, and the
+Plücker route of ``varietylab`` counts chains over them.  The BFS tables
+(``_bfs``, ``_bfs_reverse``) and the readers over them (``bfs_ell``,
 ``shortest_path_weight``) are oracles for tests and ``verify``, which
 compare them against these routes; no production route calls them.  Every
 exporter prints permutations by ``permcore.format_perm``.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .permcore import (
     InternalConsistencyError,
@@ -469,7 +470,7 @@ class TiltedInterval(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _fields(n: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """Per-n constants of ``tilted_interval``'s band test, built on first use.
+    """Per-n constants of ``_passing_sets``' band test, built on first use.
 
     The band test packs one W-bit field per abscissa x = 0..n into an int,
     field x at bit W*x, with W = bit_length(4n) + 1.  Returned: W; the
@@ -484,17 +485,12 @@ def _fields(n: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     return width, ones << width - 1, step, off
 
 
-def _prefix_steps(
-    u: Perm, v: Perm, rows: list[list[int]]
-) -> Callable[[int, int], list[tuple[int, int, int, int]]]:
-    """``tilted_interval``'s band test, for u, v and ``lattice_rows(u, v)``.
-
-    Returns steps(s, k): (x, t = s + {x}, inversions x adds, d(u,w)_k) for
-    every entry x that takes a prefix with the (k-1)-set s to a k-set t
-    that passes level k, s and t as bitmasks (bit x for the entry x).  s
-    must be empty or have been tested: a memo local to the returned
-    function holds, per k-set tested, its depth (-1 if it fails) and its
-    packed prefix counts, so each k-set is tested once, in O(1).
+def _passing_sets(u: Perm, v: Perm, rows: list[list[int]]) -> list[dict[int, int]]:
+    """The prefix sets of [u,v], for u, v and ``lattice_rows(u, v)``: entry
+    k - 1 maps each k-set t (a bitmask, bit x for the entry x) that passes
+    level k and extends a set of entry k - 2 (the empty set for k = 1) to
+    d(u,w)_k, for k = 1..n-1.  One forward sweep tests each such t once,
+    in O(1), by the band test below.
 
     The test.  Let cu, cv and P be the prefix counts of u[k], v[k] and t
     (cu(x) = |u[k] n [1, x]|), so that row k is cu - cv, and let x* be an
@@ -519,8 +515,8 @@ def _prefix_steps(
     n = len(u)
     width, guard, step, off = _fields(n)
     mask = (1 << width) - 1
-    # per level: the shift of x*, cu(x*), the upper bound with guards, the lower
-    bands: list[tuple[int, int, int, int]] = []
+    out: list[dict[int, int]] = []
+    level, counts = {0: 0}, {0: 0}  # counts: a tested set -> its packed prefix counts
     pu = pv = 0
     for k in range(1, n):
         pu += step[u[k - 1]]
@@ -528,29 +524,22 @@ def _prefix_steps(
         row = rows[k - 1]
         at = width * row.index(min(row))
         cu = pu >> at & mask
-        bands.append((at, cu, pu + off[cu] | guard, pv + off[pv >> at & mask]))
-    # a tested set -> (its depth, or -1 if it fails; its packed prefix counts)
-    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
-
-    def steps(s: int, k: int) -> list[tuple[int, int, int, int]]:
-        at, cu, hi, lo = bands[k - 1]
-        ps = memo[s][1]
-        out = []
-        for x in range(1, n + 1):
-            if not s >> x & 1:
+        hi, lo = pu + off[cu] | guard, pv + off[pv >> at & mask]
+        below, level, tried = level, {}, {}
+        for s in below:
+            ps = counts[s]
+            for x in range(1, n + 1):
                 t = s | 1 << x
-                hit = memo.get(t)
-                if hit is None:
-                    pt = ps + step[x]
-                    p = pt >> at & mask
-                    a = pt + off[p]
-                    ok = (a | guard) - lo & guard == guard and hi - a & guard == guard
-                    hit = memo[t] = (p - cu if ok else -1, pt)
-                if hit[0] >= 0:
-                    out.append((x, t, (s >> x).bit_count(), hit[0]))
-        return out
-
-    return steps
+                if t == s or t in tried:
+                    continue
+                pt = tried[t] = ps + step[x]
+                p = pt >> at & mask
+                a = pt + off[p]
+                if (a | guard) - lo & guard == guard and hi - a & guard == guard:
+                    level[t] = p - cu
+        out.append(level)
+        counts = tried
+    return out
 
 
 def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
@@ -559,14 +548,13 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     Built prefix set by prefix set, scanning no edge.  Lattice-path heights
     add, h(u[k],v[k]) = h(u[k],w[k]) + h(w[k],v[k]), so d(u,v)_k <=
     d(u,w)_k + d(w,v)_k, and by the closed form ell(u,w) + ell(w,v) =
-    ell(u,v) iff all n-1 are equalities.  Each reads only w[k], so prefixes
-    grow level by level by the entries whose new prefix set passes (the last
-    entry is forced).  Whether a k-set passes, and d(u,w)_k, is a packed
-    band test in O(1), once per k-set (``_prefix_steps``, which proves the
-    test and the field width it needs).  Prefixes are grouped by their set,
-    so each set's extensions are found once, and each prefix carries one
-    int, its inversions plus twice its depths summed, so rank(w) = ell(u,w)
-    = l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) is read off
+    ell(u,v) iff all n-1 are equalities.  Each reads only w[k], so the
+    members are the chains of the sets ``_passing_sets`` lists with their
+    depths d(u,w)_k (the last entry is forced).  They are folded level by
+    level: prefixes are grouped by their set, a set's prefixes extend those
+    of each listed set one entry smaller, and each prefix carries one int,
+    its inversions plus twice its depths summed, so rank(w) = ell(u,w) =
+    l(w) - l(u) + 2|d(u,w)| costs nothing more.  d(u,v) is read off
     ``lattice_rows(u, v)``, d_k = -min(row k); u must be alone at rank 0 and
     v alone at rank ell(u,v), or ``InternalConsistencyError``.
     """
@@ -575,19 +563,25 @@ def tilted_interval(u: Perm, v: Perm) -> TiltedInterval:
     d = tuple(-min(row) for row in rows)
     total = _ell(u, v, d)
     n = len(u)
-    steps = _prefix_steps(u, v, rows)
     # a prefix set -> its prefixes, each with its inversions + 2 * its depth sum
-    level: dict[int, list[tuple[Perm, int]]] = {0: [((), 0)]}
-    for k in range(1, n):
+    groups: dict[int, list[tuple[Perm, int]]] = {0: [((), 0)]}
+    for level in _passing_sets(u, v, rows):
         nxt: dict[int, list[tuple[Perm, int]]] = {}
-        for s, group in level.items():
-            for x, t, more, dt in steps(s, k):
-                c = more + 2 * dt
-                nxt.setdefault(t, []).extend([(w + (x,), r + c) for w, r in group])
-        level = nxt
+        for t, dt in level.items():
+            nxt[t] = here = []
+            rest = t
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                group = groups.get(t ^ b)
+                if group:
+                    x = b.bit_length() - 1
+                    c = (t >> x + 1).bit_count() + 2 * dt
+                    here += [(w + (x,), r + c) for w, r in group]
+        groups = nxt
     full, base = (2 << n) - 2, length(u)
     rank = {}
-    for s, group in level.items():
+    for s, group in groups.items():
         x = (full ^ s).bit_length() - 1
         c = (s >> x).bit_count() - base
         for w, r in group:

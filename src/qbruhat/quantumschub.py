@@ -30,6 +30,7 @@ from .permcore import (
     apply_simple,
     apply_transposition,
     check_gate,
+    check_permutation,
     check_perms,
     compose,
     length,
@@ -107,8 +108,9 @@ def divided_difference(i: int, P: MultiPoly) -> MultiPoly:
 @functools.lru_cache(maxsize=1024)
 def schubert_poly(w: Perm) -> MultiPoly:
     """Classical Schubert polynomial; x^rho at the longest element, divided
-    differences downward.  The cache holds all of S_6 (720 entries)."""
-    n = len(w)
+    differences downward.  The cache holds all of S_6 (720 entries); w is
+    checked on each miss."""
+    n = len(check_permutation(w))
     if w == longest(n):
         return MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)))
     for i in range(1, n):

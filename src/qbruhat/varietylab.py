@@ -13,9 +13,9 @@ each insertion on every column prefix at once.  The Plücker route and
 ``is_tnn`` read ``_minor_table``, every row set's leading minor by Laplace
 expansion; its full minor is also the route's singularity test, so the two
 membership routes share no kernel.  The Plücker route builds no interval
-and scans no permutation: it counts the chains of nonzero minors over all
-row sets and over the prefix sets that pass ``qbgraph._prefix_steps``, the
-band test by which ``qbgraph.tilted_interval`` decides membership.
+and scans no permutation: one chain count runs over the row sets with a
+nonzero minor and over those among ``qbgraph._passing_sets``, the prefix
+sets from which ``qbgraph.tilted_interval`` folds its members.
 ``_eliminate(rows, p)`` (fraction-free Bareiss over Z when p is None,
 modular over F_p otherwise; rational rows are first scaled to integers by
 ``_clear``) is the reference behind both: ``plucker`` reads a minor off it,
@@ -421,12 +421,12 @@ def in_tilted_richardson_plucker(
     Delta_w = prod_k Delta_{w[k]}, and whether a factor vanishes does not
     depend on the order of the rows, so Delta_w != 0 iff each prefix set
     w[k] has a nonzero minor in ``_minor_table``.  A permutation is a chain
-    of sets, one of each size, so chains[t] = sum of chains[t - {i}] over
-    i in t when minor[t] != 0 (0 otherwise), from chains[{}] = 1, counts
-    the w with Delta_w != 0 at t = [n], in O(2^n n).  The same count over
-    the k-sets that pass level k of ``qbgraph._prefix_steps``, the band test
-    by which ``tilted_interval`` decides membership (the last entry is
-    forced), counts the w in [u,v] with Delta_w != 0.  Those are among the
+    of sets, one of each size, so count[t] = sum of count[t - {i}] over i
+    in t when keep[t] (0 otherwise), from count[{}] = 1, counts at t = [n]
+    the chains through kept sets, in O(2^n n).  Kept by the minor table, it
+    counts the w with Delta_w != 0; kept by the sets that
+    ``qbgraph._passing_sets`` lists with a nonzero minor (the last entry is
+    forced), the w in [u,v] with Delta_w != 0.  Those are among the
     former, so Delta_w = 0 off [u,v] iff the two counts are equal.  No
     interval is built and no permutation scanned.  u, v and the gate are
     checked before the 2^n table, whose full minor tests M for singularity.
@@ -438,27 +438,26 @@ def in_tilted_richardson_plucker(
     minor = _minor_table(M)
     if not minor[-1]:  # det(M), times a positive row scale over Q
         raise ValueError("matrix does not represent a flag (singular)")
-    chains = [1] * len(minor)
-    for t in range(1, len(minor)):
-        total = 0
-        if minor[t]:
-            rest = t
-            while rest:
-                i = rest & -rest  # the lowest row of t
-                total += chains[t ^ i]
-                rest ^= i
-        chains[t] = total
-    # chains through sets passing their level: the band test reads bit x
-    # for the entry x, the minor table bit x - 1
-    steps = qbgraph._prefix_steps(u, v, qbgraph.lattice_rows(u, v))
-    level = {0: 1}
-    for k in range(1, n):
-        nxt: dict[int, int] = {}
-        for s, c in level.items():
-            for _, t, _, _ in steps(s, k):
-                if minor[t >> 1]:
-                    nxt[t] = nxt.get(t, 0) + c
-        level = nxt
+
+    def chains(keep: Sequence) -> int:
+        count = [1] + [0] * (len(keep) - 1)
+        for t in range(1, len(keep)):
+            if keep[t]:
+                total, rest = 0, t
+                while rest:
+                    i = rest & -rest  # the lowest row of t
+                    total += count[t ^ i]
+                    rest ^= i
+                count[t] = total
+        return count[-1]
+
+    # the band test reads bit x for the entry x, the minor table bit x - 1
+    keep = bytearray(len(minor))
+    keep[-1] = 1  # [n]: the last entry is forced, and minor[-1] != 0
+    for level in qbgraph._passing_sets(u, v, qbgraph.lattice_rows(u, v)):
+        for t in level:
+            if minor[t >> 1]:
+                keep[t >> 1] = 1
 
     def multi_nonzero(w: Perm) -> bool:
         mask = 0
@@ -468,7 +467,7 @@ def in_tilted_richardson_plucker(
                 return False
         return True
 
-    result = sum(level.values()) == chains[-1]
+    result = chains(keep) == chains(minor)
     if result and open_flag:
         result = multi_nonzero(u) and multi_nonzero(v)
     if check:

@@ -672,24 +672,21 @@ def _band_pairs():
 
 
 def test_band_test_matches_the_depth_walk(monkeypatch):
-    # tilted_interval's packed band test against the walk over the
-    # abscissae, on every k-set at every level: steps runs from every
-    # (k-1)-set, so every k-set is tested; the count of the members, chains
-    # of passing prefix sets, checks the interval built from them
+    # _passing_sets against the walk over the abscissae, level by level:
+    # every k-set that extends a listed (k-1)-set is walked, and the level
+    # must list exactly those that pass, with their depths; the count of the
+    # members, chains of passing prefix sets, checks the interval built
+    # from them
     monkeypatch.setenv("QBRUHAT_MAX_N", "10")
     for u, v in _band_pairs():
         n = len(u)
         rows = qbgraph.lattice_rows(u, v)
-        steps = qbgraph._prefix_steps(u, v, rows)
-        sets, chains = [0], {0: 1}
-        for k in range(1, n):
-            got = {}
-            for s in sets:
-                for x, t, more, dt in steps(s, k):
-                    assert t == s | 1 << x and more == (s >> x).bit_count(), (u, v, s)
-                    assert got.setdefault(t, dt) == dt, (u, v, t)
+        levels = qbgraph._passing_sets(u, v, rows)
+        assert len(levels) == n - 1, (u, v)
+        chains = {0: 1}
+        for k, got in enumerate(levels, start=1):
             below = sum(1 << x for x in u[:k])
-            sets = [sum(1 << x for x in c) for c in itertools.combinations(range(1, n + 1), k)]
+            sets = {s | 1 << x for s in chains for x in range(1, n + 1) if not s >> x & 1}
             want = {t: prefix_depth_by_walk(rows[k - 1], below, t) for t in sets}
             assert got == {t: dt for t, dt in want.items() if dt >= 0}, (u, v, k)
             chains = {
@@ -697,6 +694,28 @@ def test_band_test_matches_the_depth_walk(monkeypatch):
                 for t in got
             }
         assert len(tilted_interval(u, v).members) == sum(chains.values()), (u, v)
+
+
+def test_a_dropped_passing_set_is_caught(monkeypatch):
+    # with the smallest set of each level left out of _passing_sets, the
+    # interval folded from them must lose a member or fail its end check
+    pairs = list(_seeded_pairs(50, (4, 5), 100))
+    ranks = {(u, v): _interval_ranks_oracle(u, v) for u, v in pairs}
+    real = qbgraph._passing_sets
+
+    def dropped(u, v, rows):
+        out = []
+        for level in real(u, v, rows):
+            low = min(level)
+            out.append({t: dt for t, dt in level.items() if t != low})
+        return out
+
+    monkeypatch.setattr(qbgraph, "_passing_sets", dropped)
+    for (u, v), rank in ranks.items():
+        try:
+            assert tilted_interval(u, v).rank != rank, (u, v)
+        except InternalConsistencyError:
+            pass
 
 
 def _fields_at(n, width):

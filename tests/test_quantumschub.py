@@ -48,6 +48,12 @@ def test_schubert_polys_s3():
     assert schubert_poly(longest(4)) == mono(4, (3, 2, 1, 0))
 
 
+@pytest.mark.parametrize("w", [(1, 1, 2), (0, 1, 2), (2, 3, 4)])
+def test_schubert_poly_rejects_non_permutations(w):
+    with pytest.raises(ValueError, match="not a permutation"):
+        schubert_poly(w)
+
+
 def test_divided_difference_sweep():
     for w in all_permutations(4):
         for i in (1, 2, 3):

@@ -670,9 +670,10 @@ def test_plucker_route_reads_the_band_test(monkeypatch):
     # as a member and must then disagree with the rank route somewhere
     def every_set_passes(u, v, rows):
         n = len(u)
-        return lambda s, k: [(x, s | 1 << x, 0, 0) for x in range(1, n + 1) if not s >> x & 1]
+        return [{sum(2 << i for i in c): 0 for c in itertools.combinations(range(n), k)}
+                for k in range(1, n)]
 
-    monkeypatch.setattr(qbgraph, "_prefix_steps", every_set_passes)
+    monkeypatch.setattr(qbgraph, "_passing_sets", every_set_passes)
     pick = random.Random(49)
     caught = 0
     for n in (4, 5):
@@ -683,6 +684,32 @@ def test_plucker_route_reads_the_band_test(monkeypatch):
             except InternalConsistencyError:
                 caught += 1
     assert caught > 0
+
+
+def test_plucker_route_misses_a_dropped_passing_set(monkeypatch):
+    # with the smallest set of each level left out of _passing_sets, the
+    # route loses the chains through it on each seeded Deodhar point of
+    # T°_{x,y}, where the rank route still finds the point in T_{x,y}
+    real = qbgraph._passing_sets
+
+    def dropped(u, v, rows):
+        out = []
+        for level in real(u, v, rows):
+            low = min(level)
+            out.append({t: dt for t, dt in level.items() if t != low})
+        return out
+
+    pick = random.Random(50)
+    points = [p for n in (4, 5) for p in _seeded_deodhar_points(pick, n, 20)]
+    assert all(in_tilted_richardson_plucker(M, x, y, check=True) for x, y, M in points)
+    monkeypatch.setattr(qbgraph, "_passing_sets", dropped)
+    caught = 0
+    for x, y, M in points:
+        try:
+            in_tilted_richardson_plucker(M, x, y, check=True)
+        except InternalConsistencyError:
+            caught += 1
+    assert caught == len(points), caught
 
 
 def test_count_gate():
