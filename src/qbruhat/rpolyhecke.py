@@ -14,7 +14,7 @@ generators left of it: such a prefix is not below that product in Bruhat
 order, so it is the product of no subword of them and can no longer reach
 the identity.  The test is one prefix sum per prefix and generator, against
 a cap fixed per position (``_demazure_caps``).  This bound is the DP's own;
-it shares nothing with the recursion or with the trace route's reach sets.
+it shares nothing with the recursion or with the trace route.
 
 The generator inverse is T_i^{-1} = q^{-1} T_i - (q-1) q^{-1}, the unique
 element with T_i T_i^{-1} = T_id under T_i^2 = (q-1) T_i + q.
@@ -25,20 +25,21 @@ product is a pairing of the two factors,
 
     eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)},
 
-so T_v^{-1} and T_u are built separately (each from the unit, one
-generator at a time) and paired by ``trace_product``.  The pairing reads
-T_v^{-1} only at the inverses of T_u's support, so T_u is built first and
-T_v^{-1} only toward those targets (``hecke_t_inverse_at``): a term is
-dropped once the factors still to apply cannot carry it there, by reach
-sets built only while each is smaller than the product it filters
-(``_reach``).  Each Hecke coefficient is one int, its polynomial at
-q = 2^B (``HeckeElt``).  T_v^{-1} is built scaled by q at each factor,
+and it is symmetric, eps(x y) = eps(y x).  So for any split
+T_v^{-1} = A B, eps(T_v^{-1} T_u) = eps((T_u A) B): T_u is built from the
+unit, one generator at a time, and multiplied on the right by the leading
+factors of T_v^{-1} while it holds fewer than the 2^r terms that the r
+factors still left can hold when built from the unit; those are built as
+B, and the halves are paired by ``trace_product``.  Every split point
+gives the exact answer; this one stops once T_u A is as large as the rest
+can grow.  Each Hecke coefficient is one int, its polynomial at q = 2^B
+(``HeckeElt``).  T_v^{-1}'s factors are scaled by q each,
 q T_i^{-1} = T_i - (q-1), so no exponent goes negative, and the decoded
 pairing is shifted back.  Each factor at most triples the sum of the
 absolute coefficients, so the pairing's coefficients lie below
 3^(m_u + m_v) < 2^(B-1) for B = 2(m_u + m_v) + 2 (``_trace_bits``): its
 signed base-2^B digits, read once (``_decode_pairing``), are the
-polynomial.  The reach test and the decode are the trace route's own; they
+polynomial.  The split and the decode are the trace route's own; they
 share nothing with the Deodhar DP or the recursion
 (``tests/test_rpolyhecke.py`` checks the AST).  The algebra on Laurent
 coefficient maps, with the full (T_w)^{-1}, is the tests' oracle in
@@ -56,7 +57,6 @@ writes.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -228,17 +228,18 @@ def _right_swap(n: int, i: int) -> Callable[[Perm], Perm]:
 
 def _trace_bits(m_u: int, m_v: int) -> int:
     """The digit width B = 2(m_u + m_v) + 2 for a pairing of T_u, built
-    over m_u generators, with q^{m_v} (T_v)^{-1}, built over m_v.
+    over m_u generators, with q^{m_v} (T_v)^{-1}, built over m_v, split
+    between the two halves as ``rtilt_hecke`` splits it.
 
     Let |x| be the sum of the absolute values of all coefficients of all
     terms of x.  One step maps a pair (a, b) to (q b, a + (q-1) b) or to
     (q b - (q-1) a, a), of size at most 3(|a| + |b|), so each factor at most
-    triples |x| and dropping terms only lowers it: |T_u| <= 3^{m_u} and
-    |q^{m_v} (T_v)^{-1}| <= 3^{m_v}, pruned or not.  The pairing
-    sum_w x_w y_{w^{-1}} q^{l(w)} then has |.| <= |x| |y| <= 3^{m_u + m_v}
-    < 4^{m_u + m_v} = 2^(B - 2), so each of its coefficients lies in
-    (-2^(B-1), 2^(B-1)) and is one signed base-2^B digit of its value at
-    q = 2^B.
+    triples |x|.  With T_v^{-1} split as A B over m_A + m_B = m_v
+    generators, |T_u A| <= 3^{m_u + m_A} and |B| <= 3^{m_B}.  The pairing
+    sum_w x_w y_{w^{-1}} q^{l(w)} of the halves then has
+    |.| <= |T_u A| |B| <= 3^{m_u + m_v} < 4^{m_u + m_v} = 2^(B - 2), so
+    each of its coefficients lies in (-2^(B-1), 2^(B-1)) and is one signed
+    base-2^B digit of its value at q = 2^B, wherever the split falls.
     """
     return 2 * (m_u + m_v) + 2
 
@@ -289,59 +290,6 @@ def hecke_t(word_gens: Iterable[int], n: int, bits: int) -> HeckeElt:
     out = HeckeElt(n, bits, {identity(n): 1})
     for i in word_gens:
         out = out.mul_gen(i)
-    return out
-
-
-def _reach(gens: list[int], n: int, targets: Iterable[Perm]) -> list[frozenset[Perm]]:
-    """reach[0] = targets and, while they pay, the sets reach[j]: the x
-    that the factors gens[j-1], ..., gens[0] can carry into targets.
-
-    reach[j] is reach[j-1] and its translates by s_{gens[j-1]}.  A set
-    costs what it holds, and the filter at step j can drop no more terms
-    than the product holds there: after the m - j factors gens[m-1], ...,
-    gens[j] that is at most 2^(m-j).  So reach[j] is built only while the
-    last set built is smaller than that bound, and than the whole group.
-    """
-    m = len(gens)
-    whole = math.factorial(n)
-    reach = [frozenset(targets)]
-    for j in range(1, m):
-        last = reach[-1]
-        if len(last) >= min(whole, 1 << (m - j)):
-            break
-        reach.append(last.union(map(_right_swap(n, gens[j - 1]), last)))
-    return reach
-
-
-def hecke_t_inverse_at(
-    word_gens: Iterable[int], n: int, targets: Iterable[Perm], bits: int
-) -> HeckeElt:
-    """q^m (T_w)^{-1}, for the m generators of the word, restricted to the
-    basis elements in targets: the factors are ``mul_gen_inverse``'s
-    q T_i^{-1}.
-
-    Right multiplication by T_i^{-1} sends T_x into the span of T_x and
-    T_{x s_i}, so a term can end in targets only if the factors still to
-    apply can carry it there: after the factor of gens[j], those are the
-    factors of gens[j-1], ..., gens[0], and ``_reach`` builds the sets
-    reach[j] of the x they can carry into targets, for the low j where a
-    set is smaller than the product it filters.  After the factor of
-    gens[j] the terms outside reach[j] are dropped; above the last set the
-    product runs unfiltered.
-
-    Skipping a filter is exact.  reach[j] holds reach[j-1] and its
-    translates, so a term outside reach[j] has no descendant in reach[j-1],
-    ..., reach[0]; reach[0] = targets is always applied and drops them all.
-    So the coefficients at targets are those of the full q^m (T_w)^{-1}.
-    """
-    gens = list(word_gens)
-    reach = _reach(gens, n, targets)
-    out = HeckeElt(n, bits, {identity(n): 1})
-    for j in range(len(gens) - 1, -1, -1):
-        out = out.mul_gen_inverse(gens[j])
-        if j < len(reach):
-            keep = reach[j]
-            out.terms = {x: c for x, c in out.terms.items() if x in keep}
     return out
 
 
@@ -551,17 +499,22 @@ def rtilt_hecke(u: Perm, v: Perm) -> LaurentPoly:
     """(-q)^{l(u,v)} times the trace of T_v^{-1} T_u over tilted words for
     the witness tilt.
 
-    T_v^{-1} and T_u are built from the unit over the generators of the
-    tilted reduced words of v and u, and the trace of their product is the
-    pairing eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)} (``trace_product``).
-    Only the coefficients of T_v^{-1} at the inverses of T_u's support enter
-    it, so T_v^{-1} is built toward those alone (``hecke_t_inverse_at``).
-    Coefficients are packed at q = 2^bits (``_trace_bits``), and T_v^{-1} is
-    built scaled by q^{m_v} for the m_v generators of v's word, which the
-    shift of the decoded pairing takes back.  With the genuine generator
-    inverse the trace picks up a sign (-1)^{l(u,v)}, absorbed here so that
-    the result is the point count.  A result with negative exponents is
-    reported as a hard failure.
+    The trace is symmetric, eps(x y) = eps(y x) (Geck-Pfeiffer, Characters
+    of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, 8.1), so
+    eps(T_v^{-1} T_u) = eps((T_u A) B) for any split T_v^{-1} = A B, and
+    every split point gives the same answer.  T_u is built from the unit
+    over the generators of u's tilted reduced word, then multiplied on the
+    right by the leading factors of T_v^{-1} while it holds fewer than 2^r
+    terms, r the number of factors still left: built from the unit, those r
+    factors hold at most 2^r terms.  They are built from the unit as B, and
+    the two halves are paired by eps(x y) = sum_w x_w y_{w^{-1}} q^{l(w)}
+    (``trace_product``), so T_v^{-1} T_u is never formed.  Coefficients are
+    packed at q = 2^bits (``_trace_bits``), and the factors of T_v^{-1} are
+    ``mul_gen_inverse``'s q T_i^{-1}, scaled by q^{m_v} in all for the m_v
+    generators of v's word, which the shift of the decoded pairing takes
+    back.  With the genuine generator inverse the trace picks up a sign
+    (-1)^{l(u,v)}, absorbed here so that the result is the point count.  A
+    result with negative exponents is reported as a hard failure.
     """
     check_perms(u, v)
     n = len(u)
@@ -569,9 +522,14 @@ def rtilt_hecke(u: Perm, v: Perm) -> LaurentPoly:
     gens_u = _gens_of(tilted_reduced_word(a, u))
     gens_v = _gens_of(tilted_reduced_word(a, v))
     bits = _trace_bits(len(gens_u), len(gens_v))
-    tu = hecke_t(gens_u, n, bits)
-    tv_inv = hecke_t_inverse_at(gens_v, n, map(inverse, tu.terms), bits)
-    pairing = trace_product(tv_inv, tu)  # q^{m_v} eps(T_v^{-1} T_u)
+    x, r = hecke_t(gens_u, n, bits), len(gens_v)
+    while len(x.terms) < 1 << r:  # T_u A, while smaller than B can grow
+        r -= 1
+        x = x.mul_gen_inverse(gens_v[r])
+    y = HeckeElt(n, bits, {identity(n): 1})
+    for i in reversed(gens_v[:r]):
+        y = y.mul_gen_inverse(i)
+    pairing = trace_product(x, y)  # q^{m_v} eps(T_u T_v^{-1})
     dist = a_length(a, v) - a_length(a, u)
     signed = pairing.shifted(dist - len(gens_v))
     return as_qpoly(signed if dist % 2 == 0 else -signed)

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -20,7 +19,6 @@ from qbruhat.permcore import (
     apply_simple,
     bruhat_leq,
     identity,
-    inverse,
     length,
     parse_perm,
     reduced_word,
@@ -37,7 +35,6 @@ from qbruhat.rpolyhecke import (
     as_qpoly,
     classical_r,
     hecke_t,
-    hecke_t_inverse_at,
     rtilt,
     rtilt_deodhar,
     rtilt_hecke,
@@ -357,10 +354,6 @@ def test_three_routes_agree_s6_near_w0():
         assert d == rtilt_recursive(u, v) == rtilt_hecke(u, v), (u, v)
 
 
-def _t_inverse_at_targets(x, targets):
-    return {t: x.terms.get(t) for t in targets}
-
-
 def _decoded_at_targets(x, targets, m):
     # the packed coefficients of a product scaled by q^m, decoded and scaled
     # back, as exponent maps like the dict oracle's
@@ -379,46 +372,70 @@ def _packed_t_inverse(gens, n, bits):
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_pruned_t_inverse_matches_full_build_at_targets(data):
-    n = data.draw(st.integers(2, 5))
-    word = data.draw(st.lists(st.integers(1, n - 1), max_size=12))
-    full = hecke_t_inverse(word, n)
-    # targets mix arbitrary permutations with terms the full build has
-    targets = data.draw(st.sets(st.permutations(range(1, n + 1)).map(tuple), max_size=3))
-    targets |= data.draw(st.sets(st.sampled_from(sorted(full.terms)), max_size=3))
-    pruned = hecke_t_inverse_at(word, n, targets, rpolyhecke._trace_bits(0, len(word)))
-    assert _decoded_at_targets(pruned, targets, len(word)) == _t_inverse_at_targets(
-        full, targets
-    )
-    if word:
-        assert set(pruned.terms) <= targets
-
-
 def _route_words(u, v):
     a = witness_a(u, v)
     return (rpolyhecke._gens_of(tilted_reduced_word(a, u)),
             rpolyhecke._gens_of(tilted_reduced_word(a, v)))
 
 
-def test_pruned_t_inverse_matches_full_build_s4_pairs():
-    # the targets rtilt_hecke passes: the inverses of T_u's support
-    perms = list(all_permutations(4))
-    for u in perms:
-        for v in perms:
-            gens_u, gens_v = _route_words(u, v)
-            bits = rpolyhecke._trace_bits(len(gens_u), len(gens_v))
-            targets = {inverse(w) for w in hecke_t(gens_u, 4, bits).terms}
-            pruned = hecke_t_inverse_at(gens_v, 4, targets, bits)
-            full = hecke_t_inverse(gens_v, 4)
-            assert _decoded_at_targets(pruned, targets, len(gens_v)) == _t_inverse_at_targets(
-                full, targets
-            ), (u, v)
+def test_every_split_point_gives_the_same_trace():
+    # eps(T_v^{-1} T_u) = eps((T_u A) B) for every split q^m T_v^{-1} = A B:
+    # A the factors of gens_v[m-1], ..., gens_v[j], B those of
+    # gens_v[j-1], ..., gens_v[0], for j = m, ..., 0, against the dict oracle
+    rng = random.Random(49)
+    pairs = [(u, v) for n in range(1, 5) for u in all_permutations(n)
+             for v in all_permutations(n)]
+    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(40)]
+    for u, v in pairs:
+        n = len(u)
+        gens_u, gens_v = _route_words(u, v)
+        m = len(gens_v)
+        want = trace_product_by_dict(hecke_t_inverse(gens_v, n), hecke_t_by_dict(gens_u, n))
+        bits = rpolyhecke._trace_bits(len(gens_u), m)
+        x = hecke_t(gens_u, n, bits)
+        for j in range(m, -1, -1):
+            if j < m:
+                x = x.mul_gen_inverse(gens_v[j])
+            y = _packed_t_inverse(gens_v[:j], n, bits)
+            assert trace_product(x, y).shifted(-m) == want, (u, v, j)
 
 
-def test_hecke_route_builds_only_toward_t_u(monkeypatch):
-    # a fall-back to the full T_v^{-1} would pass every agreement test
+def test_inverse_factors_from_the_unit_hold_at_most_two_to_the_r_terms():
+    # the size the split is chosen by: q T_i^{-1} sends T_x into the span of
+    # T_x and T_{x s_i}, so r factors built from the unit hold <= 2^r terms
+    rng = random.Random(52)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        y = HeckeElt(n, 64, {identity(n): 1})
+        for r in range(1, rng.randint(1, 14)):
+            y = y.mul_gen_inverse(rng.randint(1, n - 1))
+            assert len(y.terms) <= 2 ** r, (n, r)
+
+
+def test_split_halves_stay_within_the_digit_bound():
+    # _trace_bits' proof for the two halves: |T_u A| <= 3^(m_u + m_A) and
+    # |B| <= 3^(m_B) at every split point, |.| the sum of the absolute values
+    # of all coefficients, read at a digit width far above the bound
+    def size(x):
+        return sum(abs(c) for packed in x.terms.values()
+                   for c in rpolyhecke._decode_pairing(packed, x.bits).terms.values())
+
+    rng = random.Random(53)
+    pairs = [(u, v) for u in all_permutations(4) for v in all_permutations(4)]
+    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(40)]
+    for u, v in pairs:
+        gens_u, gens_v = _route_words(u, v)
+        m_u, m = len(gens_u), len(gens_v)
+        x = hecke_t(gens_u, len(u), 64)
+        for j in range(m, -1, -1):
+            if j < m:
+                x = x.mul_gen_inverse(gens_v[j])
+            assert size(x) <= 3 ** (m_u + m - j), (u, v, j)
+            assert size(_packed_t_inverse(gens_v[:j], len(u), 64)) <= 3 ** j, (u, v, j)
+
+
+def test_split_route_sends_few_terms_through_the_inverse_steps(monkeypatch):
+    # a split that built all of T_v^{-1} would pass every agreement test
     terms_in = [0]
     mul_gen_inverse = HeckeElt.mul_gen_inverse
 
@@ -428,68 +445,56 @@ def test_hecke_route_builds_only_toward_t_u(monkeypatch):
 
     monkeypatch.setattr(HeckeElt, "mul_gen_inverse", counting)
     rng = random.Random(23)
-    pruned = full = 0
+    split = full = 0
     for _ in range(10):
         u, v = _near_w0_pair(rng, 6)
         terms_in[0] = 0
         rtilt_hecke(u, v)
-        pruned += terms_in[0]
+        split += terms_in[0]
         terms_in[0] = 0
         _packed_t_inverse(_route_words(u, v)[1], 6, 64)
         full += terms_in[0]
-    assert 0 < pruned * 10 <= full, (pruned, full)
+    assert 0 < split * 10 <= full, (split, full)
 
 
-def test_pruned_t_inverse_matches_full_build_s5_s6_pairs():
-    # uniform S_5 pairs and near-w0 S_6 pairs, whose long words stop the
-    # reach sets well before the whole group
-    rng = random.Random(39)
-    pairs = [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(40)]
-    pairs += [_near_w0_pair(rng, 6) for _ in range(12)]
+def test_dropping_the_factor_at_the_split_point_is_caught(monkeypatch):
+    # B is built from the unit, and for u != e only B's first step sees the
+    # unit with coefficient 1: skipping that step drops the factor at the
+    # split point, and the three-route check must catch it wherever B has one
+    dropped = [False]
+    mul_gen_inverse = HeckeElt.mul_gen_inverse
+
+    def faulty(self, i):
+        if not dropped[0] and self.terms == {identity(self.n): 1}:
+            dropped[0] = True
+            return self
+        return mul_gen_inverse(self, i)
+
+    monkeypatch.setattr(HeckeElt, "mul_gen_inverse", faulty)
+    rng = random.Random(50)
+    pairs = [(u, v) for u in all_permutations(4) for v in all_permutations(4)]
+    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(100)]
+    caught = 0
     for u, v in pairs:
-        n = len(u)
-        gens_u, gens_v = _route_words(u, v)
-        bits = rpolyhecke._trace_bits(len(gens_u), len(gens_v))
-        targets = {inverse(w) for w in hecke_t(gens_u, n, bits).terms}
-        pruned = hecke_t_inverse_at(gens_v, n, targets, bits)
-        full = hecke_t_inverse(gens_v, n)
-        assert _decoded_at_targets(pruned, targets, len(gens_v)) == _t_inverse_at_targets(
-            full, targets
-        ), (u, v)
+        if u == identity(len(u)):
+            continue
+        dropped[0] = False
+        try:
+            rtilt(u, v, "all")
+        except InternalConsistencyError:
+            caught += 1
+            continue
+        assert not dropped[0], (u, v)
+    assert caught >= 500, caught
 
 
-def _reach_until_whole(gens, n, targets):
-    # every reach set, built until one covers the group
-    reach = [frozenset(targets)]
-    for i in gens[:-1]:
-        if len(reach[-1]) == math.factorial(n):
-            break
-        reach.append(reach[-1] | {apply_simple(x, i) for x in reach[-1]})
-    return reach
-
-
-def test_reach_sets_stop_at_the_product_bound():
-    # a set is built only while the last one is smaller than the 2^(m-j)
-    # terms the product can hold where it filters, and than the group
-    rng = random.Random(23)
-    pairs = [_near_w0_pair(rng, 6) for _ in range(10)]
-    pairs += [(_random_perm(rng, 5), _random_perm(rng, 5)) for _ in range(20)]
-    built = every = 0
+def test_hecke_matches_deodhar_on_s8_pairs():
+    # the trace route at n = 8: uniform pairs and pairs near w0
+    rng = random.Random(51)
+    pairs = [(_random_perm(rng, 8), _random_perm(rng, 8)) for _ in range(10)]
+    pairs += [_near_w0_pair(rng, 8) for _ in range(10)]
     for u, v in pairs:
-        n = len(u)
-        gens_u, gens_v = _route_words(u, v)
-        targets = {inverse(w) for w in hecke_t(gens_u, n, 64).terms}
-        reach = rpolyhecke._reach(gens_v, n, targets)
-        whole = _reach_until_whole(gens_v, n, targets)
-        m = len(gens_v)
-        assert reach == whole[: len(reach)], (u, v)
-        for j in range(1, len(reach)):
-            assert len(reach[j - 1]) < min(math.factorial(n), 2 ** (m - j)), (u, v, j)
-        if len(reach) < m:
-            assert len(reach[-1]) >= min(math.factorial(n), 2 ** (m - len(reach))), (u, v)
-        built += sum(map(len, reach))
-        every += sum(map(len, whole))
-    assert 0 < built * 4 <= every, (built, every)
+        assert rtilt_hecke(u, v) == rtilt_deodhar(u, v), (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +653,8 @@ def test_the_traced_hecke_names_run_in_the_three_route_check(monkeypatch):
 
 # the three R-polynomial routes, by the functions that make each one up
 ROUTES = {
-    "hecke": {"rtilt_hecke", "hecke_t_inverse_at", "_reach", "hecke_t", "trace_product",
-              "_right_swap", "_trace_bits", "_decode_pairing"},
+    "hecke": {"rtilt_hecke", "hecke_t", "trace_product", "_right_swap", "_trace_bits",
+              "_decode_pairing"},
     "deodhar": {"rtilt_deodhar", "_demazure_caps", "_unpack"},
     "recursion": {"rtilt_recursive", "_rtilt_rec"},
 }
